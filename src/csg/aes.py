@@ -7,7 +7,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 BLOCK_SIZE = 16
@@ -387,7 +386,3 @@ def cbc_decrypt(ciphertext: bytes, key: bytes, iv: bytes) -> bytes:
         )
         prev = block
     return unpad(bytes(out))
-
-
-def random_iv() -> bytes:
-    return os.urandom(BLOCK_SIZE)

@@ -292,16 +292,17 @@ class Gateway:
                 conn, _addr = self._listener.accept()
             except OSError:
                 break  # listener closed during shutdown
+            with self._sessions_lock:
+                self._next_session_id += 1
+                session_id = self._next_session_id
             if not self._slots.acquire(blocking=False):
                 # at capacity: immediate reject, no queueing
+                self.audit.append(session_id, "refused at capacity")
                 try:
                     conn.close()
                 except OSError:
                     pass
                 continue
-            with self._sessions_lock:
-                self._next_session_id += 1
-                session_id = self._next_session_id
             thread = threading.Thread(
                 target=self._run_session,
                 args=(session_id, conn),

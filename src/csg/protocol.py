@@ -534,6 +534,9 @@ def server_handle_frame(
         reason = "invalid public key"
     except (MalformedPayload, aes.PaddingError, aes.LengthError):
         reason = "malformed payload"
+    except OSError:
+        # LIST_RESULT has no status byte, so a failing store ends the session
+        reason = "storage error"
     ctx.audit(f"error {reason}", state.customer_id)
     state.close()
     return [Frame(MessageType.ERROR, encode_str(reason))]

@@ -2,8 +2,11 @@
 encrypted per-customer object store.
 
 Registry file: UTF-8, one JSON object per line, binary fields hex-encoded
-lowercase. Object file layout: magic "CSG1", version 0x01, 16-byte IV,
-u64 big-endian ciphertext length, ciphertext.
+lowercase. Object file layout (version 0x02): magic "CSG1", version byte,
+16-byte IV, u64 big-endian plaintext length, CBC ciphertext. The ciphertext
+length follows from the plaintext length (PKCS#7 always adds 1 to 16 bytes)
+and must match the file size. Version 0x01 files, whose u64 holds the
+ciphertext length instead, are still read but never written.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from . import aes
 from .keyx import PASSWORD_HASH_ITERATIONS, hash_password
@@ -26,8 +29,9 @@ from .keyx import PASSWORD_HASH_ITERATIONS, hash_password
 STORAGE_RIGHT = "storage"
 
 OBJECT_MAGIC = b"CSG1"
-OBJECT_VERSION = 0x01
-OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + iv(16) + ciphertext length(8)
+OBJECT_VERSION = 0x02
+OBJECT_VERSION_V1 = 0x01  # read-only; its u64 is the ciphertext length
+OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + iv(16) + length(8)
 
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
 
@@ -57,7 +61,8 @@ class NoSuchObject(Exception):
 
 
 class CorruptObject(Exception):
-    """Bad magic, bad length, or padding failure on decrypt."""
+    """Bad magic or version, a length that disagrees with the file or the
+    decrypted plaintext, or a padding failure on decrypt."""
 
 
 class CertVerdict(enum.Enum):
@@ -278,6 +283,32 @@ def _validate_object_name(name: str) -> None:
         raise InvalidName(f"object name prefix {_TMP_PREFIX!r} is reserved")
 
 
+def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int]:
+    """Check an object header against the size of its file.
+
+    Returns (iv, size). The size is the exact plaintext length for version
+    0x02 and the ciphertext length, a conservative estimate, for version
+    0x01. Raises CorruptObject.
+    """
+    if len(header) < OBJECT_HEADER_LEN:
+        raise CorruptObject("object file shorter than its header")
+    if header[:4] != OBJECT_MAGIC:
+        raise CorruptObject("bad magic")
+    version = header[4]
+    (size,) = struct.unpack(">Q", header[21:29])
+    if version == OBJECT_VERSION:
+        ct_len = size - size % aes.BLOCK_SIZE + aes.BLOCK_SIZE
+    elif version == OBJECT_VERSION_V1:
+        if size == 0 or size % aes.BLOCK_SIZE != 0:
+            raise CorruptObject("v1 ciphertext length is not a positive multiple of 16")
+        ct_len = size
+    else:
+        raise CorruptObject(f"unsupported object version 0x{version:02x}")
+    if file_size != OBJECT_HEADER_LEN + ct_len:
+        raise CorruptObject("ciphertext length does not match the header")
+    return header[5:21], size
+
+
 def _validate_customer_id(customer_id: str) -> None:
     if not customer_id or customer_id in (".", ".."):
         raise ValueError(f"invalid customer id {customer_id!r}")
@@ -291,13 +322,14 @@ class ObjectStore:
     """Encrypted blob store under root/<customer_id>/<name>.
 
     Every blob is independently CBC-encrypted under the customer's derived
-    storage key with a fresh IV. A sidecar root/<customer_id>.index.json
-    records exact plaintext sizes for quota accounting; on startup it is
-    reconciled against the directory (headers only reveal ciphertext length,
-    which then stands in as a conservative size estimate).
+    storage key with a fresh IV. Each file's header carries the exact
+    plaintext length, so the object file is the only record of its size:
+    there is no index beside it, and quota totals are rebuilt from the
+    headers at startup. Version 0x01 files are read but never written; they
+    count at their ciphertext length.
 
-    Writes go through a temp file + atomic rename and are serialized by one
-    coarse store-wide lock.
+    Writes go through a temp file + atomic rename, which commits content and
+    size together, and are serialized by one coarse store-wide lock.
     """
 
     def __init__(self, root: str | Path):
@@ -307,65 +339,30 @@ class ObjectStore:
         self._sizes: dict[str, dict[str, int]] = {}
         self._scan()
 
-    # --- startup reconciliation ---
+    # --- startup scan ---
 
     def _dir(self, customer_id: str) -> Path:
         return self.root / customer_id
 
-    def _sidecar(self, customer_id: str) -> Path:
-        return self.root / f"{customer_id}.index.json"
-
     def _scan(self) -> None:
+        """Rebuild the size table from object headers; unreadable or corrupt
+        files are skipped."""
         for entry in sorted(self.root.iterdir()):
             if not entry.is_dir():
                 continue
-            customer_id = entry.name
-            recorded: dict[str, int] = {}
-            sidecar = self._sidecar(customer_id)
-            if sidecar.is_file():
-                try:
-                    loaded = json.loads(sidecar.read_text(encoding="utf-8"))
-                    recorded = {str(k): int(v) for k, v in loaded.items()}
-                except (ValueError, TypeError, AttributeError):
-                    recorded = {}
             sizes: dict[str, int] = {}
             for f in sorted(entry.iterdir()):
                 if not f.is_file() or f.name.startswith(_TMP_PREFIX):
                     continue
-                ct_len = self._header_ciphertext_len(f)
-                if ct_len is None:
+                try:
+                    with open(f, "rb") as fh:
+                        header = fh.read(OBJECT_HEADER_LEN)
+                        file_size = os.fstat(fh.fileno()).st_size
+                    sizes[f.name] = _parse_header(header, file_size)[1]
+                except (OSError, CorruptObject):
                     continue
-                sizes[f.name] = recorded.get(f.name, ct_len)
             if sizes:
-                self._sizes[customer_id] = sizes
-
-    @staticmethod
-    def _header_ciphertext_len(path: Path) -> Optional[int]:
-        try:
-            with open(path, "rb") as fh:
-                header = fh.read(OBJECT_HEADER_LEN)
-            if len(header) != OBJECT_HEADER_LEN:
-                return None
-            if header[:4] != OBJECT_MAGIC or header[4] != OBJECT_VERSION:
-                return None
-            (ct_len,) = struct.unpack(">Q", header[21:29])
-            if ct_len <= 0 or ct_len % aes.BLOCK_SIZE != 0:
-                return None
-            if path.stat().st_size != OBJECT_HEADER_LEN + ct_len:
-                return None
-            return ct_len
-        except OSError:
-            return None
-
-    def _write_sidecar(self, customer_id: str) -> None:
-        sizes = self._sizes.get(customer_id, {})
-        data = json.dumps(sizes, sort_keys=True).encode("utf-8")
-        fd, tmp = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=self.root)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
-        os.replace(tmp, self._sidecar(customer_id))
+                self._sizes[entry.name] = sizes
 
     # --- operations ---
 
@@ -388,7 +385,7 @@ class ObjectStore:
             OBJECT_MAGIC
             + bytes([OBJECT_VERSION])
             + iv
-            + struct.pack(">Q", len(ciphertext))
+            + struct.pack(">Q", len(plaintext))
             + ciphertext
         )
         with self._lock:
@@ -410,7 +407,6 @@ class ObjectStore:
                 os.close(fd)
             os.replace(tmp, directory / name)
             sizes[name] = len(plaintext)
-            self._write_sidecar(customer_id)
 
     def get_object(self, customer_id: str, name: str, master_key: bytes) -> bytes:
         """Read, verify and decrypt one object; byte-exact inverse of
@@ -422,22 +418,15 @@ class ObjectStore:
             blob = path.read_bytes()
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
-        if len(blob) < OBJECT_HEADER_LEN:
-            raise CorruptObject("object file shorter than its header")
-        if blob[:4] != OBJECT_MAGIC:
-            raise CorruptObject("bad magic")
-        if blob[4] != OBJECT_VERSION:
-            raise CorruptObject(f"unsupported object version 0x{blob[4]:02x}")
-        iv = blob[5:21]
-        (ct_len,) = struct.unpack(">Q", blob[21:29])
-        ciphertext = blob[29:]
-        if len(ciphertext) != ct_len:
-            raise CorruptObject("ciphertext length does not match the header")
+        iv, size = _parse_header(blob[:OBJECT_HEADER_LEN], len(blob))
         key = storage_key(master_key, customer_id)
         try:
-            return aes.cbc_decrypt(ciphertext, key, iv)
+            plaintext = aes.cbc_decrypt(blob[OBJECT_HEADER_LEN:], key, iv)
         except (aes.LengthError, aes.PaddingError) as exc:
             raise CorruptObject(f"decryption failed: {exc}") from None
+        if blob[4] == OBJECT_VERSION and len(plaintext) != size:
+            raise CorruptObject("plaintext length does not match the header")
+        return plaintext
 
     def list_objects(self, customer_id: str) -> list[str]:
         """Object names in lexicographic byte order; empty for a customer

@@ -190,6 +190,11 @@ def test_session_cap_immediate_reject(gateway_factory):
     assert second.recv(1) == b""  # EOF without any frame
     second.close()
     first.close()
+    events = [
+        parse_audit_line(line)[2]
+        for line in handle.audit_path.read_text().splitlines()
+    ]
+    assert events.count("refused at capacity") == 1
 
     # slot freed: a new session works again
     deadline = time.time() + 5

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
 
 import pytest
 
@@ -350,6 +351,28 @@ def test_put_statuses(tmp_path):
     assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_INVALID_NAME
     reply = wire.send(P.build_put(wire.client, "big", bytes(1001)))
     assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_QUOTA_EXCEEDED
+
+
+def test_list_storage_failure_sends_error_frame(tmp_path, acme):
+    events: list[str] = []
+    ctx = P.ServerContext(
+        registry=Registry([acme.record]),
+        store=ObjectStore(tmp_path / "objects"),
+        master_key=os.urandom(16),
+        group=TEST_SMALL,
+        audit=lambda event, _customer_id: events.append(event),
+    )
+    wire = Wire(ctx)
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme)[0]
+    reply = wire.send(P.build_put(wire.client, "a", b"x"))
+    assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_OK
+    shutil.rmtree(tmp_path / "objects")
+    reply = wire.send(P.build_list(wire.client))
+    assert [f.msg_type for f in reply] == [MessageType.ERROR]
+    assert PayloadReader(reply[0].payload).string() == "storage error"
+    assert events[-1] == "error storage error"
+    assert wire.server.phase is P.Phase.CLOSED
 
 
 def test_data_frames_rejected_outside_active_session(wire, acme):

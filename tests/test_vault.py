@@ -10,7 +10,7 @@ import struct
 
 import pytest
 
-from csg import vault
+from csg import aes, vault
 from csg.vault import (
     AuthFailed,
     Certificate,
@@ -187,11 +187,10 @@ def test_on_disk_layout(store, tmp_path):
     path = tmp_path / "objects" / "acme" / "blob"
     blob = path.read_bytes()
     assert blob[:4] == b"CSG1"
-    assert blob[4] == 0x01
-    (ct_len,) = struct.unpack(">Q", blob[21:29])
-    assert ct_len % 16 == 0 and ct_len > 0
-    assert len(blob) == 29 + ct_len
-    assert ct_len == (len(data) // 16 + 1) * 16
+    assert blob[4] == 0x02
+    (length,) = struct.unpack(">Q", blob[21:29])
+    assert length == len(data)
+    assert len(blob) == 29 + (len(data) // 16 + 1) * 16
 
 
 def test_plaintext_absent_from_disk(store, tmp_path):
@@ -305,13 +304,7 @@ def test_index_rebuild_after_restart(tmp_path):
     second = ObjectStore(root)
     assert second.list_objects("acme") == ["kept"]
     assert second.get_object("acme", "kept", MASTER) == data
-    assert second.used_bytes("acme") == 500  # exact size from the sidecar
-
-    # sidecar gone: size falls back to the ciphertext length from the header
-    (root / "acme.index.json").unlink()
-    third = ObjectStore(root)
-    assert third.list_objects("acme") == ["kept"]
-    assert third.used_bytes("acme") == (500 // 16 + 1) * 16
+    assert second.used_bytes("acme") == 500  # exact size from the header
 
 
 def test_quota_enforced_after_rebuild(tmp_path):
@@ -330,3 +323,85 @@ def test_stray_tmp_files_ignored_on_scan(tmp_path):
     (root / "acme" / ".tmp-leftover").write_bytes(b"partial write")
     second = ObjectStore(root)
     assert second.list_objects("acme") == ["real"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 1024])
+def test_exact_used_bytes_after_restart(tmp_path, size):
+    root = tmp_path / "objects"
+    first = ObjectStore(root)
+    first.put_object("acme", "a", bytes(size), MASTER, QUOTA)
+    first.put_object("acme", "b", bytes(7), MASTER, QUOTA)
+    for index in root.glob("*.index.json"):  # as written by older versions
+        index.unlink()
+    second = ObjectStore(root)
+    assert second.used_bytes("acme") == size + 7
+    assert second.get_object("acme", "a", MASTER) == bytes(size)
+
+
+def test_failed_write_cannot_exceed_quota_after_restart(tmp_path, monkeypatch):
+    root = tmp_path / "objects"
+    first = ObjectStore(root)
+    first.put_object("acme", "a", bytes(100), MASTER, 1000)
+    # a failure reported after the object was renamed into place
+    real_replace = os.replace
+
+    def replace_then_fail(src, dst):
+        real_replace(src, dst)
+        raise OSError("disk error after rename")
+
+    monkeypatch.setattr(vault.os, "replace", replace_then_fail)
+    with pytest.raises(OSError):
+        first.put_object("acme", "a", bytes(900), MASTER, 1000)
+    monkeypatch.undo()
+    # a size index left by an older version still claims the old size
+    (root / "acme.index.json").write_text(json.dumps({"a": 100}))
+
+    second = ObjectStore(root)
+    assert second.used_bytes("acme") == 900
+    with pytest.raises(QuotaExceeded):
+        second.put_object("acme", "b", bytes(750), MASTER, 1000)
+    assert (root / "acme.index.json").read_text() == json.dumps({"a": 100})
+
+
+def test_v1_object_still_readable(tmp_path):
+    root = tmp_path / "objects"
+    (root / "acme").mkdir(parents=True)
+    data = os.urandom(100)
+    iv = os.urandom(16)
+    ciphertext = aes.cbc_encrypt(data, storage_key(MASTER, "acme"), iv)
+    (root / "acme" / "old").write_bytes(
+        b"CSG1" + bytes([0x01]) + iv + struct.pack(">Q", len(ciphertext)) + ciphertext
+    )
+    store = ObjectStore(root)
+    assert store.list_objects("acme") == ["old"]
+    assert store.get_object("acme", "old", MASTER) == data
+    assert store.used_bytes("acme") == len(ciphertext) == 112
+
+
+@pytest.mark.parametrize("new_length, listed", [(101, True), (200, False)])
+def test_altered_length_field_is_corrupt(tmp_path, new_length, listed):
+    root = tmp_path / "objects"
+    store = ObjectStore(root)
+    store.put_object("acme", "blob", bytes(100), MASTER, QUOTA)
+    store.put_object("acme", "other", b"x", MASTER, QUOTA)
+    path = root / "acme" / "blob"
+    blob = bytearray(path.read_bytes())
+    blob[21:29] = struct.pack(">Q", new_length)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptObject):
+        store.get_object("acme", "blob", MASTER)
+    # the scan reads headers only, so it can skip the file only when the
+    # length no longer matches the file size
+    rescanned = ObjectStore(root)
+    expected = ["blob", "other"] if listed else ["other"]
+    assert rescanned.list_objects("acme") == expected
+
+
+def test_store_root_holds_only_customer_directories(tmp_path):
+    root = tmp_path / "objects"
+    store = ObjectStore(root)
+    for i in range(5):
+        store.put_object("acme", f"o{i}", bytes(i * 10), MASTER, QUOTA)
+        store.put_object("bravo", "same", bytes(i), MASTER, QUOTA)
+    assert sorted(p.name for p in root.iterdir()) == ["acme", "bravo"]
+    assert all(p.is_dir() for p in root.iterdir())
