@@ -4,6 +4,14 @@
 # Fixed parameters: 16-byte blocks, 16-byte keys, 10 rounds. The S-boxes and
 # GF(2^8) multiplication tables are generated at import time from the field
 # definition and cross-checked against each other.
+#
+# encrypt_block/decrypt_block are the FIPS-197 reference. CBC encryption is
+# block-serial through encrypt_block, because each block chains on the
+# previous ciphertext. CBC decryption has no such chain, so it runs each
+# round over a whole chunk of blocks at once (_InverseCipher), in chunks of
+# a fixed _CHUNK_BYTES that bound its scratch memory. The tests check both
+# paths against the reference and against the `cryptography` package, which
+# is a test-only oracle: this module needs only the standard library.
 
 from __future__ import annotations
 
@@ -343,17 +351,111 @@ def unpad(data: bytes) -> bytes:
     return data[:-n]
 
 
+# --------- whole-buffer decryption ---------
+#
+# decrypt_block's rounds, run over every block of a buffer at once. The
+# buffer is read as one little-endian integer, so the 4 bytes of a column
+# form a 32-bit lane with row j in bits 8j..8j+7:
+#   InvSubBytes     one bytes.translate with _INV_SBOX;
+#   InvShiftRows    16 strided slice copies (byte i of each block takes
+#                   byte _INV_SHIFT_ROWS[i] of the same block);
+#   InvMixColumns   row j gets 14*a[j] ^ 11*a[j+1] ^ 13*a[j+2] ^ 9*a[j+3]:
+#                   one translate per _MUL table, then the 11/13/9 terms
+#                   rotated inside each lane by shifts and lane masks;
+#   AddRoundKey     one integer XOR with the round key repeated per block.
+# InvMixColumns is linear, so AddRoundKey moves after it when the round key
+# goes through InvMixColumns too (FIPS-197 5.3.5, the equivalent inverse
+# cipher); a round then converts bytes to integers once per table.
+
+_CHUNK_BYTES = 16 * 1024  # bounds the scratch buffers of one decrypt call
+_INV_SHIFT_ROWS = (0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
+
+
+def _widen(pattern: bytes, size: int) -> int:
+    """pattern repeated to size bytes, read as a little-endian integer."""
+    return int.from_bytes(pattern * (size // len(pattern)), "little")
+
+
+def _lane_masks(size: int) -> tuple[int, ...]:
+    """For lane rotations by 1, 2 and 3 bytes: the mask of the bytes that
+    move down a row and the mask of those that wrap to the top rows."""
+    return tuple(
+        _widen(pattern, size)
+        for pattern in (
+            b"\xff\xff\xff\x00", b"\x00\x00\x00\xff",
+            b"\xff\xff\x00\x00", b"\x00\x00\xff\xff",
+            b"\xff\x00\x00\x00", b"\x00\xff\xff\xff",
+        )
+    )
+
+
+_BLOCK_MASKS = _lane_masks(BLOCK_SIZE)
+
+
+def _inv_mix_columns(state: bytes, masks: tuple[int, ...]) -> int:
+    """InvMixColumns of every column of state, as a little-endian integer."""
+    down1, wrap1, down2, wrap2, down3, wrap3 = masks
+    x11 = int.from_bytes(state.translate(_MUL11), "little")
+    x13 = int.from_bytes(state.translate(_MUL13), "little")
+    x9 = int.from_bytes(state.translate(_MUL9), "little")
+    return (
+        int.from_bytes(state.translate(_MUL14), "little")
+        ^ ((x11 >> 8) & down1) ^ ((x11 << 24) & wrap1)
+        ^ ((x13 >> 16) & down2) ^ ((x13 << 16) & wrap2)
+        ^ ((x9 >> 24) & down3) ^ ((x9 << 8) & wrap3)
+    )
+
+
+class _InverseCipher:
+    """decrypt_block applied to every block of a size-byte buffer at once.
+
+    Holds the round keys and lane masks widened to size bytes, so one
+    instance serves every chunk of that size.
+    """
+
+    def __init__(self, schedule: KeySchedule, size: int) -> None:
+        rks = schedule.round_keys
+        self.size = size
+        self._masks = _lane_masks(size)
+        self._first_key = _widen(rks[NUM_ROUNDS], size)
+        self._round_keys = tuple(
+            _widen(_inv_mix_columns(rk, _BLOCK_MASKS).to_bytes(BLOCK_SIZE, "little"), size)
+            for rk in rks[NUM_ROUNDS - 1 : 0 : -1]
+        )
+        self._last_key = _widen(rks[0], size)
+
+    def __call__(self, blocks: bytes, chain: bytes) -> bytes:
+        """Decrypt size bytes of whole blocks and XOR the result with chain."""
+        size = self.size
+        masks = self._masks
+        state = (int.from_bytes(blocks, "little") ^ self._first_key).to_bytes(size, "little")
+        shifted = bytearray(size)
+        for rk in self._round_keys:
+            for i, j in enumerate(_INV_SHIFT_ROWS):
+                shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
+            mixed = _inv_mix_columns(shifted.translate(_INV_SBOX), masks)
+            state = (mixed ^ rk).to_bytes(size, "little")
+        for i, j in enumerate(_INV_SHIFT_ROWS):
+            shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
+        out = (
+            int.from_bytes(shifted.translate(_INV_SBOX), "little")
+            ^ self._last_key
+            ^ int.from_bytes(chain, "little")
+        )
+        return out.to_bytes(size, "little")
+
+
 # --------- CBC mode ---------
 
-def cbc_encrypt(plaintext: bytes, key: bytes, iv: bytes) -> bytes:
+def cbc_encrypt(plaintext: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
     """CBC-encrypt pad(plaintext): c[i] = E(p[i] ^ c[i-1]) with c[-1] = iv.
 
     The IV must be 16 fresh random bytes from the caller; it is not included
-    in the returned ciphertext.
+    in the returned ciphertext. Block-serial, since each block chains on the
+    one before.
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("iv must be exactly 16 bytes")
-    schedule = key_expansion(key)
     padded = pad(plaintext)
     out = bytearray()
     prev = iv
@@ -364,25 +466,29 @@ def cbc_encrypt(plaintext: bytes, key: bytes, iv: bytes) -> bytes:
     return bytes(out)
 
 
-def cbc_decrypt(ciphertext: bytes, key: bytes, iv: bytes) -> bytes:
+def cbc_decrypt(ciphertext: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
     """Invert cbc_encrypt and strip the padding.
 
-    Raises LengthError when the ciphertext length is not a positive multiple
-    of 16, PaddingError when the recovered padding is invalid (tampering or a
-    wrong key).
+    p[i] = D(c[i]) ^ c[i-1] needs no earlier plaintext, so whole chunks of
+    _CHUNK_BYTES are decrypted at once. Raises LengthError when the
+    ciphertext length is not a positive multiple of 16, PaddingError when
+    the recovered padding is invalid (tampering or a wrong key).
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("iv must be exactly 16 bytes")
     if not ciphertext or len(ciphertext) % BLOCK_SIZE != 0:
         raise LengthError("ciphertext length must be a positive multiple of 16")
-    schedule = key_expansion(key)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[i : i + BLOCK_SIZE]
-        x = decrypt_block(block, schedule)
-        out += (int.from_bytes(x, "big") ^ int.from_bytes(prev, "big")).to_bytes(
-            BLOCK_SIZE, "big"
-        )
-        prev = block
-    return unpad(bytes(out))
+    out = bytearray(len(ciphertext))
+    cipher = None
+    for start in range(0, len(ciphertext), _CHUNK_BYTES):
+        end = min(start + _CHUNK_BYTES, len(ciphertext))
+        # only the last chunk can differ in size from the ones before it
+        if cipher is None or cipher.size != end - start:
+            cipher = _InverseCipher(schedule, end - start)
+        if start:
+            chain = ciphertext[start - BLOCK_SIZE : end - BLOCK_SIZE]
+        else:
+            chain = iv + ciphertext[: end - BLOCK_SIZE]
+        out[start:end] = cipher(ciphertext[start:end], chain)
+    # a view, so stripping the padding copies the plaintext only once
+    return unpad(memoryview(out)).tobytes()

@@ -94,10 +94,20 @@ class VersionMismatch(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class SessionSchedules:
+    """The three session sub-keys, expanded once for the whole session."""
+
+    phase1: aes.KeySchedule
+    phase2: aes.KeySchedule
+    data: aes.KeySchedule
+
+
 @dataclass
 class SessionState:
     phase: Phase = Phase.INIT
     keys: Optional[SessionKeys] = None
+    schedules: Optional[SessionSchedules] = None
     server_nonce: Optional[bytes] = None
     customer_id: Optional[str] = None
     # client side: own ephemeral keypair until the hello completes
@@ -111,9 +121,19 @@ class SessionState:
         """Drop to CLOSED and discard all key material."""
         self.phase = Phase.CLOSED
         self.keys = None
+        self.schedules = None
         self.server_nonce = None
         self.customer_id = None
         self.dh_keypair = None
+
+    def set_keys(self, keys: SessionKeys) -> None:
+        """Hold the derived sub-keys and their round keys for the session."""
+        self.keys = keys
+        self.schedules = SessionSchedules(
+            phase1=aes.key_expansion(keys.k_phase1),
+            phase2=aes.key_expansion(keys.k_phase2),
+            data=aes.key_expansion(keys.k_data),
+        )
 
 
 def _require(state: SessionState, phase: Phase, op: str) -> None:
@@ -121,22 +141,22 @@ def _require(state: SessionState, phase: Phase, op: str) -> None:
         raise ProtocolOrderError(f"{op} requires phase {phase.name}, not {state.phase.name}")
 
 
-def _encrypt_payload(key: bytes, inner: bytes) -> bytes:
+def _encrypt_payload(schedule: aes.KeySchedule, inner: bytes) -> bytes:
     iv = os.urandom(16)
-    return iv + aes.cbc_encrypt(inner, key, iv)
+    return iv + aes.cbc_encrypt(inner, schedule, iv)
 
 
-def _decrypt_payload(key: bytes, payload: bytes) -> bytes:
+def _decrypt_payload(schedule: aes.KeySchedule, payload: bytes) -> bytes:
     if len(payload) < 32:
         raise MalformedPayload("encrypted payload shorter than IV plus one block")
-    return aes.cbc_decrypt(payload[16:], key, payload[:16])
+    return aes.cbc_decrypt(payload[16:], schedule, payload[:16])
 
 
 def _result_frame(
-    msg_type: MessageType, key: bytes, ok: bool, reason: str = ""
+    msg_type: MessageType, schedule: aes.KeySchedule, ok: bool, reason: str = ""
 ) -> Frame:
     inner = bytes([STATUS_OK]) if ok else bytes([STATUS_ERROR]) + encode_str(reason)
-    return Frame(msg_type, _encrypt_payload(key, inner))
+    return Frame(msg_type, _encrypt_payload(schedule, inner))
 
 
 def _parse_result(inner: bytes) -> tuple[bool, str]:
@@ -178,7 +198,7 @@ def client_handle_server_hello(
     nonce = r.take(16)
     r.expect_end()
     shared = dh_shared(state.dh_keypair, server_public, group)
-    state.keys = derive_keys(shared)
+    state.set_keys(derive_keys(shared))
     state.server_nonce = nonce
     state.dh_keypair = None
     state.phase = Phase.HELLO_EXCHANGED
@@ -189,7 +209,7 @@ def phase1_auth(state: SessionState, tunnel_user: str, tunnel_pass: str) -> Fram
     _require(state, Phase.HELLO_EXCHANGED, "phase1_auth")
     inner = encode_str(tunnel_user) + encode_str(tunnel_pass) + state.server_nonce
     return Frame(
-        MessageType.PHASE1_AUTH, _encrypt_payload(state.keys.k_phase1, inner)
+        MessageType.PHASE1_AUTH, _encrypt_payload(state.schedules.phase1, inner)
     )
 
 
@@ -197,7 +217,7 @@ def client_handle_phase1_result(
     state: SessionState, payload: bytes
 ) -> tuple[bool, str]:
     _require(state, Phase.HELLO_EXCHANGED, "client_handle_phase1_result")
-    ok, reason = _parse_result(_decrypt_payload(state.keys.k_phase1, payload))
+    ok, reason = _parse_result(_decrypt_payload(state.schedules.phase1, payload))
     if ok:
         state.phase = Phase.TUNNEL_ESTABLISHED
     else:
@@ -210,7 +230,7 @@ def service_request(state: SessionState, url_path: str) -> Frame:
     _require(state, Phase.TUNNEL_ESTABLISHED, "service_request")
     frame = Frame(
         MessageType.SERVICE_REQUEST,
-        _encrypt_payload(state.keys.k_data, encode_str(url_path)),
+        _encrypt_payload(state.schedules.data, encode_str(url_path)),
     )
     state.space_path = url_path
     state.phase = Phase.SERVICE_REQUESTED
@@ -222,7 +242,7 @@ def phase2_auth(state: SessionState, service_user: str, service_pass: str) -> Fr
     _require(state, Phase.SERVICE_REQUESTED, "phase2_auth")
     inner = encode_str(service_user) + encode_str(service_pass) + state.server_nonce
     return Frame(
-        MessageType.PHASE2_AUTH, _encrypt_payload(state.keys.k_phase2, inner)
+        MessageType.PHASE2_AUTH, _encrypt_payload(state.schedules.phase2, inner)
     )
 
 
@@ -230,7 +250,7 @@ def client_handle_phase2_result(
     state: SessionState, payload: bytes
 ) -> tuple[bool, str]:
     _require(state, Phase.SERVICE_REQUESTED, "client_handle_phase2_result")
-    ok, reason = _parse_result(_decrypt_payload(state.keys.k_phase2, payload))
+    ok, reason = _parse_result(_decrypt_payload(state.schedules.phase2, payload))
     if ok:
         state.phase = Phase.SESSION_ACTIVE
     else:
@@ -241,12 +261,12 @@ def client_handle_phase2_result(
 def build_put(state: SessionState, name: str, data: bytes) -> Frame:
     _require(state, Phase.SESSION_ACTIVE, "build_put")
     inner = encode_str(name) + struct.pack(">I", len(data)) + data
-    return Frame(MessageType.PUT, _encrypt_payload(state.keys.k_data, inner))
+    return Frame(MessageType.PUT, _encrypt_payload(state.schedules.data, inner))
 
 
 def parse_put_result(state: SessionState, payload: bytes) -> int:
     _require(state, Phase.SESSION_ACTIVE, "parse_put_result")
-    r = PayloadReader(_decrypt_payload(state.keys.k_data, payload))
+    r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
     status = r.u8()
     r.expect_end()
     return status
@@ -255,13 +275,13 @@ def parse_put_result(state: SessionState, payload: bytes) -> int:
 def build_get(state: SessionState, name: str) -> Frame:
     _require(state, Phase.SESSION_ACTIVE, "build_get")
     return Frame(
-        MessageType.GET, _encrypt_payload(state.keys.k_data, encode_str(name))
+        MessageType.GET, _encrypt_payload(state.schedules.data, encode_str(name))
     )
 
 
 def parse_get_result(state: SessionState, payload: bytes) -> tuple[int, bytes]:
     _require(state, Phase.SESSION_ACTIVE, "parse_get_result")
-    r = PayloadReader(_decrypt_payload(state.keys.k_data, payload))
+    r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
     status = r.u8()
     data = r.take(r.u32())
     r.expect_end()
@@ -270,12 +290,12 @@ def parse_get_result(state: SessionState, payload: bytes) -> tuple[int, bytes]:
 
 def build_list(state: SessionState) -> Frame:
     _require(state, Phase.SESSION_ACTIVE, "build_list")
-    return Frame(MessageType.LIST, _encrypt_payload(state.keys.k_data, b""))
+    return Frame(MessageType.LIST, _encrypt_payload(state.schedules.data, b""))
 
 
 def parse_list_result(state: SessionState, payload: bytes) -> list[str]:
     _require(state, Phase.SESSION_ACTIVE, "parse_list_result")
-    r = PayloadReader(_decrypt_payload(state.keys.k_data, payload))
+    r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
     names = [r.string() for _ in range(r.u16())]
     r.expect_end()
     return names
@@ -324,17 +344,17 @@ def server_hello(
     client_public = r.mpint()
     r.expect_end()
     shared = dh_shared(keypair, client_public, group)
-    state.keys = derive_keys(shared)
+    state.set_keys(derive_keys(shared))
     state.server_nonce = nonce
     state.phase = Phase.HELLO_EXCHANGED
     return Frame(MessageType.SERVER_HELLO, encode_mpint(keypair.public) + nonce)
 
 
 def _open_credentials(
-    state: SessionState, key: bytes, payload: bytes
+    state: SessionState, schedule: aes.KeySchedule, payload: bytes
 ) -> tuple[str, str]:
     """Decrypt a credential blob and enforce the nonce binding."""
-    r = PayloadReader(_decrypt_payload(key, payload))
+    r = PayloadReader(_decrypt_payload(schedule, payload))
     user = r.string()
     password = r.string()
     nonce = r.take(16)
@@ -362,26 +382,26 @@ def server_verify_phase1(
     """Check the tunnel credentials; all failures (bad decrypt, replay,
     unknown user, bad password) get the same generic result."""
     _require(state, Phase.HELLO_EXCHANGED, "server_verify_phase1")
-    key = state.keys.k_phase1
+    schedule = state.schedules.phase1
     try:
-        user, password = _open_credentials(state, key, payload)
+        user, password = _open_credentials(state, schedule, payload)
         customer_id = registry.check_credentials("tunnel", user, password)
     except _CREDENTIAL_FAILURES:
-        frame = _result_frame(MessageType.PHASE1_RESULT, key, False, REASON_AUTH_FAILED)
+        frame = _result_frame(MessageType.PHASE1_RESULT, schedule, False, REASON_AUTH_FAILED)
         audit("phase1 fail", None)
         state.close()
         return frame
     state.tunnel_customer_id = customer_id
     state.phase = Phase.TUNNEL_ESTABLISHED
     audit("phase1 ok", customer_id)
-    return _result_frame(MessageType.PHASE1_RESULT, key, True)
+    return _result_frame(MessageType.PHASE1_RESULT, schedule, True)
 
 
 def server_handle_service_request(state: SessionState, payload: bytes) -> None:
     """Record the requested path; it is checked once phase 2 proves who is
     asking."""
     _require(state, Phase.TUNNEL_ESTABLISHED, "server_handle_service_request")
-    r = PayloadReader(_decrypt_payload(state.keys.k_data, payload))
+    r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
     path = r.string()
     r.expect_end()
     state.space_path = path
@@ -399,16 +419,16 @@ def server_verify_phase2(
     contract. Credential failures stay generic; certificate verdicts are
     reported specifically so the customer learns their contract lapsed."""
     _require(state, Phase.SERVICE_REQUESTED, "server_verify_phase2")
-    key = state.keys.k_phase2
+    schedule = state.schedules.phase2
 
     def reject(reason: str, event: str) -> Frame:
-        frame = _result_frame(MessageType.PHASE2_RESULT, key, False, reason)
+        frame = _result_frame(MessageType.PHASE2_RESULT, schedule, False, reason)
         audit(event, None)
         state.close()
         return frame
 
     try:
-        user, password = _open_credentials(state, key, payload)
+        user, password = _open_credentials(state, schedule, payload)
         customer_id = registry.check_credentials("service", user, password)
     except _CREDENTIAL_FAILURES:
         return reject(REASON_AUTH_FAILED, "phase2 fail")
@@ -421,7 +441,7 @@ def server_verify_phase2(
     state.customer_id = customer_id
     state.phase = Phase.SESSION_ACTIVE
     audit("phase2 ok cert=valid", customer_id)
-    return _result_frame(MessageType.PHASE2_RESULT, key, True)
+    return _result_frame(MessageType.PHASE2_RESULT, schedule, True)
 
 
 def data_exchange(
@@ -429,9 +449,9 @@ def data_exchange(
 ) -> Frame:
     """Serve one Put/Get/List frame inside the active session."""
     _require(state, Phase.SESSION_ACTIVE, "data_exchange")
-    key = state.keys.k_data
+    schedule = state.schedules.data
     customer_id = state.customer_id
-    r = PayloadReader(_decrypt_payload(key, payload))
+    r = PayloadReader(_decrypt_payload(schedule, payload))
 
     if msg_type is MessageType.PUT:
         name = r.string()
@@ -448,7 +468,7 @@ def data_exchange(
         except OSError:
             status = STATUS_ERROR
         ctx.audit(f"put name={name!r} bytes={len(data)} status={status}", customer_id)
-        return Frame(MessageType.PUT_RESULT, _encrypt_payload(key, bytes([status])))
+        return Frame(MessageType.PUT_RESULT, _encrypt_payload(schedule, bytes([status])))
 
     if msg_type is MessageType.GET:
         name = r.string()
@@ -462,7 +482,7 @@ def data_exchange(
             data, status = b"", STATUS_ERROR
         ctx.audit(f"get name={name!r} status={status}", customer_id)
         inner = bytes([status]) + struct.pack(">I", len(data)) + data
-        return Frame(MessageType.GET_RESULT, _encrypt_payload(key, inner))
+        return Frame(MessageType.GET_RESULT, _encrypt_payload(schedule, inner))
 
     if msg_type is MessageType.LIST:
         r.expect_end()
@@ -471,7 +491,7 @@ def data_exchange(
             raise MalformedPayload("object count exceeds the u16 listing limit")
         inner = struct.pack(">H", len(names)) + b"".join(encode_str(n) for n in names)
         ctx.audit(f"list count={len(names)}", customer_id)
-        return Frame(MessageType.LIST_RESULT, _encrypt_payload(key, inner))
+        return Frame(MessageType.LIST_RESULT, _encrypt_payload(schedule, inner))
 
     raise ProtocolOrderError(f"{msg_type.name} is not a data frame")
 

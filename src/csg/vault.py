@@ -378,9 +378,9 @@ class ObjectStore:
         object; refuses when cumulative plaintext would exceed the quota."""
         _validate_customer_id(customer_id)
         _validate_object_name(name)
-        key = storage_key(master_key, customer_id)
+        schedule = aes.key_expansion(storage_key(master_key, customer_id))
         iv = os.urandom(16)
-        ciphertext = aes.cbc_encrypt(plaintext, key, iv)
+        ciphertext = aes.cbc_encrypt(plaintext, schedule, iv)
         blob = (
             OBJECT_MAGIC
             + bytes([OBJECT_VERSION])
@@ -419,9 +419,9 @@ class ObjectStore:
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
         iv, size = _parse_header(blob[:OBJECT_HEADER_LEN], len(blob))
-        key = storage_key(master_key, customer_id)
+        schedule = aes.key_expansion(storage_key(master_key, customer_id))
         try:
-            plaintext = aes.cbc_decrypt(blob[OBJECT_HEADER_LEN:], key, iv)
+            plaintext = aes.cbc_decrypt(blob[OBJECT_HEADER_LEN:], schedule, iv)
         except (aes.LengthError, aes.PaddingError) as exc:
             raise CorruptObject(f"decryption failed: {exc}") from None
         if blob[4] == OBJECT_VERSION and len(plaintext) != size:

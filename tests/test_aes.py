@@ -5,6 +5,7 @@ properties, padding, and CBC behaviour."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -228,8 +229,8 @@ def test_pad_unpad_property(data):
 # --- CBC --------------------------------------------------------------------
 
 def test_cbc_empty_plaintext_frozen_vector():
-    assert aes.cbc_encrypt(b"", bytes(16), bytes(16)) == CBC_EMPTY_ZERO
-    assert aes.cbc_decrypt(CBC_EMPTY_ZERO, bytes(16), bytes(16)) == b""
+    assert aes.cbc_encrypt(b"", aes.key_expansion(bytes(16)), bytes(16)) == CBC_EMPTY_ZERO
+    assert aes.cbc_decrypt(CBC_EMPTY_ZERO, aes.key_expansion(bytes(16)), bytes(16)) == b""
 
 
 def test_cbc_chaining_standard_vector():
@@ -250,24 +251,24 @@ def test_cbc_chaining_standard_vector():
         "3ff1caa1681fac09120eca307586e1a7"
     )
     padded_tail = bytes.fromhex("8cb82807230e1321d3fae00d18cc2012")
-    ciphertext = aes.cbc_encrypt(plaintext, key, iv)
+    ciphertext = aes.cbc_encrypt(plaintext, aes.key_expansion(key), iv)
     assert ciphertext == expected_blocks + padded_tail
-    assert aes.cbc_decrypt(ciphertext, key, iv) == plaintext
+    assert aes.cbc_decrypt(ciphertext, aes.key_expansion(key), iv) == plaintext
 
 
 def test_cbc_empty_equals_block_of_padding():
     # pad("") is one full block of 0x10; a zero IV leaves it unchanged
     schedule = aes.key_expansion(bytes(16))
-    assert aes.cbc_encrypt(b"", bytes(16), bytes(16)) == aes.encrypt_block(
+    assert aes.cbc_encrypt(b"", schedule, bytes(16)) == aes.encrypt_block(
         bytes([0x10]) * 16, schedule
     )
 
 
 def test_cbc_output_lengths():
     key, iv = b"k" * 16, b"i" * 16
-    assert len(aes.cbc_encrypt(b"x", key, iv)) == 16
-    assert len(aes.cbc_encrypt(b"x" * 16, key, iv)) == 32
-    assert len(aes.cbc_encrypt(b"x" * 17, key, iv)) == 32
+    assert len(aes.cbc_encrypt(b"x", aes.key_expansion(key), iv)) == 16
+    assert len(aes.cbc_encrypt(b"x" * 16, aes.key_expansion(key), iv)) == 32
+    assert len(aes.cbc_encrypt(b"x" * 17, aes.key_expansion(key), iv)) == 32
 
 
 def test_cbc_round_trip_random_lengths():
@@ -277,14 +278,15 @@ def test_cbc_round_trip_random_lengths():
     ]:
         data = rng.randbytes(n)
         key, iv = rng.randbytes(16), rng.randbytes(16)
-        assert aes.cbc_decrypt(aes.cbc_encrypt(data, key, iv), key, iv) == data
+        schedule = aes.key_expansion(key)
+        assert aes.cbc_decrypt(aes.cbc_encrypt(data, schedule, iv), schedule, iv) == data
 
 
 def test_cbc_decrypt_rejects_bad_lengths():
     with pytest.raises(aes.LengthError):
-        aes.cbc_decrypt(b"x" * 15, b"k" * 16, b"i" * 16)
+        aes.cbc_decrypt(b"x" * 15, aes.key_expansion(b"k" * 16), b"i" * 16)
     with pytest.raises(aes.LengthError):
-        aes.cbc_decrypt(b"", b"k" * 16, b"i" * 16)
+        aes.cbc_decrypt(b"", aes.key_expansion(b"k" * 16), b"i" * 16)
 
 
 def test_cbc_tamper_never_returns_original():
@@ -292,13 +294,45 @@ def test_cbc_tamper_never_returns_original():
     for _ in range(50):
         data = rng.randbytes(100)
         key, iv = rng.randbytes(16), rng.randbytes(16)
-        ct = bytearray(aes.cbc_encrypt(data, key, iv))
+        ct = bytearray(aes.cbc_encrypt(data, aes.key_expansion(key), iv))
         ct[-1] ^= 0x01
         try:
-            recovered = aes.cbc_decrypt(bytes(ct), key, iv)
+            recovered = aes.cbc_decrypt(bytes(ct), aes.key_expansion(key), iv)
         except aes.PaddingError:
             continue
         assert recovered != data
+
+
+def test_inverse_cipher_matches_decrypt_block():
+    # the whole-buffer rounds against the FIPS-197 single-block reference
+    rng = random.Random(29)
+    for blocks in (1, 2, 3, 7, 64, 300):
+        schedule = aes.key_expansion(rng.randbytes(16))
+        data, chain = rng.randbytes(16 * blocks), rng.randbytes(16 * blocks)
+        reference = b"".join(
+            aes.decrypt_block(data[i : i + 16], schedule) for i in range(0, len(data), 16)
+        )
+        cipher = aes._InverseCipher(schedule, len(data))
+        assert cipher(data, bytes(len(data))) == reference
+        assert cipher(data, chain) == bytes(a ^ b for a, b in zip(reference, chain))
+
+
+def test_cbc_decrypt_peak_memory_is_bounded():
+    # 1 MiB of ciphertext whose last block decrypts to a full padding block:
+    # c[n-2] is chosen as D(c[n-1]) ^ pad, so no slow encryption is needed
+    rng = random.Random(31)
+    schedule = aes.key_expansion(rng.randbytes(16))
+    body, last = rng.randbytes((1 << 20) - 32), rng.randbytes(16)
+    chain = bytes(a ^ 16 for a in aes.decrypt_block(last, schedule))
+    ciphertext = body + chain + last
+    tracemalloc.start()
+    try:
+        plaintext = aes.cbc_decrypt(ciphertext, schedule, rng.randbytes(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plaintext) == len(ciphertext) - 16
+    assert peak <= 4 * len(ciphertext)
 
 
 def test_sbox_tables_are_mutual_inverses():

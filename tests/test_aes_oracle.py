@@ -1,0 +1,61 @@
+"""CBC encryption and decryption checked against an independent AES: the
+`cryptography` package (OpenSSL). It is a test-only oracle; the tests skip
+where it is not installed, and csg itself needs only the standard library."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+pytest.importorskip("cryptography")
+from cryptography.hazmat.primitives import padding  # noqa: E402
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes  # noqa: E402
+
+from csg import aes  # noqa: E402
+
+CHUNK = aes._CHUNK_BYTES
+# plaintext lengths; CHUNK + d - 1 pads to a ciphertext of CHUNK + d bytes,
+# one block short of, exactly at, and one block past a chunk boundary
+FIXED_LENGTHS = [0, 1, 15, 16, 17, 1029] + [CHUNK + d - 1 for d in (-16, 0, 16)]
+RANDOM_LENGTHS = random.Random(47).sample(range(300 * 1024), 4)
+
+
+def oracle_encrypt(plaintext: bytes, key: bytes, iv: bytes, pad: bool = True) -> bytes:
+    if pad:
+        padder = padding.PKCS7(128).padder()
+        plaintext = padder.update(plaintext) + padder.finalize()
+    encryptor = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+    return encryptor.update(plaintext) + encryptor.finalize()
+
+
+@pytest.mark.parametrize("length", FIXED_LENGTHS + RANDOM_LENGTHS)
+def test_cbc_matches_oracle(length):
+    rng = random.Random(length)
+    key, iv, plaintext = rng.randbytes(16), rng.randbytes(16), rng.randbytes(length)
+    schedule = aes.key_expansion(key)
+    ciphertext = oracle_encrypt(plaintext, key, iv)
+    assert aes.cbc_encrypt(plaintext, schedule, iv) == ciphertext
+    assert aes.cbc_decrypt(ciphertext, schedule, iv) == plaintext
+
+
+@pytest.mark.parametrize("length", [16, CHUNK, CHUNK + 16, 3 * CHUNK + 48])
+def test_truncated_ciphertext_raises_length_error(length):
+    rng = random.Random(length)
+    key, iv = rng.randbytes(16), rng.randbytes(16)
+    ciphertext = oracle_encrypt(rng.randbytes(length - 1), key, iv)
+    schedule = aes.key_expansion(key)
+    for cut in (1, 8, 15):
+        with pytest.raises(aes.LengthError):
+            aes.cbc_decrypt(ciphertext[:-cut], schedule, iv)
+
+
+@pytest.mark.parametrize("length", [16, CHUNK, CHUNK + 16, 3 * CHUNK + 48])
+@pytest.mark.parametrize("tail", [b"\x00", b"\x11", b"\x01\x02", b"\x03" * 2 + b"\x04\x03"])
+def test_bad_padding_raises_padding_error(length, tail):
+    # the oracle encrypts block-aligned data whose last bytes are not PKCS#7
+    rng = random.Random(length)
+    key, iv = rng.randbytes(16), rng.randbytes(16)
+    ciphertext = oracle_encrypt(rng.randbytes(length - len(tail)) + tail, key, iv, pad=False)
+    with pytest.raises(aes.PaddingError):
+        aes.cbc_decrypt(ciphertext, aes.key_expansion(key), iv)

@@ -160,7 +160,7 @@ def test_phase1_server_recovers_exact_credentials(acme):
     frame = P.server_hello(server, hello.payload, dh_generate(TEST_SMALL), os.urandom(16), TEST_SMALL)
     P.client_handle_server_hello(client, frame.payload, TEST_SMALL)
     auth = P.phase1_auth(client, "usér", "pässword")
-    user, password = P._open_credentials(server, server.keys.k_phase1, auth.payload)
+    user, password = P._open_credentials(server, server.schedules.phase1, auth.payload)
     assert (user, password) == ("usér", "pässword")
 
 
@@ -328,6 +328,33 @@ def test_put_get_list_round_trip(wire, acme):
     assert P.parse_list_result(wire.client, reply[0].payload) == ["a", "report.txt"]
 
 
+def test_each_key_expanded_once(wire, acme, monkeypatch):
+    # three sub-keys per side per session, then only the storage key, once
+    # for each put or get; frames and list replies expand nothing
+    calls = []
+    expand = P.aes.key_expansion
+
+    def counting_expand(key):
+        calls.append(key)
+        return expand(key)
+
+    monkeypatch.setattr(P.aes, "key_expansion", counting_expand)
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme)[0]
+    assert len(calls) == 6
+    for name in ("a", "b"):
+        reply = wire.send(P.build_put(wire.client, name, b"x" * 100))
+        assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_OK
+        reply = wire.send(P.build_get(wire.client, name))
+        assert P.parse_get_result(wire.client, reply[0].payload) == (P.STATUS_OK, b"x" * 100)
+    reply = wire.send(P.build_list(wire.client))
+    assert P.parse_list_result(wire.client, reply[0].payload) == ["a", "b"]
+    assert len(calls) == 6 + 4
+    assert len(set(calls[6:])) == 1  # the one storage key
+    P.disconnect(wire.client)
+    assert wire.client.schedules is None
+
+
 def test_get_missing_status(wire, acme):
     assert wire.handshake(acme)[0]
     assert wire.login(acme)[0]
@@ -381,7 +408,7 @@ def test_data_frames_rejected_outside_active_session(wire, acme):
         P.build_put(wire.client, "x", b"y")  # client side refuses too
     fake = P.SessionState()
     fake.phase = P.Phase.SESSION_ACTIVE
-    fake.keys = wire.client.keys
+    fake.set_keys(wire.client.keys)
     frames = wire.send(P.build_put(fake, "x", b"y"))
     assert [f.msg_type for f in frames] == [MessageType.ERROR]
     assert wire.server.phase is P.Phase.CLOSED
@@ -416,7 +443,7 @@ def _state_in(phase: P.Phase, keys, nonce) -> P.SessionState:
     state = P.SessionState()
     state.phase = phase
     if phase not in (P.Phase.INIT, P.Phase.CLOSED):
-        state.keys = keys
+        state.set_keys(keys)
         state.server_nonce = nonce
     if phase is P.Phase.SESSION_ACTIVE:
         state.customer_id = "acme"

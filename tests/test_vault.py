@@ -368,7 +368,7 @@ def test_v1_object_still_readable(tmp_path):
     (root / "acme").mkdir(parents=True)
     data = os.urandom(100)
     iv = os.urandom(16)
-    ciphertext = aes.cbc_encrypt(data, storage_key(MASTER, "acme"), iv)
+    ciphertext = aes.cbc_encrypt(data, aes.key_expansion(storage_key(MASTER, "acme")), iv)
     (root / "acme" / "old").write_bytes(
         b"CSG1" + bytes([0x01]) + iv + struct.pack(">Q", len(ciphertext)) + ciphertext
     )
