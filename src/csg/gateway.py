@@ -8,6 +8,7 @@ JSON config file > built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -15,7 +16,6 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -31,17 +31,6 @@ from .wire import (
     encode_str,
 )
 
-DEFAULTS = {
-    "listen_addr": "127.0.0.1:9443",
-    "registry_path": None,
-    "objects_dir": None,
-    "master_key_hex": None,
-    "dh_group": "rfc3526-14",
-    "max_sessions": 256,
-    "audit_log": "gateway-audit.log",
-    "allow_insecure_group": False,
-}
-
 _ENV_PREFIX = "CSG_"
 DRAIN_SECONDS = 5.0
 
@@ -51,12 +40,12 @@ class ConfigError(Exception):
     the value came from."""
 
 
-@dataclass
+@dataclasses.dataclass
 class GatewayConfig:
-    listen_addr: str
     registry_path: str
     objects_dir: str
     master_key_hex: str
+    listen_addr: str = "127.0.0.1:9443"
     dh_group: str = "rfc3526-14"
     max_sessions: int = 256
     audit_log: str = "gateway-audit.log"
@@ -68,6 +57,13 @@ class GatewayConfig:
     def host_port(self) -> tuple[str, int]:
         host, _, port = self.listen_addr.rpartition(":")
         return host, int(port)
+
+
+# every config key and its built-in default; None marks a required key
+DEFAULTS = {
+    f.name: None if f.default is dataclasses.MISSING else f.default
+    for f in dataclasses.fields(GatewayConfig)
+}
 
 
 def _parse_bool(value, key: str, source: str) -> bool:
@@ -167,19 +163,19 @@ def load_config(
             f"master_key_hex (from {source}): must be exactly 32 hex characters"
         )
 
-    dh_group, source = get("dh_group")
+    dh_group, group_source = get("dh_group")
     dh_group = str(dh_group)
     if dh_group not in GROUPS:
         raise ConfigError(
-            f"dh_group (from {source}): unknown group {dh_group!r}, "
+            f"dh_group (from {group_source}): unknown group {dh_group!r}, "
             f"expected one of {sorted(GROUPS)}"
         )
 
-    value, source = merged.get("allow_insecure_group", (False, "default"))
+    value, source = get("allow_insecure_group")
     allow_insecure = _parse_bool(value, "allow_insecure_group", source)
     if dh_group in INSECURE_GROUPS and not allow_insecure:
         raise ConfigError(
-            f"dh_group (from {source}): {dh_group!r} is test-only; "
+            f"dh_group (from {group_source}): {dh_group!r} is test-only; "
             "pass --allow-insecure-group to use it"
         )
 

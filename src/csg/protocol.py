@@ -15,6 +15,13 @@ Message flow (client to server unless marked):
 
 The server nonce folded into both credential blobs binds them to this
 handshake: a ciphertext captured in one session never verifies in another.
+
+The client side is a set of public functions, each checking its own phase.
+The server side has one entry point, `server_handle_frame`, and one
+transition table, `_TRANSITIONS`, mapping each legal (phase, incoming type)
+pair to the handler that serves it. Every other pair, and every handler
+failure, becomes an Error frame that closes the session. A check or timer
+that must see every frame before any handler runs belongs in that function.
 """
 
 from __future__ import annotations
@@ -373,139 +380,133 @@ _CREDENTIAL_FAILURES = (
 )
 
 
-def server_verify_phase1(
-    state: SessionState,
-    payload: bytes,
-    registry: Registry,
-    audit: Callable[[str, Optional[str]], None] = _noop_audit,
-) -> Frame:
+def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+    frame = server_hello(state, payload, dh_generate(ctx.group), ctx.rand(16), ctx.group)
+    ctx.audit("hello", None)
+    return [frame]
+
+
+def _serve_phase1(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
     """Check the tunnel credentials; all failures (bad decrypt, replay,
     unknown user, bad password) get the same generic result."""
-    _require(state, Phase.HELLO_EXCHANGED, "server_verify_phase1")
     schedule = state.schedules.phase1
     try:
         user, password = _open_credentials(state, schedule, payload)
-        customer_id = registry.check_credentials("tunnel", user, password)
+        customer_id = ctx.registry.check_credentials("tunnel", user, password)
     except _CREDENTIAL_FAILURES:
         frame = _result_frame(MessageType.PHASE1_RESULT, schedule, False, REASON_AUTH_FAILED)
-        audit("phase1 fail", None)
+        ctx.audit("phase1 fail", None)
         state.close()
-        return frame
+        return [frame]
     state.tunnel_customer_id = customer_id
     state.phase = Phase.TUNNEL_ESTABLISHED
-    audit("phase1 ok", customer_id)
-    return _result_frame(MessageType.PHASE1_RESULT, schedule, True)
+    ctx.audit("phase1 ok", customer_id)
+    return [_result_frame(MessageType.PHASE1_RESULT, schedule, True)]
 
 
-def server_handle_service_request(state: SessionState, payload: bytes) -> None:
+def _serve_service_request(
+    state: SessionState, payload: bytes, ctx: ServerContext
+) -> list[Frame]:
     """Record the requested path; it is checked once phase 2 proves who is
-    asking."""
-    _require(state, Phase.TUNNEL_ESTABLISHED, "server_handle_service_request")
+    asking. There is no direct response."""
     r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
     path = r.string()
     r.expect_end()
     state.space_path = path
     state.phase = Phase.SERVICE_REQUESTED
+    return []
 
 
-def server_verify_phase2(
-    state: SessionState,
-    payload: bytes,
-    registry: Registry,
-    now: float,
-    audit: Callable[[str, Optional[str]], None] = _noop_audit,
-) -> Frame:
+def _serve_phase2(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
     """Check service credentials, then the requested path, then the
     contract. Credential failures stay generic; certificate verdicts are
     reported specifically so the customer learns their contract lapsed."""
-    _require(state, Phase.SERVICE_REQUESTED, "server_verify_phase2")
     schedule = state.schedules.phase2
 
-    def reject(reason: str, event: str) -> Frame:
+    def reject(reason: str, event: str) -> list[Frame]:
         frame = _result_frame(MessageType.PHASE2_RESULT, schedule, False, reason)
-        audit(event, None)
+        ctx.audit(event, None)
         state.close()
-        return frame
+        return [frame]
 
     try:
         user, password = _open_credentials(state, schedule, payload)
-        customer_id = registry.check_credentials("service", user, password)
+        customer_id = ctx.registry.check_credentials("service", user, password)
     except _CREDENTIAL_FAILURES:
         return reject(REASON_AUTH_FAILED, "phase2 fail")
-    record = registry.get(customer_id)
+    record = ctx.registry.get(customer_id)
     if state.space_path != record.space_path:
         return reject(REASON_UNKNOWN_PATH, "phase2 fail path")
-    verdict = check_certificate(record.certificate, int(now))
+    verdict = check_certificate(record.certificate, int(ctx.now()))
     if verdict is not CertVerdict.VALID:
         return reject(_CERT_REASONS[verdict], f"phase2 fail cert={verdict.value}")
     state.customer_id = customer_id
     state.phase = Phase.SESSION_ACTIVE
-    audit("phase2 ok cert=valid", customer_id)
-    return _result_frame(MessageType.PHASE2_RESULT, schedule, True)
+    ctx.audit("phase2 ok cert=valid", customer_id)
+    return [_result_frame(MessageType.PHASE2_RESULT, schedule, True)]
 
 
-def data_exchange(
-    state: SessionState, msg_type: MessageType, payload: bytes, ctx: ServerContext
-) -> Frame:
-    """Serve one Put/Get/List frame inside the active session."""
-    _require(state, Phase.SESSION_ACTIVE, "data_exchange")
-    schedule = state.schedules.data
-    customer_id = state.customer_id
+def _serve_put(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+    schedule, customer_id = state.schedules.data, state.customer_id
     r = PayloadReader(_decrypt_payload(schedule, payload))
-
-    if msg_type is MessageType.PUT:
-        name = r.string()
-        data = r.take(r.u32())
-        r.expect_end()
-        quota = ctx.registry.get(customer_id).quota_bytes
-        try:
-            ctx.store.put_object(customer_id, name, data, ctx.master_key, quota)
-            status = STATUS_OK
-        except InvalidName:
-            status = STATUS_INVALID_NAME
-        except QuotaExceeded:
-            status = STATUS_QUOTA_EXCEEDED
-        except OSError:
-            status = STATUS_ERROR
-        ctx.audit(f"put name={name!r} bytes={len(data)} status={status}", customer_id)
-        return Frame(MessageType.PUT_RESULT, _encrypt_payload(schedule, bytes([status])))
-
-    if msg_type is MessageType.GET:
-        name = r.string()
-        r.expect_end()
-        try:
-            data = ctx.store.get_object(customer_id, name, ctx.master_key)
-            status = STATUS_OK
-        except (NoSuchObject, InvalidName):
-            data, status = b"", STATUS_NOT_FOUND
-        except (CorruptObject, OSError):
-            data, status = b"", STATUS_ERROR
-        ctx.audit(f"get name={name!r} status={status}", customer_id)
-        inner = bytes([status]) + struct.pack(">I", len(data)) + data
-        return Frame(MessageType.GET_RESULT, _encrypt_payload(schedule, inner))
-
-    if msg_type is MessageType.LIST:
-        r.expect_end()
-        names = ctx.store.list_objects(customer_id)
-        if len(names) > 0xFFFF:
-            raise MalformedPayload("object count exceeds the u16 listing limit")
-        inner = struct.pack(">H", len(names)) + b"".join(encode_str(n) for n in names)
-        ctx.audit(f"list count={len(names)}", customer_id)
-        return Frame(MessageType.LIST_RESULT, _encrypt_payload(schedule, inner))
-
-    raise ProtocolOrderError(f"{msg_type.name} is not a data frame")
+    name = r.string()
+    data = r.take(r.u32())
+    r.expect_end()
+    quota = ctx.registry.get(customer_id).quota_bytes
+    try:
+        ctx.store.put_object(customer_id, name, data, ctx.master_key, quota)
+        status = STATUS_OK
+    except InvalidName:
+        status = STATUS_INVALID_NAME
+    except QuotaExceeded:
+        status = STATUS_QUOTA_EXCEEDED
+    except OSError:
+        status = STATUS_ERROR
+    ctx.audit(f"put name={name!r} bytes={len(data)} status={status}", customer_id)
+    return [Frame(MessageType.PUT_RESULT, _encrypt_payload(schedule, bytes([status])))]
 
 
-# legal (phase, incoming type) pairs; Disconnect is legal everywhere and
-# handled before this table is consulted
-_LEGAL = {
-    (Phase.INIT, MessageType.CLIENT_HELLO),
-    (Phase.HELLO_EXCHANGED, MessageType.PHASE1_AUTH),
-    (Phase.TUNNEL_ESTABLISHED, MessageType.SERVICE_REQUEST),
-    (Phase.SERVICE_REQUESTED, MessageType.PHASE2_AUTH),
-    (Phase.SESSION_ACTIVE, MessageType.PUT),
-    (Phase.SESSION_ACTIVE, MessageType.GET),
-    (Phase.SESSION_ACTIVE, MessageType.LIST),
+def _serve_get(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+    schedule, customer_id = state.schedules.data, state.customer_id
+    r = PayloadReader(_decrypt_payload(schedule, payload))
+    name = r.string()
+    r.expect_end()
+    try:
+        data = ctx.store.get_object(customer_id, name, ctx.master_key)
+        status = STATUS_OK
+    except (NoSuchObject, InvalidName):
+        data, status = b"", STATUS_NOT_FOUND
+    except (CorruptObject, OSError):
+        data, status = b"", STATUS_ERROR
+    ctx.audit(f"get name={name!r} status={status}", customer_id)
+    inner = bytes([status]) + struct.pack(">I", len(data)) + data
+    return [Frame(MessageType.GET_RESULT, _encrypt_payload(schedule, inner))]
+
+
+def _serve_list(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+    schedule, customer_id = state.schedules.data, state.customer_id
+    PayloadReader(_decrypt_payload(schedule, payload)).expect_end()
+    names = ctx.store.list_objects(customer_id)
+    if len(names) > 0xFFFF:
+        raise MalformedPayload("object count exceeds the u16 listing limit")
+    inner = struct.pack(">H", len(names)) + b"".join(encode_str(n) for n in names)
+    ctx.audit(f"list count={len(names)}", customer_id)
+    return [Frame(MessageType.LIST_RESULT, _encrypt_payload(schedule, inner))]
+
+
+_Handler = Callable[[SessionState, bytes, ServerContext], list[Frame]]
+
+# The server state machine: each legal (phase, incoming type) pair and the
+# handler that serves it. Disconnect is legal in every phase and handled
+# before the lookup; any other pair is answered with an Error frame.
+_TRANSITIONS: dict[tuple[Phase, MessageType], _Handler] = {
+    (Phase.INIT, MessageType.CLIENT_HELLO): _serve_hello,
+    (Phase.HELLO_EXCHANGED, MessageType.PHASE1_AUTH): _serve_phase1,
+    (Phase.TUNNEL_ESTABLISHED, MessageType.SERVICE_REQUEST): _serve_service_request,
+    (Phase.SERVICE_REQUESTED, MessageType.PHASE2_AUTH): _serve_phase2,
+    (Phase.SESSION_ACTIVE, MessageType.PUT): _serve_put,
+    (Phase.SESSION_ACTIVE, MessageType.GET): _serve_get,
+    (Phase.SESSION_ACTIVE, MessageType.LIST): _serve_list,
 }
 
 
@@ -527,36 +528,21 @@ def server_handle_frame(
         ctx.audit("disconnect", state.customer_id)
         state.close()
         return []
-    if (state.phase, msg_type) not in _LEGAL:
+    handler = _TRANSITIONS.get((state.phase, msg_type))
+    if handler is None:
         reason = f"unexpected {msg_type.name} in phase {state.phase.name}"
-        ctx.audit(f"error {reason}", state.customer_id)
-        state.close()
-        return [Frame(MessageType.ERROR, encode_str(reason))]
-    try:
-        if msg_type is MessageType.CLIENT_HELLO:
-            keypair = dh_generate(ctx.group)
-            frame = server_hello(state, payload, keypair, ctx.rand(16), ctx.group)
-            ctx.audit("hello", None)
-            return [frame]
-        if msg_type is MessageType.PHASE1_AUTH:
-            return [server_verify_phase1(state, payload, ctx.registry, ctx.audit)]
-        if msg_type is MessageType.SERVICE_REQUEST:
-            server_handle_service_request(state, payload)
-            return []
-        if msg_type is MessageType.PHASE2_AUTH:
-            return [
-                server_verify_phase2(state, payload, ctx.registry, ctx.now(), ctx.audit)
-            ]
-        return [data_exchange(state, msg_type, payload, ctx)]
-    except VersionMismatch:
-        reason = "version mismatch"
-    except InvalidPublicKey:
-        reason = "invalid public key"
-    except (MalformedPayload, aes.PaddingError, aes.LengthError):
-        reason = "malformed payload"
-    except OSError:
-        # LIST_RESULT has no status byte, so a failing store ends the session
-        reason = "storage error"
+    else:
+        try:
+            return handler(state, payload, ctx)
+        except VersionMismatch:
+            reason = "version mismatch"
+        except InvalidPublicKey:
+            reason = "invalid public key"
+        except (MalformedPayload, aes.PaddingError, aes.LengthError):
+            reason = "malformed payload"
+        except OSError:
+            # LIST_RESULT has no status byte, so a failing store ends the session
+            reason = "storage error"
     ctx.audit(f"error {reason}", state.customer_id)
     state.close()
     return [Frame(MessageType.ERROR, encode_str(reason))]

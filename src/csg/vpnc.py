@@ -200,8 +200,11 @@ class _Console:
             self.session = None
 
 
-def _prompt_secret(_kind: str, prompt: str) -> str:
-    return getpass.getpass(prompt)
+def _prompt_secret(kind: str, prompt: str) -> str:
+    try:
+        return getpass.getpass(prompt)
+    except EOFError:  # Ctrl-D at the prompt
+        raise _UsageError(f"no {kind} password given") from None
 
 
 def _env_secret(env: dict) -> Callable[[str, str], str]:
@@ -225,7 +228,11 @@ def _check_group(name: str, allow_insecure: bool) -> None:
 
 def _run_interactive(args, stdin: TextIO) -> int:
     console = _Console(args.group, _prompt_secret)
-    code = console.connect(args.host, args.port, args.user)
+    try:
+        code = console.connect(args.host, args.port, args.user)
+    except _UsageError as exc:
+        print(f"vpnc: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if code is not None:
         return code
     try:

@@ -86,6 +86,20 @@ def test_insecure_group_needs_explicit_flag(tmp_path):
         ["--config", str(path), "--allow-insecure-group"], env=env
     )
     assert config.dh_group == "test-small"
+    # the message names where the group came from, not the flag's default
+    with pytest.raises(ConfigError, match=r"dh_group \(from env CSG_DH_GROUP\)"):
+        load_config(["--config", str(path)], env=env)
+    path = write_config(tmp_path, dh_group="test-small")
+    with pytest.raises(ConfigError, match=r"dh_group \(from config file\)"):
+        load_config(["--config", str(path)], env={})
+
+
+def test_listen_addr_has_a_default(tmp_path):
+    config = load_config(
+        ["--registry", str(tmp_path / "r.jsonl"), "--objects", str(tmp_path)],
+        env={"CSG_MASTER_KEY_HEX": "00" * 16},
+    )
+    assert config.listen_addr == "127.0.0.1:9443"
 
 
 def test_unknown_group_rejected(tmp_path):

@@ -486,6 +486,30 @@ def test_order_enforcement_full_grid(ctx):
     assert checked == 6 * 15
 
 
+@pytest.mark.parametrize(
+    "phase, msg_type, payload, reason",
+    [
+        (P.Phase.HELLO_EXCHANGED, MessageType.PUT, b"",
+         "unexpected PUT in phase HELLO_EXCHANGED"),
+        # ClientHello whose public value is 1
+        (P.Phase.INIT, MessageType.CLIENT_HELLO, bytes([0x01]) + b"\x00\x01\x01",
+         "invalid public key"),
+        (P.Phase.TUNNEL_ESTABLISHED, MessageType.SERVICE_REQUEST, b"too short",
+         "malformed payload"),
+    ],
+    ids=["illegal-pair", "degenerate-public", "short-service-request"],
+)
+def test_dispatch_error_reason_and_audit(ctx, phase, msg_type, payload, reason):
+    events: list[str] = []
+    ctx.audit = lambda event, _customer_id: events.append(event)
+    state = _state_in(phase, derive_keys(os.urandom(32)), os.urandom(16))
+    frames = P.server_handle_frame(state, msg_type, payload, ctx)
+    assert [f.msg_type for f in frames] == [MessageType.ERROR]
+    assert PayloadReader(frames[0].payload).string() == reason
+    assert events == [f"error {reason}"]
+    assert state.phase is P.Phase.CLOSED
+
+
 def test_malformed_encrypted_payload_closes_session(wire, acme):
     assert wire.handshake(acme)[0]
     frames = wire.send(Frame(MessageType.SERVICE_REQUEST, b"too short"))

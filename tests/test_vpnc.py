@@ -298,3 +298,43 @@ def test_interactive_wrong_password_exit_2(gateway_factory):
     output, exit_code = _pty_session(argv, [(b"tunnel password:", b"wrong\n")])
     assert exit_code == 2
     assert b"auth failed" in output
+
+
+@pytest.mark.skipif(not hasattr(pty, "openpty"), reason="needs a pty")
+def test_interactive_eof_at_password_prompt_exit_4():
+    # a new session has no controlling terminal, so getpass prompts on the
+    # pty given as stdin/stderr instead of on the terminal running the tests
+    master, slave = pty.openpty()
+    proc = subprocess.Popen(
+        VPNC + ["connect", "--host", "127.0.0.1", "--port", "9", "--user", "u",
+                "--group", "test-small", "--allow-insecure-group"],
+        stdin=slave, stdout=slave, stderr=slave, start_new_session=True,
+    )
+    os.close(slave)
+    output = b""
+    try:
+        deadline = time.time() + 30
+        sent = False
+        while time.time() < deadline:
+            ready, _, _ = select.select([master], [], [], 0.2)
+            if ready:
+                try:
+                    chunk = os.read(master, 4096)
+                except OSError:
+                    break  # the child exited and closed the pty
+                if not chunk:
+                    break
+                output += chunk
+            if not sent and b"tunnel password:" in output:
+                os.write(master, b"\x04")  # Ctrl-D on an empty line
+                sent = True
+        exit_code = proc.wait(timeout=30)
+    finally:
+        os.close(master)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    text = output.decode(errors="replace")
+    assert exit_code == 4, text
+    assert "Traceback" not in text
+    assert text.strip().splitlines() == ["tunnel password: vpnc: no tunnel password given"]
