@@ -1,15 +1,20 @@
 """Socket client for the gateway: tunnel setup, two-phase login, and the
-private-space commands, wrapping the protocol state machine."""
+private-space commands, wrapping the protocol state machine.
+
+Every exchange with the gateway goes through `ClientSession._exchange`, the
+one place where socket, framing and decryption errors become
+ProtocolFailure."""
 
 from __future__ import annotations
 
+import functools
 import socket
-from typing import Optional
+from typing import Any, Optional
 
 from . import protocol
 from .aes import LengthError, PaddingError
 from .keyx import DhGroup, InvalidPublicKey, RFC3526_GROUP14, dh_generate
-from .wire import Frame, FrameError, MessageType, PayloadReader, decode_frame
+from .wire import Frame, FrameError, FrameTooLarge, MessageType, PayloadReader, decode_frame
 
 
 class ClientError(Exception):
@@ -65,84 +70,89 @@ class ClientSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _send(self, frame: Frame) -> None:
+    def _exchange(
+        self, frames: list[Frame], expected: Optional[MessageType] = None, parse=None
+    ) -> Any:
+        """Send `frames`; when `expected` is given, read one reply of that
+        type and return `parse(state, payload)`. The one place where socket,
+        framing and decryption failures, and an Error frame, become
+        ProtocolFailure. Callers build the frames, so an out-of-order command
+        raises ProtocolOrderError before any is sent."""
         if self._sock is None:
             raise ProtocolFailure("session is closed")
-        raw = frame.encode()
-        if self._capture is not None:
-            self._capture.append(raw)
         try:
-            self._sock.sendall(raw)
-        except OSError as exc:
-            raise ProtocolFailure(f"send failed: {exc}") from exc
-
-    def _recv(self, expected: MessageType) -> bytes:
-        try:
+            for frame in frames:
+                raw = frame.encode()
+                if self._capture is not None:
+                    self._capture.append(raw)
+                self._sock.sendall(raw)
+            if expected is None:
+                return None
             msg_type, payload = decode_frame(self._stream)
-        except FrameError as exc:
-            raise ProtocolFailure(f"connection broke: {exc}") from exc
-        except OSError as exc:
-            raise ProtocolFailure(f"receive failed: {exc}") from exc
-        if self._capture is not None:
-            self._capture.append(Frame(msg_type, payload).encode())
-        if msg_type is MessageType.ERROR:
-            reason = PayloadReader(payload).string()
-            raise ProtocolFailure(f"server error: {reason}")
-        if msg_type is not expected:
-            raise ProtocolFailure(f"expected {expected.name}, got {msg_type.name}")
-        return payload
-
-    def _parse(self, parser, payload: bytes):
-        try:
-            return parser(self.state, payload)
-        except (FrameError, PaddingError, LengthError, InvalidPublicKey) as exc:
-            raise ProtocolFailure(f"cannot parse server response: {exc}") from exc
+            if self._capture is not None:
+                self._capture.append(Frame(msg_type, payload).encode())
+            if msg_type is MessageType.ERROR:
+                reason = PayloadReader(payload).string()
+                raise ProtocolFailure(f"server error: {reason}")
+            if msg_type is not expected:
+                raise ProtocolFailure(f"expected {expected.name}, got {msg_type.name}")
+            return parse(self.state, payload)
+        except (FrameError, PaddingError, LengthError, InvalidPublicKey, OSError) as exc:
+            raise ProtocolFailure(str(exc)) from exc
 
     def connect_tunnel(self, tunnel_user: str, tunnel_pass: str) -> None:
         """Hello exchange plus phase-1 authentication."""
         keypair = dh_generate(self._group)
-        self._send(protocol.client_connect(self.state, keypair))
-        payload = self._recv(MessageType.SERVER_HELLO)
-        self._parse(
-            lambda state, p: protocol.client_handle_server_hello(state, p, self._group),
-            payload,
+        self._exchange(
+            [protocol.client_connect(self.state, keypair)],
+            MessageType.SERVER_HELLO,
+            functools.partial(protocol.client_handle_server_hello, group=self._group),
         )
-        self._send(protocol.phase1_auth(self.state, tunnel_user, tunnel_pass))
-        payload = self._recv(MessageType.PHASE1_RESULT)
-        ok, reason = self._parse(protocol.client_handle_phase1_result, payload)
+        ok, reason = self._exchange(
+            [protocol.phase1_auth(self.state, tunnel_user, tunnel_pass)],
+            MessageType.PHASE1_RESULT,
+            protocol.client_handle_phase1_result,
+        )
         if not ok:
             raise AuthRefused(reason or protocol.REASON_AUTH_FAILED)
 
     def login(self, url_path: str, service_user: str, service_pass: str) -> None:
         """Service request plus phase-2 authentication."""
-        self._send(protocol.service_request(self.state, url_path))
-        self._send(protocol.phase2_auth(self.state, service_user, service_pass))
-        payload = self._recv(MessageType.PHASE2_RESULT)
-        ok, reason = self._parse(protocol.client_handle_phase2_result, payload)
+        ok, reason = self._exchange(
+            [
+                protocol.service_request(self.state, url_path),
+                protocol.phase2_auth(self.state, service_user, service_pass),
+            ],
+            MessageType.PHASE2_RESULT,
+            protocol.client_handle_phase2_result,
+        )
         if not ok:
             raise AuthRefused(reason or protocol.REASON_AUTH_FAILED)
 
     def put(self, name: str, data: bytes) -> None:
-        self._send(protocol.build_put(self.state, name, data))
-        status = self._parse(
-            protocol.parse_put_result, self._recv(MessageType.PUT_RESULT)
-        )
+        try:
+            frame = protocol.build_put(self.state, name, data)
+        except FrameTooLarge:
+            raise CommandRefused("object too large for one frame") from None
+        status = self._exchange([frame], MessageType.PUT_RESULT, protocol.parse_put_result)
         if status != protocol.STATUS_OK:
             raise CommandRefused(_STATUS_MESSAGES.get(status, f"status {status}"))
 
     def get(self, name: str) -> bytes:
-        self._send(protocol.build_get(self.state, name))
-        status, data = self._parse(
-            protocol.parse_get_result, self._recv(MessageType.GET_RESULT)
+        status, data = self._exchange(
+            [protocol.build_get(self.state, name)],
+            MessageType.GET_RESULT,
+            protocol.parse_get_result,
         )
         if status != protocol.STATUS_OK:
             raise CommandRefused(_STATUS_MESSAGES.get(status, f"status {status}"))
         return data
 
     def list_names(self) -> list[str]:
-        self._send(protocol.build_list(self.state))
-        return self._parse(
-            protocol.parse_list_result, self._recv(MessageType.LIST_RESULT)
+        return self._exchange(
+            [protocol.build_list(self.state)],
+            MessageType.LIST_RESULT,
+            protocol.parse_list_result,
         )
 
     def close(self) -> None:
@@ -152,7 +162,7 @@ class ClientSession:
             return
         try:
             if self.state.phase is not protocol.Phase.CLOSED:
-                self._send(protocol.disconnect(self.state))
+                self._exchange([protocol.disconnect(self.state)])
         except ClientError:
             pass
         finally:

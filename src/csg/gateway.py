@@ -261,9 +261,7 @@ class Gateway:
         self._accept_thread: Optional[threading.Thread] = None
         self._sessions: dict[int, tuple[threading.Thread, socket.socket]] = {}
         self._sessions_lock = threading.Lock()
-        self._slots = threading.Semaphore(config.max_sessions)
         self._next_session_id = 0
-        self._stopping = threading.Event()
         self.bound_addr: Optional[tuple[str, int]] = None
 
     def start(self) -> tuple[str, int]:
@@ -283,7 +281,7 @@ class Gateway:
         return self.bound_addr
 
     def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+        while True:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
@@ -291,7 +289,16 @@ class Gateway:
             with self._sessions_lock:
                 self._next_session_id += 1
                 session_id = self._next_session_id
-            if not self._slots.acquire(blocking=False):
+                full = len(self._sessions) >= self.config.max_sessions
+                if not full:
+                    thread = threading.Thread(
+                        target=self._run_session,
+                        args=(session_id, conn),
+                        name=f"gateway-session-{session_id}",
+                        daemon=True,
+                    )
+                    self._sessions[session_id] = (thread, conn)
+            if full:
                 # at capacity: immediate reject, no queueing
                 self.audit.append(session_id, "refused at capacity")
                 try:
@@ -299,14 +306,6 @@ class Gateway:
                 except OSError:
                     pass
                 continue
-            thread = threading.Thread(
-                target=self._run_session,
-                args=(session_id, conn),
-                name=f"gateway-session-{session_id}",
-                daemon=True,
-            )
-            with self._sessions_lock:
-                self._sessions[session_id] = (thread, conn)
             thread.start()
 
     def _run_session(self, session_id: int, conn: socket.socket) -> None:
@@ -347,7 +346,6 @@ class Gateway:
                 pass
             with self._sessions_lock:
                 self._sessions.pop(session_id, None)
-            self._slots.release()
 
     @staticmethod
     def _try_send(conn: socket.socket, frame: Frame) -> None:
@@ -359,7 +357,6 @@ class Gateway:
     def shutdown(self, drain_seconds: float = DRAIN_SECONDS) -> None:
         """Stop accepting, give active sessions `drain_seconds` to finish,
         then force-close the stragglers."""
-        self._stopping.set()
         if self._listener is not None:
             # shutdown() unblocks a thread sitting in accept() and tears the
             # listen queue down; close() alone leaves both in place

@@ -55,7 +55,9 @@ from .vault import (
     check_certificate,
 )
 from .wire import (
+    MAX_PAYLOAD_LEN,
     Frame,
+    FrameTooLarge,
     MalformedPayload,
     MessageType,
     PayloadReader,
@@ -266,8 +268,13 @@ def client_handle_phase2_result(
 
 
 def build_put(state: SessionState, name: str, data: bytes) -> Frame:
+    """Raises FrameTooLarge, before any encryption, when the encrypted
+    payload would not fit in one frame."""
     _require(state, Phase.SESSION_ACTIVE, "build_put")
     inner = encode_str(name) + struct.pack(">I", len(data)) + data
+    payload_len = 16 + len(inner) - len(inner) % 16 + 16  # IV + padded ciphertext
+    if payload_len > MAX_PAYLOAD_LEN:
+        raise FrameTooLarge(f"put payload of {payload_len} bytes exceeds the frame cap")
     return Frame(MessageType.PUT, _encrypt_payload(state.schedules.data, inner))
 
 

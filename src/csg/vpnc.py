@@ -16,7 +16,9 @@ there, passwords come from CSG_TUNNEL_PASS / CSG_SERVICE_PASS:
     vpnc run --script FILE
 
 Exit codes: 0 success, 2 authentication/certificate rejection, 3
-protocol or network failure, 4 usage error.
+protocol or network failure, 4 usage error. `_Console.execute` is the one
+place that maps client errors to these outcomes; a refused command or one
+sent in the wrong session state is reported and the session goes on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import getpass
 import os
 import shlex
 import sys
-from typing import Callable, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .client import AuthRefused, ClientSession, CommandRefused, ProtocolFailure
 from .keyx import GROUPS, INSECURE_GROUPS
@@ -60,8 +62,20 @@ def _parse_kv_args(words: list[str], known: dict[str, bool], command: str) -> di
     return values
 
 
+def _split(line: str) -> list[str]:
+    try:
+        return shlex.split(line, comments=True)
+    except ValueError as exc:  # an unclosed quote or a trailing backslash
+        raise _UsageError(f"cannot parse line: {exc}") from None
+
+
 class _Console:
-    """Command loop shared by the interactive REPL and script mode."""
+    """Runs commands for both the interactive REPL and script mode.
+
+    Each handler in `_COMMANDS` holds only its happy path and its local-file
+    errors; `execute` is the one place that maps client errors to outcomes,
+    and `run` the one loop that splits lines.
+    """
 
     def __init__(
         self,
@@ -77,127 +91,123 @@ class _Console:
     def say(self, text: str) -> None:
         print(text, file=self.out, flush=True)
 
-    def connect(self, host: str, port: int, user: str) -> Optional[int]:
-        password = self.read_secret("tunnel", "tunnel password: ")
-        try:
-            session = ClientSession(host, port, group=self.group)
-        except OSError as exc:
-            self.say(f"cannot connect to {host}:{port}: {exc}")
-            return EXIT_PROTOCOL
-        try:
-            session.connect_tunnel(user, password)
-        except AuthRefused as exc:
-            self.say(str(exc))
-            session.close()
-            return EXIT_AUTH
-        except (ProtocolFailure, OSError) as exc:
-            self.say(f"handshake failed: {exc}")
-            session.close()
-            return EXIT_PROTOCOL
-        self.session = session
-        self.say("tunnel established")
-        return None
+    def run(self, lines: Iterable[str], stop_on_usage: bool) -> int:
+        """Execute each line; a usage error exits 4 when `stop_on_usage`,
+        else it is reported and the loop goes on. The end of the lines
+        behaves like quit."""
+        for line in lines:
+            try:
+                words = _split(line)
+                code = self.execute(words) if words else None
+            except _UsageError as exc:
+                if stop_on_usage:
+                    print(f"vpnc: {exc}", file=sys.stderr)
+                    return EXIT_USAGE
+                self.say(f"usage: {exc}")
+                continue
+            if code is not None:
+                return code
+        return EXIT_OK
 
     def execute(self, words: list[str]) -> Optional[int]:
         """Run one command; returns an exit code to stop with, or None to
         keep going."""
-        try:
-            return self._execute(words)
-        except ProtocolOrderError:
-            # e.g. login twice, or put before login: report and keep the
-            # session alive
-            self.say(f"{words[0]}: not allowed in this session state")
-            return None
-
-    def _execute(self, words: list[str]) -> Optional[int]:
         command, args = words[0], words[1:]
-        if command == "quit":
-            if self.session is not None:
-                self.session.close()
-            return EXIT_OK
-        if command == "connect":
-            if self.session is not None:
-                raise _UsageError("connect: already connected")
-            kv = _parse_kv_args(
-                args, {"host": True, "port": True, "user": True}, "connect"
-            )
-            if not kv["port"].isdigit():
-                raise _UsageError(f"connect: bad port {kv['port']!r}")
-            return self.connect(kv["host"], int(kv["port"]), kv["user"])
-        if self.session is None:
+        handler = _COMMANDS.get(command)
+        if handler is None:
+            raise _UsageError(f"unknown command {command!r}")
+        if self.session is None and command not in ("connect", "quit"):
             raise _UsageError(f"{command}: no tunnel (run connect first)")
-        if command == "login":
-            kv = _parse_kv_args(args, {"path": True, "user": True}, "login")
-            password = self.read_secret("service", "service password: ")
-            try:
-                self.session.login(kv["path"], kv["user"], password)
-            except AuthRefused as exc:
-                self.say(str(exc))  # the server's specific reason, verbatim
-                return EXIT_AUTH
-            except (ProtocolFailure, OSError) as exc:
-                self.say(f"login failed: {exc}")
-                return EXIT_PROTOCOL
-            self.say("access granted")
-            return None
-        if command == "put":
-            if len(args) != 2:
-                raise _UsageError("put: usage: put <local-file> <name>")
-            local, name = args
-            try:
-                with open(local, "rb") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                self.say(f"cannot read {local}: {exc}")
-                return None  # local trouble does not end the session
-            return self._space_op(lambda: self.session.put(name, data), f"stored {name}")
-        if command == "get":
-            if len(args) != 2:
-                raise _UsageError("get: usage: get <name> <local-file>")
-            name, local = args
-            try:
-                data = self.session.get(name)
-            except CommandRefused as exc:
-                self.say(str(exc))
-                return None
-            except (ProtocolFailure, OSError) as exc:
-                self.say(f"get failed: {exc}")
-                return EXIT_PROTOCOL
-            try:
-                with open(local, "wb") as fh:
-                    fh.write(data)
-            except OSError as exc:
-                self.say(f"cannot write {local}: {exc}")
-                return None
-            self.say(f"retrieved {name} ({len(data)} bytes)")
-            return None
-        if command == "ls":
-            if args:
-                raise _UsageError("ls: takes no arguments")
-            try:
-                for name in self.session.list_names():
-                    self.say(name)
-            except (ProtocolFailure, OSError) as exc:
-                self.say(f"ls failed: {exc}")
-                return EXIT_PROTOCOL
-            return None
-        raise _UsageError(f"unknown command {command!r}")
-
-    def _space_op(self, op: Callable[[], None], success: str) -> Optional[int]:
         try:
-            op()
+            return handler(self, args)
+        except ProtocolOrderError:
+            # e.g. login twice, or put before login: the session stays up
+            self.say(f"{command}: not allowed in this session state")
         except CommandRefused as exc:
             self.say(str(exc))
-            return None
+        except AuthRefused as exc:
+            self.say(str(exc))  # the server's specific reason, verbatim
+            return EXIT_AUTH
         except (ProtocolFailure, OSError) as exc:
-            self.say(f"command failed: {exc}")
+            self.say(f"{command} failed: {exc}")
             return EXIT_PROTOCOL
-        self.say(success)
         return None
+
+    def _connect(self, args: list[str]) -> Optional[int]:
+        if self.session is not None:
+            raise _UsageError("connect: already connected")
+        kv = _parse_kv_args(args, {"host": True, "port": True, "user": True}, "connect")
+        host, port = kv["host"], kv["port"]
+        if not port.isdecimal() or not 1 <= int(port) <= 65535:
+            raise _UsageError(f"connect: bad port {port!r} (expected 1-65535)")
+        password = self.read_secret("tunnel", "tunnel password: ")
+        try:
+            self.session = ClientSession(host, int(port), group=self.group)
+        except OSError as exc:
+            self.say(f"cannot connect to {host}:{port}: {exc}")
+            return EXIT_PROTOCOL
+        # a failed handshake raises AuthRefused or ProtocolFailure, which end
+        # the run; the caller's close() then drops the session
+        self.session.connect_tunnel(kv["user"], password)
+        self.say("tunnel established")
+        return None
+
+    def _login(self, args: list[str]) -> None:
+        kv = _parse_kv_args(args, {"path": True, "user": True}, "login")
+        password = self.read_secret("service", "service password: ")
+        self.session.login(kv["path"], kv["user"], password)
+        self.say("access granted")
+
+    def _put(self, args: list[str]) -> None:
+        if len(args) != 2:
+            raise _UsageError("put: usage: put <local-file> <name>")
+        local, name = args
+        try:
+            with open(local, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            self.say(f"cannot read {local}: {exc}")
+            return  # local trouble does not end the session
+        self.session.put(name, data)
+        self.say(f"stored {name}")
+
+    def _get(self, args: list[str]) -> None:
+        if len(args) != 2:
+            raise _UsageError("get: usage: get <name> <local-file>")
+        name, local = args
+        data = self.session.get(name)
+        try:
+            with open(local, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            self.say(f"cannot write {local}: {exc}")
+            return
+        self.say(f"retrieved {name} ({len(data)} bytes)")
+
+    def _ls(self, args: list[str]) -> None:
+        if args:
+            raise _UsageError("ls: takes no arguments")
+        for name in self.session.list_names():
+            self.say(name)
+
+    def _quit(self, args: list[str]) -> int:
+        self.close()
+        return EXIT_OK
 
     def close(self) -> None:
         if self.session is not None:
             self.session.close()
             self.session = None
+
+
+_COMMANDS: dict[str, Callable[[_Console, list[str]], Optional[int]]] = {
+    "connect": _Console._connect,
+    "login": _Console._login,
+    "put": _Console._put,
+    "get": _Console._get,
+    "ls": _Console._ls,
+    "quit": _Console._quit,
+}
 
 
 def _prompt_secret(kind: str, prompt: str) -> str:
@@ -226,33 +236,24 @@ def _check_group(name: str, allow_insecure: bool) -> None:
         raise _UsageError(f"group {name!r} is test-only; pass --allow-insecure-group")
 
 
+def _prompted_lines(stdin: TextIO) -> Iterator[str]:
+    while True:
+        if stdin.isatty():
+            print("vpnc> ", end="", flush=True)
+        line = stdin.readline()
+        if not line:
+            return
+        yield line
+
+
 def _run_interactive(args, stdin: TextIO) -> int:
     console = _Console(args.group, _prompt_secret)
+    connect = ["connect", "--host", args.host, "--port", args.port, "--user", args.user]
     try:
-        code = console.connect(args.host, args.port, args.user)
-    except _UsageError as exc:
-        print(f"vpnc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if code is not None:
+        code = console.run([shlex.join(connect)], stop_on_usage=True)
+        if code == EXIT_OK:
+            code = console.run(_prompted_lines(stdin), stop_on_usage=False)
         return code
-    try:
-        while True:
-            if stdin.isatty():
-                print("vpnc> ", end="", flush=True)
-            line = stdin.readline()
-            if not line:  # EOF behaves like quit
-                console.close()
-                return EXIT_OK
-            words = shlex.split(line, comments=True)
-            if not words:
-                continue
-            try:
-                code = console.execute(words)
-            except _UsageError as exc:
-                console.say(f"usage: {exc}")
-                continue
-            if code is not None:
-                return code
     finally:
         console.close()
 
@@ -266,18 +267,7 @@ def _run_script(args, env: dict) -> int:
         return EXIT_USAGE
     console = _Console(args.group, _env_secret(env))
     try:
-        for line in lines:
-            words = shlex.split(line, comments=True)
-            if not words:
-                continue
-            try:
-                code = console.execute(words)
-            except _UsageError as exc:
-                print(f"vpnc: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            if code is not None:
-                return code
-        return EXIT_OK
+        return console.run(lines, stop_on_usage=True)
     finally:
         console.close()
 
@@ -288,7 +278,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     connect = sub.add_parser("connect", help="open a tunnel, then an interactive session")
     connect.add_argument("--host", required=True)
-    connect.add_argument("--port", required=True, type=int)
+    connect.add_argument("--port", required=True, help="TCP port, 1-65535")
     connect.add_argument("--user", required=True, help="tunnel user name")
     connect.add_argument("--group", default="rfc3526-14")
     connect.add_argument("--allow-insecure-group", action="store_true")

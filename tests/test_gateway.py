@@ -369,6 +369,8 @@ def test_cli_startup_and_sigterm(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_cli_bad_master_key_exits_nonzero(tmp_path):

@@ -208,6 +208,61 @@ def test_usage_error_on_bad_argv():
     assert result.returncode == 4
 
 
+def test_script_unclosed_quote_is_usage_error(gateway_factory, tmp_path):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    result = run_script(
+        tmp_path,
+        handle,
+        acme,
+        [connect_line(handle, acme), login_line(acme), 'put "unclosed', "quit"],
+    )
+    assert result.returncode == 4, result.stderr
+    assert "vpnc:" in result.stderr
+    assert "Traceback" not in result.stderr + result.stdout
+
+
+def test_interactive_unclosed_quote_reports_and_continues(gateway_factory):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    # without a controlling terminal getpass reads the password from stdin
+    result = subprocess.run(
+        VPNC + ["connect", "--host", handle.host, "--port", str(handle.port),
+                "--user", acme.tunnel_user, "--group", "test-small",
+                "--allow-insecure-group"],
+        input=f'{acme.tunnel_pass}\nput "unclosed\nquit\n',
+        capture_output=True, text=True, timeout=60, start_new_session=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "usage: cannot parse" in result.stdout
+    assert "Traceback" not in result.stderr + result.stdout
+
+
+@pytest.mark.parametrize("port", ["70000", "0"])
+def test_script_port_out_of_range_is_usage_error(tmp_path, port):
+    acme = provision_customer("acme")
+    result = run_script(
+        tmp_path,
+        None,
+        acme,
+        [f"connect --host 127.0.0.1 --port {port} --user {acme.tunnel_user}", "quit"],
+    )
+    assert result.returncode == 4, result.stdout
+    assert f"bad port '{port}'" in result.stderr
+
+
+@pytest.mark.parametrize("port", ["70000", "0"])
+def test_argv_port_out_of_range_is_usage_error(port):
+    result = subprocess.run(
+        VPNC + ["connect", "--host", "127.0.0.1", "--port", port, "--user", "u",
+                "--group", "test-small", "--allow-insecure-group"],
+        input="password\n",
+        capture_output=True, text=True, timeout=60, start_new_session=True,
+    )
+    assert result.returncode == 4, result.stdout + result.stderr
+    assert f"bad port '{port}'" in result.stderr
+
+
 # --- interactive mode over a pseudo-terminal ----------------------------------
 
 def _pty_session(argv: list[str], steps: list[tuple[bytes, bytes]], timeout=30.0):
