@@ -332,10 +332,15 @@ def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
 
 # --------- PKCS#7 padding ---------
 
+def padded_len(plaintext_len: int) -> int:
+    """Length of the padded plaintext, and so of its CBC ciphertext: the next
+    multiple of 16, a full extra block when the input is already aligned."""
+    return plaintext_len - plaintext_len % BLOCK_SIZE + BLOCK_SIZE
+
+
 def pad(data: bytes) -> bytes:
-    """Append n copies of byte n so the length becomes a positive multiple
-    of 16; a full extra block when the input is already aligned."""
-    n = BLOCK_SIZE - len(data) % BLOCK_SIZE
+    """Append n copies of byte n so the length becomes padded_len(len(data))."""
+    n = padded_len(len(data)) - len(data)
     return data + bytes([n]) * n
 
 

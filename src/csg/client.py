@@ -14,7 +14,9 @@ from typing import Any, Optional
 from . import protocol
 from .aes import LengthError, PaddingError
 from .keyx import DhGroup, InvalidPublicKey, RFC3526_GROUP14, dh_generate
-from .wire import Frame, FrameError, FrameTooLarge, MessageType, PayloadReader, decode_frame
+from .wire import (
+    FieldTooLong, Frame, FrameError, FrameTooLarge, MessageType, PayloadReader, decode_frame
+)
 
 
 class ClientError(Exception):
@@ -129,18 +131,25 @@ class ClientSession:
         if not ok:
             raise AuthRefused(reason or protocol.REASON_AUTH_FAILED)
 
-    def put(self, name: str, data: bytes) -> None:
+    def _build(self, build, *args) -> Frame:
+        """Build a put or get frame; a name or object the wire cannot carry
+        is refused before anything is encrypted."""
         try:
-            frame = protocol.build_put(self.state, name, data)
+            return build(self.state, *args)
+        except FieldTooLong:
+            raise CommandRefused("object name longer than 65535 UTF-8 bytes") from None
         except FrameTooLarge:
             raise CommandRefused("object too large for one frame") from None
+
+    def put(self, name: str, data: bytes) -> None:
+        frame = self._build(protocol.build_put, name, data)
         status = self._exchange([frame], MessageType.PUT_RESULT, protocol.parse_put_result)
         if status != protocol.STATUS_OK:
             raise CommandRefused(_STATUS_MESSAGES.get(status, f"status {status}"))
 
     def get(self, name: str) -> bytes:
         status, data = self._exchange(
-            [protocol.build_get(self.state, name)],
+            [self._build(protocol.build_get, name)],
             MessageType.GET_RESULT,
             protocol.parse_get_result,
         )

@@ -1,8 +1,10 @@
 """The service-provider executable: configuration, audit log, and the TCP
 server driving one protocol session per connection.
 
-Configuration precedence: command-line flags > CSG_* environment variables >
-JSON config file > built-in defaults.
+Each config key takes its value from its flag, else CSG_<KEY>, else the
+JSON config file, else its default, and `_PARSERS` checks it. Exit codes: 0
+after SIGINT/SIGTERM, 1 for a startup failure (registry, store, audit log,
+bind), 2 for a config error.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import json
 import os
 import signal
 import socket
+import string
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .keyx import GROUPS, INSECURE_GROUPS
+from .keyx import select_group
 from .protocol import Phase, ServerContext, SessionState, server_handle_frame
 from .vault import DuplicateUser, ObjectStore, ParseError, load_registry
 from .wire import (
@@ -59,144 +62,120 @@ class GatewayConfig:
         return host, int(port)
 
 
-# every config key and its built-in default; None marks a required key
-DEFAULTS = {
-    f.name: None if f.default is dataclasses.MISSING else f.default
-    for f in dataclasses.fields(GatewayConfig)
-}
+def _text(value: object) -> str:
+    if not isinstance(value, str) or not value:  # Path("") would be the cwd
+        raise ValueError(f"not a non-empty string: {value!r}")
+    return value
 
 
-def _parse_bool(value, key: str, source: str) -> bool:
+def _listen_addr(value: object) -> str:
+    host, sep, port = _text(value).rpartition(":")
+    # isdigit alone passes digits such as "²" that int() rejects
+    if not (sep and host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"not host:port: {value!r}")
+    return value
+
+
+def _master_key_hex(value: object) -> str:
+    key = _text(value)
+    if len(key) != 32 or not set(key) <= set(string.hexdigits):
+        raise ValueError("must be exactly 32 hex characters")
+    return key
+
+
+def _max_sessions(value: object) -> int:
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        value = int(value)
+    if type(value) is not int or value < 1:  # type(): a bool is an int
+        raise ValueError(f"not an integer >= 1: {value!r}")
+    return value
+
+
+def _parse_bool(value: object) -> bool:
     if isinstance(value, bool):
         return value
     if isinstance(value, str) and value.lower() in ("1", "true", "yes", "on"):
         return True
     if isinstance(value, str) and value.lower() in ("0", "false", "no", "off", ""):
         return False
-    raise ConfigError(f"{key} (from {source}): not a boolean: {value!r}")
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+# one parser per GatewayConfig key: returns the value or raises ValueError
+_PARSERS: dict[str, Callable[[object], object]] = {
+    "registry_path": _text,
+    "objects_dir": _text,
+    "master_key_hex": _master_key_hex,
+    "listen_addr": _listen_addr,
+    "dh_group": _text,  # keyx.select_group judges it with allow_insecure_group
+    "max_sessions": _max_sessions,
+    "audit_log": _text,
+    "allow_insecure_group": _parse_bool,
+}
+
+
+def _read_config_file(path: str) -> dict:
+    """The JSON object in `path`, which may set only GatewayConfig keys."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config (from flag --config): {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path}: expected a JSON object")
+    for key in values:
+        if key not in _PARSERS:
+            raise ConfigError(f"{key} (from config file): unknown key")
+    return values
 
 
 def load_config(
     argv: Optional[list[str]] = None, env: Optional[Mapping[str, str]] = None
 ) -> GatewayConfig:
-    """Merge flags, environment, config file and defaults into a validated
-    GatewayConfig."""
+    """Take each GatewayConfig key from its first source and parse it."""
     env = os.environ if env is None else env
     parser = argparse.ArgumentParser(prog="gateway", description=__doc__)
     parser.add_argument("--config", metavar="FILE", help="JSON config file")
-    parser.add_argument("--listen", metavar="ADDR", help="host:port to listen on")
-    parser.add_argument("--registry", metavar="PATH", help="customer registry file")
-    parser.add_argument("--objects", metavar="DIR", help="object store directory")
-    parser.add_argument(
-        "--audit-log", metavar="PATH", help="audit log file (default gateway-audit.log)"
-    )
-    parser.add_argument(
-        "--allow-insecure-group",
-        action="store_true",
-        help="permit the test-only DH group",
-    )
+    # each flag's dest is the GatewayConfig key it sets
+    parser.add_argument("--listen", dest="listen_addr", help="host:port to listen on")
+    parser.add_argument("--registry", dest="registry_path", help="customer registry file")
+    parser.add_argument("--objects", dest="objects_dir", help="object store directory")
+    parser.add_argument("--audit-log", help="audit log file (default gateway-audit.log)")
+    # default None: an absent flag sets nothing, so env and file still count
+    parser.add_argument("--allow-insecure-group", action="store_true", default=None,
+                        help="permit the test-only DH group")
     args = parser.parse_args(argv)
+    file_values = _read_config_file(args.config) if args.config else {}
 
-    # (value, source) pairs; later lookups only fill keys still unset
-    merged: dict[str, tuple[object, str]] = {}
-
-    flag_map = {
-        "listen_addr": args.listen,
-        "registry_path": args.registry,
-        "objects_dir": args.objects,
-        "audit_log": args.audit_log,
-        "allow_insecure_group": args.allow_insecure_group or None,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            merged[key] = (value, "flag")
-
-    for key in DEFAULTS:
+    absent = dataclasses.MISSING
+    values, sources = {}, {}
+    for field in dataclasses.fields(GatewayConfig):
+        key = field.name
         env_name = _ENV_PREFIX + key.upper()
-        if key not in merged and env_name in env:
-            merged[key] = (env[env_name], f"env {env_name}")
-
-    if args.config:
+        flag = getattr(args, key, None)
+        for source, raw in (
+            ("flag", absent if flag is None else flag),
+            (f"env {env_name}", env.get(env_name, absent)),
+            ("config file", file_values.get(key, absent)),
+            ("default", field.default),
+        ):
+            if raw is not absent:
+                break
+        else:
+            raise ConfigError(f"{key}: missing (no flag, {env_name} or config file value)")
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config (from flag --config): {exc}") from None
+            values[key] = _PARSERS[key](raw)
         except ValueError as exc:
-            raise ConfigError(f"config file {args.config}: {exc}") from None
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"config file {args.config}: expected a JSON object")
-        for key, value in file_values.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"{key} (from config file): unknown key")
-            if key not in merged:
-                merged[key] = (value, "config file")
+            raise ConfigError(f"{key} (from {source}): {exc}") from None
+        sources[key] = source
 
-    for key, value in DEFAULTS.items():
-        if key not in merged and value is not None:
-            merged[key] = (value, "default")
-
-    def get(key: str) -> tuple[object, str]:
-        if key not in merged:
-            env_name = _ENV_PREFIX + key.upper()
-            raise ConfigError(
-                f"{key}: missing (no flag, {env_name} variable, or config file value)"
-            )
-        return merged[key]
-
-    listen_addr, source = get("listen_addr")
-    host, sep, port = str(listen_addr).rpartition(":")
-    if not sep or not host or not port.isdigit() or not 0 <= int(port) <= 65535:
-        raise ConfigError(f"listen_addr (from {source}): not host:port: {listen_addr!r}")
-
-    registry_path = str(get("registry_path")[0])
-    objects_dir = str(get("objects_dir")[0])
-
-    master_key_hex, source = get("master_key_hex")
-    master_key_hex = str(master_key_hex)
     try:
-        key_bytes = bytes.fromhex(master_key_hex)
-    except ValueError:
-        key_bytes = b""
-    if len(master_key_hex) != 32 or len(key_bytes) != 16:
-        raise ConfigError(
-            f"master_key_hex (from {source}): must be exactly 32 hex characters"
-        )
-
-    dh_group, group_source = get("dh_group")
-    dh_group = str(dh_group)
-    if dh_group not in GROUPS:
-        raise ConfigError(
-            f"dh_group (from {group_source}): unknown group {dh_group!r}, "
-            f"expected one of {sorted(GROUPS)}"
-        )
-
-    value, source = get("allow_insecure_group")
-    allow_insecure = _parse_bool(value, "allow_insecure_group", source)
-    if dh_group in INSECURE_GROUPS and not allow_insecure:
-        raise ConfigError(
-            f"dh_group (from {group_source}): {dh_group!r} is test-only; "
-            "pass --allow-insecure-group to use it"
-        )
-
-    value, source = get("max_sessions")
-    try:
-        max_sessions = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"max_sessions (from {source}): not an integer: {value!r}")
-    if max_sessions < 1:
-        raise ConfigError(f"max_sessions (from {source}): must be >= 1")
-
-    return GatewayConfig(
-        listen_addr=str(listen_addr),
-        registry_path=registry_path,
-        objects_dir=objects_dir,
-        master_key_hex=master_key_hex,
-        dh_group=dh_group,
-        max_sessions=max_sessions,
-        audit_log=str(get("audit_log")[0]),
-        allow_insecure_group=allow_insecure,
-    )
+        select_group(values["dh_group"], values["allow_insecure_group"])
+    except ValueError as exc:
+        raise ConfigError(f"dh_group (from {sources['dh_group']}): {exc}") from None
+    return GatewayConfig(**values)
 
 
 class AuditLog:
@@ -246,16 +225,11 @@ class Gateway:
     appender."""
 
     def __init__(self, config: GatewayConfig):
-        if config.dh_group in INSECURE_GROUPS and not config.allow_insecure_group:
-            raise ConfigError(
-                f"dh_group: {config.dh_group!r} is test-only; "
-                "set allow_insecure_group to use it"
-            )
+        self.group = select_group(config.dh_group, config.allow_insecure_group)
         self.config = config
         self.registry = load_registry(config.registry_path)
         self.store = ObjectStore(config.objects_dir)
         self.master_key = config.master_key()
-        self.group = GROUPS[config.dh_group]
         self.audit = AuditLog(config.audit_log)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -392,7 +366,7 @@ def run(config: GatewayConfig) -> int:
     """Run the gateway until SIGINT/SIGTERM; returns the process exit code."""
     try:
         gateway = Gateway(config)
-    except (ConfigError, ParseError, DuplicateUser, OSError, ValueError) as exc:
+    except (ParseError, DuplicateUser, OSError, ValueError) as exc:
         print(f"gateway: startup failed: {exc}", file=sys.stderr)
         return 1
     try:

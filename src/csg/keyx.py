@@ -59,6 +59,17 @@ GROUPS = {"rfc3526-14": RFC3526_GROUP14, "test-small": TEST_SMALL}
 INSECURE_GROUPS = frozenset({"test-small"})
 
 
+def select_group(name: str, allow_insecure: bool) -> DhGroup:
+    """The group called `name`, if a caller with this `allow_insecure`
+    may use it; raises ValueError otherwise. The one place that decides
+    which groups may be used."""
+    if name not in GROUPS:
+        raise ValueError(f"unknown group {name!r}, expected one of {sorted(GROUPS)}")
+    if name in INSECURE_GROUPS and not allow_insecure:
+        raise ValueError(f"{name!r} is test-only; pass --allow-insecure-group to use it")
+    return GROUPS[name]
+
+
 @dataclass(frozen=True)
 class DhKeyPair:
     private: int

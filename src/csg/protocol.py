@@ -272,7 +272,7 @@ def build_put(state: SessionState, name: str, data: bytes) -> Frame:
     payload would not fit in one frame."""
     _require(state, Phase.SESSION_ACTIVE, "build_put")
     inner = encode_str(name) + struct.pack(">I", len(data)) + data
-    payload_len = 16 + len(inner) - len(inner) % 16 + 16  # IV + padded ciphertext
+    payload_len = aes.BLOCK_SIZE + aes.padded_len(len(inner))  # IV + ciphertext
     if payload_len > MAX_PAYLOAD_LEN:
         raise FrameTooLarge(f"put payload of {payload_len} bytes exceeds the frame cap")
     return Frame(MessageType.PUT, _encrypt_payload(state.schedules.data, inner))

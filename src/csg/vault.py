@@ -283,12 +283,13 @@ def _validate_object_name(name: str) -> None:
         raise InvalidName(f"object name prefix {_TMP_PREFIX!r} is reserved")
 
 
-def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int]:
+def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int, bool]:
     """Check an object header against the size of its file.
 
-    Returns (iv, size). The size is the exact plaintext length for version
-    0x02 and the ciphertext length, a conservative estimate, for version
-    0x01. Raises CorruptObject.
+    Returns (iv, size, exact). For version 0x02 the size is the exact
+    plaintext length, which the decrypted object must match. For version
+    0x01 it is the ciphertext length, a conservative estimate, and exact is
+    False. Raises CorruptObject.
     """
     if len(header) < OBJECT_HEADER_LEN:
         raise CorruptObject("object file shorter than its header")
@@ -297,7 +298,7 @@ def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int]:
     version = header[4]
     (size,) = struct.unpack(">Q", header[21:29])
     if version == OBJECT_VERSION:
-        ct_len = size - size % aes.BLOCK_SIZE + aes.BLOCK_SIZE
+        ct_len = aes.padded_len(size)
     elif version == OBJECT_VERSION_V1:
         if size == 0 or size % aes.BLOCK_SIZE != 0:
             raise CorruptObject("v1 ciphertext length is not a positive multiple of 16")
@@ -306,7 +307,7 @@ def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int]:
         raise CorruptObject(f"unsupported object version 0x{version:02x}")
     if file_size != OBJECT_HEADER_LEN + ct_len:
         raise CorruptObject("ciphertext length does not match the header")
-    return header[5:21], size
+    return header[5:21], size, version == OBJECT_VERSION
 
 
 def _validate_customer_id(customer_id: str) -> None:
@@ -418,13 +419,13 @@ class ObjectStore:
             blob = path.read_bytes()
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
-        iv, size = _parse_header(blob[:OBJECT_HEADER_LEN], len(blob))
+        iv, size, exact = _parse_header(blob[:OBJECT_HEADER_LEN], len(blob))
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
         try:
             plaintext = aes.cbc_decrypt(blob[OBJECT_HEADER_LEN:], schedule, iv)
         except (aes.LengthError, aes.PaddingError) as exc:
             raise CorruptObject(f"decryption failed: {exc}") from None
-        if blob[4] == OBJECT_VERSION and len(plaintext) != size:
+        if exact and len(plaintext) != size:
             raise CorruptObject("plaintext length does not match the header")
         return plaintext
 

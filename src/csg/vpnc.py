@@ -31,7 +31,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .client import AuthRefused, ClientSession, CommandRefused, ProtocolFailure
-from .keyx import GROUPS, INSECURE_GROUPS
+from .keyx import DhGroup, select_group
 from .protocol import ProtocolOrderError
 
 EXIT_OK = 0
@@ -79,11 +79,11 @@ class _Console:
 
     def __init__(
         self,
-        group_name: str,
+        group: DhGroup,
         read_secret: Callable[[str, str], str],
         out: TextIO = sys.stdout,
     ):
-        self.group = GROUPS[group_name]
+        self.group = group
         self.read_secret = read_secret
         self.out = out
         self.session: Optional[ClientSession] = None
@@ -229,13 +229,6 @@ def _env_secret(env: dict) -> Callable[[str, str], str]:
     return read
 
 
-def _check_group(name: str, allow_insecure: bool) -> None:
-    if name not in GROUPS:
-        raise _UsageError(f"unknown DH group {name!r}, expected one of {sorted(GROUPS)}")
-    if name in INSECURE_GROUPS and not allow_insecure:
-        raise _UsageError(f"group {name!r} is test-only; pass --allow-insecure-group")
-
-
 def _prompted_lines(stdin: TextIO) -> Iterator[str]:
     while True:
         if stdin.isatty():
@@ -246,8 +239,8 @@ def _prompted_lines(stdin: TextIO) -> Iterator[str]:
         yield line
 
 
-def _run_interactive(args, stdin: TextIO) -> int:
-    console = _Console(args.group, _prompt_secret)
+def _run_interactive(args, group: DhGroup, stdin: TextIO) -> int:
+    console = _Console(group, _prompt_secret)
     connect = ["connect", "--host", args.host, "--port", args.port, "--user", args.user]
     try:
         code = console.run([shlex.join(connect)], stop_on_usage=True)
@@ -258,14 +251,14 @@ def _run_interactive(args, stdin: TextIO) -> int:
         console.close()
 
 
-def _run_script(args, env: dict) -> int:
+def _run_script(args, group: DhGroup, env: dict) -> int:
     try:
         with open(args.script, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         print(f"vpnc: cannot read script: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    console = _Console(args.group, _env_secret(env))
+    console = _Console(group, _env_secret(env))
     try:
         return console.run(lines, stop_on_usage=True)
     finally:
@@ -294,14 +287,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
-        _check_group(args.group, args.allow_insecure_group)
-    except _UsageError as exc:
-        print(f"vpnc: {exc}", file=sys.stderr)
+        group = select_group(args.group, args.allow_insecure_group)
+    except ValueError as exc:
+        print(f"vpnc: DH group: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.mode == "connect":
-        return _run_interactive(args, sys.stdin)
-    return _run_script(args, dict(os.environ))
+        return _run_interactive(args, group, sys.stdin)
+    return _run_script(args, group, dict(os.environ))
 
 
 if __name__ == "__main__":

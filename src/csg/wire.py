@@ -42,6 +42,10 @@ class MalformedPayload(FrameError):
     """Payload bytes do not match the declared layout."""
 
 
+class FieldTooLong(ValueError):
+    """A value to encode does not fit its u16 length prefix."""
+
+
 class MessageType(enum.IntEnum):
     CLIENT_HELLO = 0x01
     SERVER_HELLO = 0x02
@@ -107,7 +111,7 @@ def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytes]:
 def encode_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
-        raise ValueError("string exceeds the u16 length prefix")
+        raise FieldTooLong("string exceeds the u16 length prefix")
     return struct.pack(">H", len(raw)) + raw
 
 
@@ -116,7 +120,7 @@ def encode_mpint(n: int) -> bytes:
         raise ValueError("mpint values are non-negative")
     raw = n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
     if len(raw) > 0xFFFF:
-        raise ValueError("mpint exceeds the u16 length prefix")
+        raise FieldTooLong("mpint exceeds the u16 length prefix")
     return struct.pack(">H", len(raw)) + raw
 
 

@@ -138,9 +138,13 @@ def open_session(handle, customer: Provisioned, *, capture=None, login=True) -> 
         handle.host, handle.port, group=GROUPS[handle.gateway.config.dh_group],
         capture=capture,
     )
-    session.connect_tunnel(customer.tunnel_user, customer.tunnel_pass)
-    if login:
-        session.login(customer.space_path, customer.service_user, customer.service_pass)
+    try:
+        session.connect_tunnel(customer.tunnel_user, customer.tunnel_pass)
+        if login:
+            session.login(customer.space_path, customer.service_user, customer.service_pass)
+    except BaseException:
+        session.close()  # a refused handshake must not leak the socket
+        raise
     return session
 
 

@@ -271,6 +271,14 @@ def test_cbc_output_lengths():
     assert len(aes.cbc_encrypt(b"x" * 17, aes.key_expansion(key), iv)) == 32
 
 
+def test_padded_len_is_the_cbc_ciphertext_length():
+    schedule, iv = aes.key_expansion(b"k" * 16), b"i" * 16
+    for n in range(50):
+        expected = 16 * (n // 16 + 1)
+        assert aes.padded_len(n) == expected
+        assert len(aes.cbc_encrypt(bytes(n), schedule, iv)) == expected
+
+
 def test_cbc_round_trip_random_lengths():
     rng = random.Random(3)
     for n in [0, 1, 15, 16, 17, 31, 32, 33, 255, 1024] + [

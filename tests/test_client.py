@@ -95,3 +95,27 @@ def test_oversized_put_refused_before_encryption(gateway_factory, monkeypatch):
         assert encrypted == []
         session.put("small", b"still works")
         assert session.get("small") == b"still works"
+
+
+@pytest.mark.parametrize("command", ["put", "get"])
+def test_overlong_name_refused_before_encryption(gateway_factory, monkeypatch, command):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    name = "\u00e9" * 32768  # 65,536 UTF-8 bytes: one more than a u16 prefix counts
+    encrypted: list[int] = []
+    real_cbc_encrypt = aes.cbc_encrypt
+
+    def counting_cbc_encrypt(plaintext, schedule, iv):
+        encrypted.append(len(plaintext))
+        return real_cbc_encrypt(plaintext, schedule, iv)
+
+    with open_session(handle, acme) as session:
+        monkeypatch.setattr(aes, "cbc_encrypt", counting_cbc_encrypt)
+        with pytest.raises(CommandRefused, match="object name longer than 65535"):
+            if command == "put":
+                session.put(name, b"data")
+            else:
+                session.get(name)
+        assert encrypted == []
+        session.put("small", b"still works")
+        assert session.get("small") == b"still works"

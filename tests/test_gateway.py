@@ -4,7 +4,9 @@ shutdown, CLI startup)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import random
 import signal
 import socket
@@ -17,7 +19,7 @@ import time
 import pytest
 
 from csg.client import ClientSession, ProtocolFailure
-from csg.gateway import AuditLog, ConfigError, load_config, parse_audit_line
+from csg.gateway import AuditLog, ConfigError, GatewayConfig, load_config, parse_audit_line
 from csg.keyx import TEST_SMALL
 from csg.vault import Registry, save_registry
 from csg.wire import MessageType, encode_frame
@@ -124,6 +126,90 @@ def test_bad_max_sessions(tmp_path):
     path = write_config(tmp_path, max_sessions=0)
     with pytest.raises(ConfigError, match="max_sessions"):
         load_config(["--config", str(path)], env={})
+
+
+# the required keys, and test-small allowed so that dh_group may name it
+PRECEDENCE_BASE = {
+    "registry_path": "r.jsonl",
+    "objects_dir": "objects",
+    "master_key_hex": "00" * 16,
+    "allow_insecure_group": True,
+}
+
+# key, (file value, parsed), (env value, parsed), (flag argv, parsed) or None;
+# each source's value differs from the next source's and from the default
+PRECEDENCE = [
+    ("registry_path", ("f.jsonl", "f.jsonl"), ("e.jsonl", "e.jsonl"),
+     (["--registry", "g.jsonl"], "g.jsonl")),
+    ("objects_dir", ("f-dir", "f-dir"), ("e-dir", "e-dir"), (["--objects", "g-dir"], "g-dir")),
+    ("master_key_hex", ("11" * 16, "11" * 16), ("2A" * 16, "2A" * 16), None),
+    ("listen_addr", ("127.0.0.1:1111", "127.0.0.1:1111"), ("127.0.0.1:2222", "127.0.0.1:2222"),
+     (["--listen", "127.0.0.1:3333"], "127.0.0.1:3333")),
+    ("dh_group", ("test-small", "test-small"), ("rfc3526-14", "rfc3526-14"), None),
+    ("max_sessions", (7, 7), ("8", 8), None),
+    ("audit_log", ("f.log", "f.log"), ("e.log", "e.log"), (["--audit-log", "g.log"], "g.log")),
+    ("allow_insecure_group", (True, True), ("off", False), (["--allow-insecure-group"], True)),
+]
+
+
+def test_precedence_table_covers_every_key():
+    assert [row[0] for row in PRECEDENCE] == [f.name for f in dataclasses.fields(GatewayConfig)]
+
+
+def load_key(tmp_path, key, file_values, env, argv=()):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(file_values))
+    return getattr(load_config(["--config", str(path), *argv], env=env), key)
+
+
+@pytest.mark.parametrize("key, file, env, flag", PRECEDENCE, ids=[r[0] for r in PRECEDENCE])
+def test_flag_beats_env_beats_file_beats_default(tmp_path, key, file, env, flag):
+    env_name = "CSG_" + key.upper()
+    others = {k: v for k, v in PRECEDENCE_BASE.items() if k != key}
+    default = GatewayConfig.__dataclass_fields__[key].default
+    if default is dataclasses.MISSING:
+        with pytest.raises(ConfigError, match=rf"^{key}: missing"):
+            load_key(tmp_path, key, others, {})
+    else:
+        assert load_key(tmp_path, key, others, {}) == default
+    with_file = {**others, key: file[0]}
+    assert load_key(tmp_path, key, with_file, {}) == file[1]
+    assert load_key(tmp_path, key, with_file, {env_name: env[0]}) == env[1]
+    if flag is not None:
+        assert load_key(tmp_path, key, with_file, {env_name: env[0]}, flag[0]) == flag[1]
+
+
+@pytest.mark.parametrize(
+    "key, source, bad",
+    [
+        ("registry_path", "config file", None),
+        ("objects_dir", "config file", None),
+        ("audit_log", "config file", None),
+        ("registry_path", "config file", 5),
+        ("objects_dir", "env", ""),
+        ("objects_dir", "flag", ""),
+        ("master_key_hex", "env", "00" * 15),
+        ("listen_addr", "config file", "127.0.0.1:\u00b2"),
+        ("listen_addr", "env", "127.0.0.1:\u00b2"),
+        ("listen_addr", "flag", "127.0.0.1:\u00b2"),
+        ("dh_group", "env", "rfc9999"),
+        ("max_sessions", "config file", 2.9),
+        ("max_sessions", "config file", True),
+        ("max_sessions", "env", "2.9"),
+        ("allow_insecure_group", "env", "maybe"),
+    ],
+)
+def test_bad_value_names_key_and_winning_source(tmp_path, key, source, bad):
+    """Only the winning source's value is parsed, and the error names it;
+    every source below it holds a good value."""
+    _, file, env, flag = next(row for row in PRECEDENCE if row[0] == key)
+    env_name = "CSG_" + key.upper()
+    file_values = {**PRECEDENCE_BASE, key: bad if source == "config file" else file[0]}
+    env_values = {} if source == "config file" else {env_name: bad if source == "env" else env[0]}
+    argv = [flag[0][0], bad] if source == "flag" else []
+    label = f"env {env_name}" if source == "env" else source
+    with pytest.raises(ConfigError, match=rf"^{key} \(from {label}\): "):
+        load_key(tmp_path, key, file_values, env_values, argv)
 
 
 # --- audit log ----------------------------------------------------------------
@@ -395,3 +481,27 @@ def test_cli_unreadable_registry_exits_nonzero(tmp_path):
     )
     assert proc.returncode != 0
     assert "startup failed" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, file_values, message",
+    [
+        (["--listen", "127.0.0.1:\u00b2"], {}, "listen_addr (from flag)"),
+        ([], {"objects_dir": None}, "objects_dir (from config file)"),
+        ([], {"max_sessions": 2.9}, "max_sessions (from config file)"),
+    ],
+    ids=["non-ascii-port-digit", "null-path", "float-max-sessions"],
+)
+def test_cli_config_error_exits_2_with_one_line(tmp_path, argv, file_values, message):
+    config_path = write_config(tmp_path, **file_values)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CSG_")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "csg.gateway", "--config", str(config_path), *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"gateway: {message}: "), proc.stderr

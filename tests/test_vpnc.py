@@ -161,6 +161,29 @@ def test_script_put_before_login_reports_and_continues(gateway_factory, tmp_path
     assert "stored ontime" in result.stdout
 
 
+def test_script_overlong_name_is_refused_and_session_goes_on(gateway_factory, tmp_path):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    source = tmp_path / "notes.txt"
+    source.write_bytes(b"notes")
+    result = run_script(
+        tmp_path,
+        handle,
+        acme,
+        [
+            connect_line(handle, acme),
+            login_line(acme),
+            f"put {source} {'n' * 65536}",
+            f"put {source} short",
+            "quit",
+        ],
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("object name longer than 65535 UTF-8 bytes") == 1
+    assert "stored short" in result.stdout
+    assert "Traceback" not in result.stderr + result.stdout
+
+
 def test_script_double_login_reports_and_continues(gateway_factory, tmp_path):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
