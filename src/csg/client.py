@@ -3,7 +3,10 @@ private-space commands, wrapping the protocol state machine.
 
 Every exchange with the gateway goes through `ClientSession._exchange`, the
 one place where socket, framing and decryption errors become
-ProtocolFailure."""
+ProtocolFailure. A command the gateway could not receive or would refuse
+(a field longer than the wire's u16 length prefix, a put name the store
+rejects, an object too large for one frame) is CommandRefused before
+anything is encrypted or sent."""
 
 from __future__ import annotations
 
@@ -14,8 +17,10 @@ from typing import Any, Optional
 from . import protocol
 from .aes import LengthError, PaddingError
 from .keyx import DhGroup, InvalidPublicKey, RFC3526_GROUP14, dh_generate
+from .vault import InvalidName, validate_object_name
 from .wire import (
-    FieldTooLong, Frame, FrameError, FrameTooLarge, MessageType, PayloadReader, decode_frame
+    FieldTooLong, Frame, FrameError, FrameTooLarge, MessageType, PayloadReader, decode_frame,
+    encode_str,
 )
 
 
@@ -34,7 +39,7 @@ class ProtocolFailure(ClientError):
 
 
 class CommandRefused(ClientError):
-    """A put/get/list was answered with a non-ok status."""
+    """A command was refused, by the gateway's status or before sending."""
 
 
 _STATUS_MESSAGES = {
@@ -43,6 +48,16 @@ _STATUS_MESSAGES = {
     protocol.STATUS_INVALID_NAME: "invalid name",
     protocol.STATUS_ERROR: "server error",
 }
+
+
+def _refuse_overlong(fields: dict[str, str]) -> None:
+    """Refuse a field the wire's u16 length prefix cannot count, before any
+    frame is built, so nothing is sent and the phase does not move."""
+    for label, value in fields.items():
+        try:
+            encode_str(value)
+        except FieldTooLong:
+            raise CommandRefused(f"{label} longer than 65535 UTF-8 bytes") from None
 
 
 class ClientSession:
@@ -104,6 +119,7 @@ class ClientSession:
 
     def connect_tunnel(self, tunnel_user: str, tunnel_pass: str) -> None:
         """Hello exchange plus phase-1 authentication."""
+        _refuse_overlong({"user": tunnel_user, "password": tunnel_pass})
         keypair = dh_generate(self._group)
         self._exchange(
             [protocol.client_connect(self.state, keypair)],
@@ -111,45 +127,45 @@ class ClientSession:
             functools.partial(protocol.client_handle_server_hello, group=self._group),
         )
         ok, reason = self._exchange(
-            [protocol.phase1_auth(self.state, tunnel_user, tunnel_pass)],
+            [protocol.auth(self.state, tunnel_user, tunnel_pass)],
             MessageType.PHASE1_RESULT,
-            protocol.client_handle_phase1_result,
+            protocol.handle_auth_result,
         )
         if not ok:
             raise AuthRefused(reason or protocol.REASON_AUTH_FAILED)
 
     def login(self, url_path: str, service_user: str, service_pass: str) -> None:
         """Service request plus phase-2 authentication."""
+        _refuse_overlong({"path": url_path, "user": service_user, "password": service_pass})
         ok, reason = self._exchange(
             [
                 protocol.service_request(self.state, url_path),
-                protocol.phase2_auth(self.state, service_user, service_pass),
+                protocol.auth(self.state, service_user, service_pass),
             ],
             MessageType.PHASE2_RESULT,
-            protocol.client_handle_phase2_result,
+            protocol.handle_auth_result,
         )
         if not ok:
             raise AuthRefused(reason or protocol.REASON_AUTH_FAILED)
 
-    def _build(self, build, *args) -> Frame:
-        """Build a put or get frame; a name or object the wire cannot carry
-        is refused before anything is encrypted."""
+    def put(self, name: str, data: bytes) -> None:
+        _refuse_overlong({"object name": name})
         try:
-            return build(self.state, *args)
-        except FieldTooLong:
-            raise CommandRefused("object name longer than 65535 UTF-8 bytes") from None
+            validate_object_name(name)
+            frame = protocol.build_put(self.state, name, data)
+        except InvalidName:
+            raise CommandRefused(_STATUS_MESSAGES[protocol.STATUS_INVALID_NAME]) from None
         except FrameTooLarge:
             raise CommandRefused("object too large for one frame") from None
-
-    def put(self, name: str, data: bytes) -> None:
-        frame = self._build(protocol.build_put, name, data)
         status = self._exchange([frame], MessageType.PUT_RESULT, protocol.parse_put_result)
         if status != protocol.STATUS_OK:
             raise CommandRefused(_STATUS_MESSAGES.get(status, f"status {status}"))
 
     def get(self, name: str) -> bytes:
+        # an invalid name is left to the gateway, which answers "no such object"
+        _refuse_overlong({"object name": name})
         status, data = self._exchange(
-            [self._build(protocol.build_get, name)],
+            [protocol.build_get(self.state, name)],
             MessageType.GET_RESULT,
             protocol.parse_get_result,
         )

@@ -16,12 +16,16 @@ Message flow (client to server unless marked):
 The server nonce folded into both credential blobs binds them to this
 handshake: a ciphertext captured in one session never verifies in another.
 
-The client side is a set of public functions, each checking its own phase.
-The server side has one entry point, `server_handle_frame`, and one
-transition table, `_TRANSITIONS`, mapping each legal (phase, incoming type)
-pair to the handler that serves it. Every other pair, and every handler
-failure, becomes an Error frame that closes the session. A check or timer
-that must see every frame before any handler runs belongs in that function.
+`_SEALING_KEY` maps each encrypted type to the sub-key that seals it, and
+`_seal`/`_open` are the only code that encrypts or decrypts a payload. The
+client side is a set of public functions, each checking the phase it may run
+in; `auth` and `handle_auth_result` serve both credential steps, picked by
+phase from `_AUTH_STEPS`. The server side has one entry point,
+`server_handle_frame`, and one transition table, `_TRANSITIONS`, mapping
+each legal (phase, incoming type) pair to the handler that serves it. Every
+other pair, and every handler failure, becomes an Error frame that closes
+the session. A check or timer that must see every frame before any handler
+runs belongs in that function.
 """
 
 from __future__ import annotations
@@ -103,28 +107,49 @@ class VersionMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SessionSchedules:
-    """The three session sub-keys, expanded once for the whole session."""
+# Which session sub-key seals each encrypted message type: the README's
+# protocol sketch written as code. `set_keys` expands it into
+# `SessionState.schedules`, which only `_seal` and `_open` read.
+_SEALING_KEY: dict[MessageType, str] = {
+    MessageType.PHASE1_AUTH: "k_phase1",
+    MessageType.PHASE1_RESULT: "k_phase1",
+    MessageType.SERVICE_REQUEST: "k_data",
+    MessageType.PHASE2_AUTH: "k_phase2",
+    MessageType.PHASE2_RESULT: "k_phase2",
+    MessageType.PUT: "k_data",
+    MessageType.PUT_RESULT: "k_data",
+    MessageType.GET: "k_data",
+    MessageType.GET_RESULT: "k_data",
+    MessageType.LIST: "k_data",
+    MessageType.LIST_RESULT: "k_data",
+}
 
-    phase1: aes.KeySchedule
-    phase2: aes.KeySchedule
-    data: aes.KeySchedule
+
+# The two credential steps, by the phase each runs in on either side: the
+# message that carries the credentials, the result that answers it, and the
+# phase an ok result leads to.
+_AUTH_STEPS: dict[Phase, tuple[MessageType, MessageType, Phase]] = {
+    Phase.HELLO_EXCHANGED: (
+        MessageType.PHASE1_AUTH, MessageType.PHASE1_RESULT, Phase.TUNNEL_ESTABLISHED
+    ),
+    Phase.SERVICE_REQUESTED: (
+        MessageType.PHASE2_AUTH, MessageType.PHASE2_RESULT, Phase.SESSION_ACTIVE
+    ),
+}
 
 
 @dataclass
 class SessionState:
     phase: Phase = Phase.INIT
     keys: Optional[SessionKeys] = None
-    schedules: Optional[SessionSchedules] = None
+    # the expanded sub-key for each encrypted message type
+    schedules: Optional[dict[MessageType, aes.KeySchedule]] = None
     server_nonce: Optional[bytes] = None
     customer_id: Optional[str] = None
     # client side: own ephemeral keypair until the hello completes
     dh_keypair: Optional[DhKeyPair] = None
     # client: path it asked for; server: path the client asked for
     space_path: Optional[str] = None
-    # server side, audit only: identity proven by the tunnel credentials
-    tunnel_customer_id: Optional[str] = None
 
     def close(self) -> None:
         """Drop to CLOSED and discard all key material."""
@@ -136,13 +161,13 @@ class SessionState:
         self.dh_keypair = None
 
     def set_keys(self, keys: SessionKeys) -> None:
-        """Hold the derived sub-keys and their round keys for the session."""
+        """Hold the derived sub-keys, each expanded once for the session."""
         self.keys = keys
-        self.schedules = SessionSchedules(
-            phase1=aes.key_expansion(keys.k_phase1),
-            phase2=aes.key_expansion(keys.k_phase2),
-            data=aes.key_expansion(keys.k_data),
-        )
+        expanded = {
+            field: aes.key_expansion(getattr(keys, field))
+            for field in dict.fromkeys(_SEALING_KEY.values())
+        }
+        self.schedules = {t: expanded[field] for t, field in _SEALING_KEY.items()}
 
 
 def _require(state: SessionState, phase: Phase, op: str) -> None:
@@ -150,30 +175,18 @@ def _require(state: SessionState, phase: Phase, op: str) -> None:
         raise ProtocolOrderError(f"{op} requires phase {phase.name}, not {state.phase.name}")
 
 
-def _encrypt_payload(schedule: aes.KeySchedule, inner: bytes) -> bytes:
+def _seal(state: SessionState, msg_type: MessageType, inner: bytes) -> Frame:
+    """Encrypt `inner` under the sub-key of `msg_type`, behind a fresh IV."""
     iv = os.urandom(16)
-    return iv + aes.cbc_encrypt(inner, schedule, iv)
+    return Frame(msg_type, iv + aes.cbc_encrypt(inner, state.schedules[msg_type], iv))
 
 
-def _decrypt_payload(schedule: aes.KeySchedule, payload: bytes) -> bytes:
+def _open(state: SessionState, msg_type: MessageType, payload: bytes) -> PayloadReader:
+    """Decrypt a payload sealed by `_seal` for `msg_type`."""
     if len(payload) < 32:
         raise MalformedPayload("encrypted payload shorter than IV plus one block")
-    return aes.cbc_decrypt(payload[16:], schedule, payload[:16])
-
-
-def _result_frame(
-    msg_type: MessageType, schedule: aes.KeySchedule, ok: bool, reason: str = ""
-) -> Frame:
-    inner = bytes([STATUS_OK]) if ok else bytes([STATUS_ERROR]) + encode_str(reason)
-    return Frame(msg_type, _encrypt_payload(schedule, inner))
-
-
-def _parse_result(inner: bytes) -> tuple[bool, str]:
-    r = PayloadReader(inner)
-    status = r.u8()
-    reason = "" if status == STATUS_OK else r.string()
-    r.expect_end()
-    return status == STATUS_OK, reason
+    schedule = state.schedules[msg_type]
+    return PayloadReader(aes.cbc_decrypt(payload[16:], schedule, payload[:16]))
 
 
 def _noop_audit(event: str, customer_id: Optional[str] = None) -> None:
@@ -213,58 +226,41 @@ def client_handle_server_hello(
     state.phase = Phase.HELLO_EXCHANGED
 
 
-def phase1_auth(state: SessionState, tunnel_user: str, tunnel_pass: str) -> Frame:
-    """Tunnel credentials plus the server nonce, encrypted under k_phase1."""
-    _require(state, Phase.HELLO_EXCHANGED, "phase1_auth")
-    inner = encode_str(tunnel_user) + encode_str(tunnel_pass) + state.server_nonce
-    return Frame(
-        MessageType.PHASE1_AUTH, _encrypt_payload(state.schedules.phase1, inner)
-    )
+def _auth_step(state: SessionState, op: str) -> tuple[MessageType, MessageType, Phase]:
+    if state.phase not in _AUTH_STEPS:
+        raise ProtocolOrderError(f"{op} is not allowed in phase {state.phase.name}")
+    return _AUTH_STEPS[state.phase]
 
 
-def client_handle_phase1_result(
-    state: SessionState, payload: bytes
-) -> tuple[bool, str]:
-    _require(state, Phase.HELLO_EXCHANGED, "client_handle_phase1_result")
-    ok, reason = _parse_result(_decrypt_payload(state.schedules.phase1, payload))
+def auth(state: SessionState, user: str, password: str) -> Frame:
+    """Credentials plus the server nonce: the tunnel pair after the hello
+    (phase 1), the service pair after the service request (phase 2)."""
+    auth_type, _, _ = _auth_step(state, "auth")
+    inner = encode_str(user) + encode_str(password) + state.server_nonce
+    return _seal(state, auth_type, inner)
+
+
+def handle_auth_result(state: SessionState, payload: bytes) -> tuple[bool, str]:
+    """Read the server's verdict on `auth`; anything but ok closes the session."""
+    _, result_type, next_phase = _auth_step(state, "handle_auth_result")
+    r = _open(state, result_type, payload)
+    ok = r.u8() == STATUS_OK
+    reason = "" if ok else r.string()
+    r.expect_end()
     if ok:
-        state.phase = Phase.TUNNEL_ESTABLISHED
+        state.phase = next_phase
     else:
         state.close()
     return ok, reason
 
 
 def service_request(state: SessionState, url_path: str) -> Frame:
-    """Name the provisioned space path, encrypted under k_data."""
+    """Name the provisioned space path."""
     _require(state, Phase.TUNNEL_ESTABLISHED, "service_request")
-    frame = Frame(
-        MessageType.SERVICE_REQUEST,
-        _encrypt_payload(state.schedules.data, encode_str(url_path)),
-    )
+    frame = _seal(state, MessageType.SERVICE_REQUEST, encode_str(url_path))
     state.space_path = url_path
     state.phase = Phase.SERVICE_REQUESTED
     return frame
-
-
-def phase2_auth(state: SessionState, service_user: str, service_pass: str) -> Frame:
-    """Service credentials plus the server nonce, encrypted under k_phase2."""
-    _require(state, Phase.SERVICE_REQUESTED, "phase2_auth")
-    inner = encode_str(service_user) + encode_str(service_pass) + state.server_nonce
-    return Frame(
-        MessageType.PHASE2_AUTH, _encrypt_payload(state.schedules.phase2, inner)
-    )
-
-
-def client_handle_phase2_result(
-    state: SessionState, payload: bytes
-) -> tuple[bool, str]:
-    _require(state, Phase.SERVICE_REQUESTED, "client_handle_phase2_result")
-    ok, reason = _parse_result(_decrypt_payload(state.schedules.phase2, payload))
-    if ok:
-        state.phase = Phase.SESSION_ACTIVE
-    else:
-        state.close()
-    return ok, reason
 
 
 def build_put(state: SessionState, name: str, data: bytes) -> Frame:
@@ -275,12 +271,12 @@ def build_put(state: SessionState, name: str, data: bytes) -> Frame:
     payload_len = aes.BLOCK_SIZE + aes.padded_len(len(inner))  # IV + ciphertext
     if payload_len > MAX_PAYLOAD_LEN:
         raise FrameTooLarge(f"put payload of {payload_len} bytes exceeds the frame cap")
-    return Frame(MessageType.PUT, _encrypt_payload(state.schedules.data, inner))
+    return _seal(state, MessageType.PUT, inner)
 
 
 def parse_put_result(state: SessionState, payload: bytes) -> int:
     _require(state, Phase.SESSION_ACTIVE, "parse_put_result")
-    r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
+    r = _open(state, MessageType.PUT_RESULT, payload)
     status = r.u8()
     r.expect_end()
     return status
@@ -288,14 +284,12 @@ def parse_put_result(state: SessionState, payload: bytes) -> int:
 
 def build_get(state: SessionState, name: str) -> Frame:
     _require(state, Phase.SESSION_ACTIVE, "build_get")
-    return Frame(
-        MessageType.GET, _encrypt_payload(state.schedules.data, encode_str(name))
-    )
+    return _seal(state, MessageType.GET, encode_str(name))
 
 
 def parse_get_result(state: SessionState, payload: bytes) -> tuple[int, bytes]:
     _require(state, Phase.SESSION_ACTIVE, "parse_get_result")
-    r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
+    r = _open(state, MessageType.GET_RESULT, payload)
     status = r.u8()
     data = r.take(r.u32())
     r.expect_end()
@@ -304,12 +298,12 @@ def parse_get_result(state: SessionState, payload: bytes) -> tuple[int, bytes]:
 
 def build_list(state: SessionState) -> Frame:
     _require(state, Phase.SESSION_ACTIVE, "build_list")
-    return Frame(MessageType.LIST, _encrypt_payload(state.schedules.data, b""))
+    return _seal(state, MessageType.LIST, b"")
 
 
 def parse_list_result(state: SessionState, payload: bytes) -> list[str]:
     _require(state, Phase.SESSION_ACTIVE, "parse_list_result")
-    r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
+    r = _open(state, MessageType.LIST_RESULT, payload)
     names = [r.string() for _ in range(r.u16())]
     r.expect_end()
     return names
@@ -365,10 +359,10 @@ def server_hello(
 
 
 def _open_credentials(
-    state: SessionState, schedule: aes.KeySchedule, payload: bytes
+    state: SessionState, msg_type: MessageType, payload: bytes
 ) -> tuple[str, str]:
     """Decrypt a credential blob and enforce the nonce binding."""
-    r = PayloadReader(_decrypt_payload(schedule, payload))
+    r = _open(state, msg_type, payload)
     user = r.string()
     password = r.string()
     nonce = r.take(16)
@@ -387,6 +381,23 @@ _CREDENTIAL_FAILURES = (
 )
 
 
+def _answer_auth(
+    state: SessionState, ctx: ServerContext, event: str,
+    customer_id: Optional[str] = None, reason: Optional[str] = None,
+) -> list[Frame]:
+    """Seal and audit the verdict on an auth step: ok moves the session to
+    the step's next phase, a refusal `reason` closes it."""
+    _, result_type, next_phase = _AUTH_STEPS[state.phase]
+    if reason is None:
+        frame = _seal(state, result_type, bytes([STATUS_OK]))
+        state.phase = next_phase
+    else:
+        frame = _seal(state, result_type, bytes([STATUS_ERROR]) + encode_str(reason))
+        state.close()
+    ctx.audit(event, customer_id)
+    return [frame]
+
+
 def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
     frame = server_hello(state, payload, dh_generate(ctx.group), ctx.rand(16), ctx.group)
     ctx.audit("hello", None)
@@ -396,19 +407,12 @@ def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> lis
 def _serve_phase1(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
     """Check the tunnel credentials; all failures (bad decrypt, replay,
     unknown user, bad password) get the same generic result."""
-    schedule = state.schedules.phase1
     try:
-        user, password = _open_credentials(state, schedule, payload)
+        user, password = _open_credentials(state, MessageType.PHASE1_AUTH, payload)
         customer_id = ctx.registry.check_credentials("tunnel", user, password)
     except _CREDENTIAL_FAILURES:
-        frame = _result_frame(MessageType.PHASE1_RESULT, schedule, False, REASON_AUTH_FAILED)
-        ctx.audit("phase1 fail", None)
-        state.close()
-        return [frame]
-    state.tunnel_customer_id = customer_id
-    state.phase = Phase.TUNNEL_ESTABLISHED
-    ctx.audit("phase1 ok", customer_id)
-    return [_result_frame(MessageType.PHASE1_RESULT, schedule, True)]
+        return _answer_auth(state, ctx, "phase1 fail", reason=REASON_AUTH_FAILED)
+    return _answer_auth(state, ctx, "phase1 ok", customer_id)
 
 
 def _serve_service_request(
@@ -416,7 +420,7 @@ def _serve_service_request(
 ) -> list[Frame]:
     """Record the requested path; it is checked once phase 2 proves who is
     asking. There is no direct response."""
-    r = PayloadReader(_decrypt_payload(state.schedules.data, payload))
+    r = _open(state, MessageType.SERVICE_REQUEST, payload)
     path = r.string()
     r.expect_end()
     state.space_path = path
@@ -428,40 +432,30 @@ def _serve_phase2(state: SessionState, payload: bytes, ctx: ServerContext) -> li
     """Check service credentials, then the requested path, then the
     contract. Credential failures stay generic; certificate verdicts are
     reported specifically so the customer learns their contract lapsed."""
-    schedule = state.schedules.phase2
-
-    def reject(reason: str, event: str) -> list[Frame]:
-        frame = _result_frame(MessageType.PHASE2_RESULT, schedule, False, reason)
-        ctx.audit(event, None)
-        state.close()
-        return [frame]
-
     try:
-        user, password = _open_credentials(state, schedule, payload)
+        user, password = _open_credentials(state, MessageType.PHASE2_AUTH, payload)
         customer_id = ctx.registry.check_credentials("service", user, password)
     except _CREDENTIAL_FAILURES:
-        return reject(REASON_AUTH_FAILED, "phase2 fail")
+        return _answer_auth(state, ctx, "phase2 fail", reason=REASON_AUTH_FAILED)
     record = ctx.registry.get(customer_id)
     if state.space_path != record.space_path:
-        return reject(REASON_UNKNOWN_PATH, "phase2 fail path")
+        return _answer_auth(state, ctx, "phase2 fail path", reason=REASON_UNKNOWN_PATH)
     verdict = check_certificate(record.certificate, int(ctx.now()))
     if verdict is not CertVerdict.VALID:
-        return reject(_CERT_REASONS[verdict], f"phase2 fail cert={verdict.value}")
+        event = f"phase2 fail cert={verdict.value}"
+        return _answer_auth(state, ctx, event, reason=_CERT_REASONS[verdict])
     state.customer_id = customer_id
-    state.phase = Phase.SESSION_ACTIVE
-    ctx.audit("phase2 ok cert=valid", customer_id)
-    return [_result_frame(MessageType.PHASE2_RESULT, schedule, True)]
+    return _answer_auth(state, ctx, "phase2 ok cert=valid", customer_id)
 
 
 def _serve_put(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
-    schedule, customer_id = state.schedules.data, state.customer_id
-    r = PayloadReader(_decrypt_payload(schedule, payload))
+    r = _open(state, MessageType.PUT, payload)
     name = r.string()
     data = r.take(r.u32())
     r.expect_end()
-    quota = ctx.registry.get(customer_id).quota_bytes
+    quota = ctx.registry.get(state.customer_id).quota_bytes
     try:
-        ctx.store.put_object(customer_id, name, data, ctx.master_key, quota)
+        ctx.store.put_object(state.customer_id, name, data, ctx.master_key, quota)
         status = STATUS_OK
     except InvalidName:
         status = STATUS_INVALID_NAME
@@ -469,36 +463,34 @@ def _serve_put(state: SessionState, payload: bytes, ctx: ServerContext) -> list[
         status = STATUS_QUOTA_EXCEEDED
     except OSError:
         status = STATUS_ERROR
-    ctx.audit(f"put name={name!r} bytes={len(data)} status={status}", customer_id)
-    return [Frame(MessageType.PUT_RESULT, _encrypt_payload(schedule, bytes([status])))]
+    ctx.audit(f"put name={name!r} bytes={len(data)} status={status}", state.customer_id)
+    return [_seal(state, MessageType.PUT_RESULT, bytes([status]))]
 
 
 def _serve_get(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
-    schedule, customer_id = state.schedules.data, state.customer_id
-    r = PayloadReader(_decrypt_payload(schedule, payload))
+    r = _open(state, MessageType.GET, payload)
     name = r.string()
     r.expect_end()
     try:
-        data = ctx.store.get_object(customer_id, name, ctx.master_key)
+        data = ctx.store.get_object(state.customer_id, name, ctx.master_key)
         status = STATUS_OK
     except (NoSuchObject, InvalidName):
         data, status = b"", STATUS_NOT_FOUND
     except (CorruptObject, OSError):
         data, status = b"", STATUS_ERROR
-    ctx.audit(f"get name={name!r} status={status}", customer_id)
+    ctx.audit(f"get name={name!r} status={status}", state.customer_id)
     inner = bytes([status]) + struct.pack(">I", len(data)) + data
-    return [Frame(MessageType.GET_RESULT, _encrypt_payload(schedule, inner))]
+    return [_seal(state, MessageType.GET_RESULT, inner)]
 
 
 def _serve_list(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
-    schedule, customer_id = state.schedules.data, state.customer_id
-    PayloadReader(_decrypt_payload(schedule, payload)).expect_end()
-    names = ctx.store.list_objects(customer_id)
+    _open(state, MessageType.LIST, payload).expect_end()
+    names = ctx.store.list_objects(state.customer_id)
     if len(names) > 0xFFFF:
         raise MalformedPayload("object count exceeds the u16 listing limit")
     inner = struct.pack(">H", len(names)) + b"".join(encode_str(n) for n in names)
-    ctx.audit(f"list count={len(names)}", customer_id)
-    return [Frame(MessageType.LIST_RESULT, _encrypt_payload(schedule, inner))]
+    ctx.audit(f"list count={len(names)}", state.customer_id)
+    return [_seal(state, MessageType.LIST_RESULT, inner)]
 
 
 _Handler = Callable[[SessionState, bytes, ServerContext], list[Frame]]

@@ -35,6 +35,9 @@ OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + iv(16) + length(8)
 
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
 
+SALT_LEN = 16  # as hash_password requires
+HASH_LEN = 32  # a SHA-256 digest
+
 
 class ParseError(ValueError):
     """Registry file line does not parse; message names the line number."""
@@ -145,8 +148,8 @@ class Registry:
         self._by_service_user: dict[str, CustomerRecord] = {}
         # dummy credentials keep the unknown-user path the same shape as the
         # known-user path (hash + compare always run)
-        self._dummy_salt = bytes(16)
-        self._dummy_hash = bytes(32)
+        self._dummy_salt = bytes(SALT_LEN)
+        self._dummy_hash = bytes(HASH_LEN)
         for record in records:
             self.add(record)
 
@@ -220,26 +223,47 @@ def _record_to_json(record: CustomerRecord) -> dict:
     }
 
 
+def _typed(obj: dict, key: str, kind: type):
+    """obj[key], which must have parsed from JSON as exactly `kind` (so an
+    int field never takes a bool, and a bool field never takes a string)."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _hex_bytes(obj: dict, key: str, size: int) -> bytes:
+    raw = bytes.fromhex(_typed(obj, key, str))
+    if len(raw) != size:
+        raise ValueError(f"{key} must be {size} bytes, not {len(raw)}")
+    return raw
+
+
 def _record_from_json(obj: dict) -> CustomerRecord:
-    cert = obj["certificate"]
+    """Raises ValueError, KeyError or TypeError on a missing field, a field
+    of the wrong JSON type, or a salt or hash of the wrong length."""
+    cert = _typed(obj, "certificate", dict)
+    rights = _typed(cert, "rights", list)
+    if not all(type(right) is str for right in rights):
+        raise ValueError("rights must be a list of strings")
     return CustomerRecord(
-        customer_id=str(obj["customer_id"]),
-        tunnel_user=str(obj["tunnel_user"]),
-        tunnel_salt=bytes.fromhex(obj["tunnel_salt"]),
-        tunnel_hash=bytes.fromhex(obj["tunnel_hash"]),
-        service_user=str(obj["service_user"]),
-        service_salt=bytes.fromhex(obj["service_salt"]),
-        service_hash=bytes.fromhex(obj["service_hash"]),
-        space_path=str(obj["space_path"]),
+        customer_id=_typed(obj, "customer_id", str),
+        tunnel_user=_typed(obj, "tunnel_user", str),
+        tunnel_salt=_hex_bytes(obj, "tunnel_salt", SALT_LEN),
+        tunnel_hash=_hex_bytes(obj, "tunnel_hash", HASH_LEN),
+        service_user=_typed(obj, "service_user", str),
+        service_salt=_hex_bytes(obj, "service_salt", SALT_LEN),
+        service_hash=_hex_bytes(obj, "service_hash", HASH_LEN),
+        space_path=_typed(obj, "space_path", str),
         certificate=Certificate(
-            customer_id=str(cert["customer_id"]),
-            issued_at=int(cert["issued_at"]),
-            last_update=int(cert["last_update"]),
-            expiry_date=int(cert["expiry_date"]),
-            rights=tuple(str(r) for r in cert["rights"]),
-            revoked=bool(cert["revoked"]),
+            customer_id=_typed(cert, "customer_id", str),
+            issued_at=_typed(cert, "issued_at", int),
+            last_update=_typed(cert, "last_update", int),
+            expiry_date=_typed(cert, "expiry_date", int),
+            rights=tuple(rights),
+            revoked=_typed(cert, "revoked", bool),
         ),
-        quota_bytes=int(obj["quota_bytes"]),
+        quota_bytes=_typed(obj, "quota_bytes", int),
     )
 
 
@@ -272,7 +296,9 @@ def storage_key(master_key: bytes, customer_id: str) -> bytes:
     ).digest()[:16]
 
 
-def _validate_object_name(name: str) -> None:
+def validate_object_name(name: str) -> None:
+    """Raise InvalidName for a name the store refuses; the client checks a
+    put name with it before encrypting the object."""
     if not name or name in (".", ".."):
         raise InvalidName(f"object name {name!r} is reserved or empty")
     if "/" in name or "\\" in name or "\x00" in name:
@@ -378,7 +404,7 @@ class ObjectStore:
         """Encrypt and store one object atomically; overwrites a same-named
         object; refuses when cumulative plaintext would exceed the quota."""
         _validate_customer_id(customer_id)
-        _validate_object_name(name)
+        validate_object_name(name)
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
         iv = os.urandom(16)
         ciphertext = aes.cbc_encrypt(plaintext, schedule, iv)
@@ -413,7 +439,7 @@ class ObjectStore:
         """Read, verify and decrypt one object; byte-exact inverse of
         put_object."""
         _validate_customer_id(customer_id)
-        _validate_object_name(name)
+        validate_object_name(name)
         path = self._dir(customer_id) / name
         try:
             blob = path.read_bytes()

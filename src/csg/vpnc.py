@@ -30,7 +30,7 @@ import shlex
 import sys
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
-from .client import AuthRefused, ClientSession, CommandRefused, ProtocolFailure
+from .client import AuthRefused, ClientError, ClientSession, CommandRefused, ProtocolFailure
 from .keyx import DhGroup, select_group
 from .protocol import ProtocolOrderError
 
@@ -146,9 +146,11 @@ class _Console:
         except OSError as exc:
             self.say(f"cannot connect to {host}:{port}: {exc}")
             return EXIT_PROTOCOL
-        # a failed handshake raises AuthRefused or ProtocolFailure, which end
-        # the run; the caller's close() then drops the session
-        self.session.connect_tunnel(kv["user"], password)
+        try:
+            self.session.connect_tunnel(kv["user"], password)
+        except ClientError:
+            self.close()  # a failed connect leaves no half-open session behind
+            raise
         self.say("tunnel established")
         return None
 

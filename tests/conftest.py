@@ -181,10 +181,10 @@ class ScriptedClient:
         protocol.client_handle_server_hello(self.state, payload, self.group)
 
     def phase1(self, user: str, password: str) -> tuple[bool, str]:
-        self.send(protocol.phase1_auth(self.state, user, password))
+        self.send(protocol.auth(self.state, user, password))
         msg_type, payload = self.recv()
         assert msg_type is MessageType.PHASE1_RESULT, msg_type
-        return protocol.client_handle_phase1_result(self.state, payload)
+        return protocol.handle_auth_result(self.state, payload)
 
     def close(self) -> None:
         try:

@@ -191,7 +191,7 @@ def test_criterion_6_wire_secrecy_and_replay_100_sessions(gateway_factory):
                 fresh.send_raw(phase1_frames[i])
                 msg_type, payload = fresh.recv()
                 assert msg_type is MessageType.PHASE1_RESULT
-                ok, _ = protocol.client_handle_phase1_result(fresh.state, payload)
+                ok, _ = protocol.handle_auth_result(fresh.state, payload)
             else:
                 ok1, _ = fresh.phase1(acme.tunnel_user, tunnel_pass)
                 assert ok1
@@ -199,7 +199,7 @@ def test_criterion_6_wire_secrecy_and_replay_100_sessions(gateway_factory):
                 fresh.send_raw(phase2_frames[i])
                 msg_type, payload = fresh.recv()
                 assert msg_type is MessageType.PHASE2_RESULT
-                ok, _ = protocol.client_handle_phase2_result(fresh.state, payload)
+                ok, _ = protocol.handle_auth_result(fresh.state, payload)
             if not ok:
                 rejected += 1
         finally:

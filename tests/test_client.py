@@ -1,6 +1,7 @@
 """Client failure paths: whatever a broken or hostile server sends during the
-handshake surfaces as ProtocolFailure, and an oversized put is refused
-before any encryption while the session stays usable."""
+handshake surfaces as ProtocolFailure, and a command the wire cannot carry
+or the gateway would refuse is refused before any encryption while the
+session stays usable."""
 
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ def _garbage_phase1_result(conn, stream):
     # an IV equal to the block's decryption makes the plaintext all zeros,
     # and a padding byte of 0x00 is never valid
     block = os.urandom(16)
-    iv = aes.decrypt_block(block, state.schedules.phase1)
+    iv = aes.decrypt_block(block, state.schedules[MessageType.PHASE1_RESULT])
     conn.sendall(Frame(MessageType.PHASE1_RESULT, iv + block).encode())
 
 
@@ -119,3 +120,49 @@ def test_overlong_name_refused_before_encryption(gateway_factory, monkeypatch, c
         assert encrypted == []
         session.put("small", b"still works")
         assert session.get("small") == b"still works"
+
+
+def test_put_name_the_gateway_refuses_is_refused_before_encryption(
+    gateway_factory, monkeypatch
+):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    encrypted: list[int] = []
+    real_cbc_encrypt = aes.cbc_encrypt
+
+    def counting_cbc_encrypt(plaintext, schedule, iv):
+        encrypted.append(len(plaintext))
+        return real_cbc_encrypt(plaintext, schedule, iv)
+
+    with open_session(handle, acme) as session:
+        monkeypatch.setattr(aes, "cbc_encrypt", counting_cbc_encrypt)
+        with pytest.raises(CommandRefused, match="^invalid name$"):
+            session.put("n" * 300, bytes(1024))  # the store's limit is 255 bytes
+        assert encrypted == []
+        session.put("small", b"still works")
+        assert session.get("small") == b"still works"
+
+
+def test_overlong_tunnel_user_refused_before_the_hello(gateway_factory):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    capture: list[bytes] = []
+    with ClientSession(handle.host, handle.port, group=TEST_SMALL, capture=capture) as session:
+        with pytest.raises(CommandRefused, match="user longer than 65535"):
+            session.connect_tunnel("u" * 70000, acme.tunnel_pass)
+        assert capture == []
+        assert session.state.phase is P.Phase.INIT
+        session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)
+
+
+@pytest.mark.parametrize("field", ["path", "user", "password"])
+def test_overlong_login_field_refused_before_the_phase_moves(gateway_factory, field):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    login = {"path": acme.space_path, "user": acme.service_user, "password": acme.service_pass}
+    with open_session(handle, acme, login=False) as session:
+        with pytest.raises(CommandRefused, match=f"^{field} longer than 65535"):
+            session.login(*{**login, field: "x" * 70000}.values())
+        assert session.state.phase is P.Phase.TUNNEL_ESTABLISHED
+        session.login(*login.values())
+        assert session.list_names() == []

@@ -6,16 +6,17 @@ from __future__ import annotations
 
 import os
 import random
+import struct
 import threading
 
 import pytest
 
-from csg import protocol
+from csg import aes, protocol
 from csg.client import ClientSession, CommandRefused
 from csg.gateway import Gateway, GatewayConfig
 from csg.keyx import TEST_SMALL
 from csg.vault import ObjectStore, Registry, save_registry
-from csg.wire import MessageType
+from csg.wire import MessageType, encode_str
 
 from conftest import open_session, provision_customer
 
@@ -64,6 +65,70 @@ def test_result_frames_are_not_plaintext_status_bytes(gateway_factory):
     for raw in results:
         assert raw[5:] != b"\x01"
         assert len(raw[5:]) >= 32
+
+
+# README "Protocol sketch": the session sub-key that seals each encrypted type
+README_SEALING_KEYS = {
+    MessageType.PHASE1_AUTH: "k_phase1",
+    MessageType.PHASE1_RESULT: "k_phase1",
+    MessageType.SERVICE_REQUEST: "k_data",
+    MessageType.PHASE2_AUTH: "k_phase2",
+    MessageType.PHASE2_RESULT: "k_phase2",
+    MessageType.PUT: "k_data",
+    MessageType.PUT_RESULT: "k_data",
+    MessageType.GET: "k_data",
+    MessageType.GET_RESULT: "k_data",
+    MessageType.LIST: "k_data",
+    MessageType.LIST_RESULT: "k_data",
+}
+
+
+def test_each_sealed_type_opens_only_under_its_readme_key(gateway_factory):
+    """Client and server agreeing on a wrong sub-key would pass every round
+    trip; decrypting each captured payload under all three sub-keys pins
+    each message type to the key the README names."""
+    assert set(README_SEALING_KEYS) == set(MessageType) - PLAIN_TYPES
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    capture: list[bytes] = []
+    session = open_session(handle, acme, capture=capture)
+    data = os.urandom(100)
+    session.put("obj", data)
+    assert session.get("obj") == data
+    assert session.list_names() == ["obj"]
+    keys, nonce = session.state.keys, session.state.server_nonce
+    session.close()
+
+    def credentials(user: str, password: str) -> bytes:
+        return encode_str(user) + encode_str(password) + nonce
+
+    ok = bytes([protocol.STATUS_OK])
+    expected = {
+        MessageType.PHASE1_AUTH: credentials(acme.tunnel_user, acme.tunnel_pass),
+        MessageType.PHASE1_RESULT: ok,
+        MessageType.SERVICE_REQUEST: encode_str(acme.space_path),
+        MessageType.PHASE2_AUTH: credentials(acme.service_user, acme.service_pass),
+        MessageType.PHASE2_RESULT: ok,
+        MessageType.PUT: encode_str("obj") + struct.pack(">I", len(data)) + data,
+        MessageType.PUT_RESULT: ok,
+        MessageType.GET: encode_str("obj"),
+        MessageType.GET_RESULT: ok + struct.pack(">I", len(data)) + data,
+        MessageType.LIST: b"",
+        MessageType.LIST_RESULT: struct.pack(">H", 1) + encode_str("obj"),
+    }
+    payloads = {MessageType(raw[4]): raw[5:] for raw in capture}
+    for msg_type, readme_key in README_SEALING_KEYS.items():
+        payload = payloads[msg_type]
+        opened_by = []
+        for key_name in ("k_phase1", "k_phase2", "k_data"):
+            schedule = aes.key_expansion(getattr(keys, key_name))
+            try:
+                inner = aes.cbc_decrypt(payload[16:], schedule, payload[:16])
+            except aes.PaddingError:
+                continue
+            if inner == expected[msg_type]:
+                opened_by.append(key_name)
+        assert opened_by == [readme_key], msg_type.name
 
 
 def test_ivs_are_fresh_per_message(gateway_factory):

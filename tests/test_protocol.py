@@ -48,14 +48,14 @@ class Wire:
         reply = self.send(P.client_connect(self.client, dh_generate(self.ctx.group)))
         P.client_handle_server_hello(self.client, reply[0].payload, self.ctx.group)
         password = tunnel_pass if tunnel_pass is not None else customer.tunnel_pass
-        reply = self.send(P.phase1_auth(self.client, customer.tunnel_user, password))
-        return P.client_handle_phase1_result(self.client, reply[0].payload)
+        reply = self.send(P.auth(self.client, customer.tunnel_user, password))
+        return P.handle_auth_result(self.client, reply[0].payload)
 
     def login(self, customer, *, path=None, service_pass=None) -> tuple[bool, str]:
         self.send(P.service_request(self.client, path or customer.space_path))
         password = service_pass if service_pass is not None else customer.service_pass
-        reply = self.send(P.phase2_auth(self.client, customer.service_user, password))
-        return P.client_handle_phase2_result(self.client, reply[0].payload)
+        reply = self.send(P.auth(self.client, customer.service_user, password))
+        return P.handle_auth_result(self.client, reply[0].payload)
 
 
 @pytest.fixture
@@ -130,11 +130,13 @@ def test_dispatcher_turns_bad_hello_into_error_frame(ctx):
 # --- phase 1 ----------------------------------------------------------------
 
 def test_phase1_success(wire, acme):
+    events = []
+    wire.ctx.audit = lambda event, customer_id: events.append((event, customer_id))
     ok, reason = wire.handshake(acme)
     assert (ok, reason) == (True, "")
     assert wire.server.phase is P.Phase.TUNNEL_ESTABLISHED
     assert wire.client.phase is P.Phase.TUNNEL_ESTABLISHED
-    assert wire.server.tunnel_customer_id == "acme"
+    assert ("phase1 ok", "acme") in events  # written as "phase1 ok customer=acme"
 
 
 def test_phase1_wrong_password(wire, acme):
@@ -147,8 +149,8 @@ def test_phase1_wrong_password(wire, acme):
 def test_phase1_unknown_user_same_reason(wire, acme):
     reply = wire.send(P.client_connect(wire.client, dh_generate(TEST_SMALL)))
     P.client_handle_server_hello(wire.client, reply[0].payload, TEST_SMALL)
-    reply = wire.send(P.phase1_auth(wire.client, "nobody", "pw"))
-    ok, reason = P.client_handle_phase1_result(wire.client, reply[0].payload)
+    reply = wire.send(P.auth(wire.client, "nobody", "pw"))
+    ok, reason = P.handle_auth_result(wire.client, reply[0].payload)
     assert (ok, reason) == (False, "auth failed")
 
 
@@ -159,8 +161,8 @@ def test_phase1_server_recovers_exact_credentials(acme):
     hello = P.client_connect(client, keypair)
     frame = P.server_hello(server, hello.payload, dh_generate(TEST_SMALL), os.urandom(16), TEST_SMALL)
     P.client_handle_server_hello(client, frame.payload, TEST_SMALL)
-    auth = P.phase1_auth(client, "usér", "pässword")
-    user, password = P._open_credentials(server, server.schedules.phase1, auth.payload)
+    auth = P.auth(client, "usér", "pässword")
+    user, password = P._open_credentials(server, MessageType.PHASE1_AUTH, auth.payload)
     assert (user, password) == ("usér", "pässword")
 
 
@@ -168,8 +170,8 @@ def test_phase1_stale_nonce_rejected(wire, acme):
     reply = wire.send(P.client_connect(wire.client, dh_generate(TEST_SMALL)))
     P.client_handle_server_hello(wire.client, reply[0].payload, TEST_SMALL)
     wire.client.server_nonce = os.urandom(16)  # stale/foreign nonce
-    reply = wire.send(P.phase1_auth(wire.client, acme.tunnel_user, acme.tunnel_pass))
-    ok, reason = P.client_handle_phase1_result(wire.client, reply[0].payload)
+    reply = wire.send(P.auth(wire.client, acme.tunnel_user, acme.tunnel_pass))
+    ok, reason = P.handle_auth_result(wire.client, reply[0].payload)
     assert (ok, reason) == (False, "auth failed")
     assert wire.server.phase is P.Phase.CLOSED
 
@@ -180,7 +182,7 @@ def test_phase1_replay_into_new_session(ctx, acme):
     captured = {}
     reply = a.send(P.client_connect(a.client, dh_generate(TEST_SMALL)))
     P.client_handle_server_hello(a.client, reply[0].payload, TEST_SMALL)
-    frame = P.phase1_auth(a.client, acme.tunnel_user, acme.tunnel_pass)
+    frame = P.auth(a.client, acme.tunnel_user, acme.tunnel_pass)
     captured["phase1"] = frame
     a.send(frame)
 
@@ -189,7 +191,7 @@ def test_phase1_replay_into_new_session(ctx, acme):
     P.client_handle_server_hello(b.client, reply[0].payload, TEST_SMALL)
     result = b.send(captured["phase1"])
     assert result[0].msg_type is MessageType.PHASE1_RESULT
-    ok, reason = P.client_handle_phase1_result(b.client, result[0].payload)
+    ok, reason = P.handle_auth_result(b.client, result[0].payload)
     assert not ok
     assert b.server.phase is P.Phase.CLOSED
 
@@ -200,7 +202,7 @@ def test_password_bytes_not_on_the_wire(ctx, acme):
         password = os.urandom(16).hex()  # 32 chars >= 16 bytes
         reply = wire.send(P.client_connect(wire.client, dh_generate(TEST_SMALL)))
         P.client_handle_server_hello(wire.client, reply[0].payload, TEST_SMALL)
-        frame = P.phase1_auth(wire.client, acme.tunnel_user, password)
+        frame = P.auth(wire.client, acme.tunnel_user, password)
         assert password.encode() not in frame.encode()
 
 
@@ -300,14 +302,14 @@ def test_phase2_replay_into_new_session(ctx, acme):
     a = Wire(ctx)
     assert a.handshake(acme)[0]
     a.send(P.service_request(a.client, acme.space_path))
-    phase2 = P.phase2_auth(a.client, acme.service_user, acme.service_pass)
+    phase2 = P.auth(a.client, acme.service_user, acme.service_pass)
     a.send(phase2)
 
     b = Wire(ctx)
     assert b.handshake(acme)[0]
     b.send(P.service_request(b.client, acme.space_path))
     result = b.send(phase2)  # A's ciphertext into B's session
-    ok, _ = P.client_handle_phase2_result(b.client, result[0].payload)
+    ok, _ = P.handle_auth_result(b.client, result[0].payload)
     assert not ok
     assert b.server.phase is P.Phase.CLOSED
 

@@ -94,6 +94,43 @@ def test_parse_error_on_missing_field(tmp_path):
         load_registry(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("customer_id", 7),
+        ("tunnel_user", None),
+        ("tunnel_salt", "00" * 15),  # hash_password needs exactly 16 bytes
+        ("tunnel_hash", "00" * 31),
+        ("service_user", ["acme-service"]),
+        ("service_salt", "00" * 17),
+        ("service_hash", "00" * 33),
+        ("space_path", 1.5),
+        ("quota_bytes", True),  # a bool is not an int here
+        ("certificate", ["acme"]),
+        ("certificate.customer_id", 1),
+        ("certificate.issued_at", "0"),
+        ("certificate.last_update", 1.0),
+        ("certificate.expiry_date", False),
+        ("certificate.rights", "storage"),
+        ("certificate.rights", ["storage", 1]),
+        ("certificate.revoked", "false"),  # bool("false") would read as revoked
+    ],
+)
+def test_bad_registry_field_is_a_parse_error(tmp_path, field, value):
+    obj = vault._record_to_json(provision_customer("bravo").record)
+    *parents, key = field.split(".")
+    target = obj
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    path = tmp_path / "registry.jsonl"
+    save_registry(Registry([provision_customer("acme").record]), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj) + "\n")
+    with pytest.raises(ParseError, match=f"line 2: {key} must be"):
+        load_registry(path)
+
+
 def test_check_credentials_success_and_failure():
     p = provision_customer("acme")
     registry = Registry([p.record])

@@ -184,6 +184,47 @@ def test_script_overlong_name_is_refused_and_session_goes_on(gateway_factory, tm
     assert "Traceback" not in result.stderr + result.stdout
 
 
+@pytest.mark.parametrize("flag", ["--path", "--user"])
+def test_script_overlong_login_field_is_refused_and_login_goes_on(
+    gateway_factory, tmp_path, flag
+):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    values = {"--path": acme.space_path, "--user": acme.service_user, flag: "p" * 70000}
+    overlong_login = "login " + " ".join(f"{k} {v}" for k, v in values.items())
+    result = run_script(
+        tmp_path,
+        handle,
+        acme,
+        [connect_line(handle, acme), overlong_login, login_line(acme), "ls", "quit"],
+    )
+    assert result.returncode == 0, result.stderr
+    assert f"{flag[2:]} longer than 65535 UTF-8 bytes" in result.stdout
+    assert "access granted" in result.stdout
+    assert "Traceback" not in result.stderr + result.stdout
+
+
+def test_script_overlong_connect_user_is_refused_and_connect_goes_on(
+    gateway_factory, tmp_path
+):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    overlong_connect = f"connect --host {handle.host} --port {handle.port} --user {'u' * 70000}"
+    result = run_script(
+        tmp_path,
+        handle,
+        acme,
+        # a half-open session left by the refusal would make the second
+        # connect a usage error ("already connected")
+        [overlong_connect, connect_line(handle, acme), login_line(acme), "quit"],
+    )
+    assert result.returncode == 0, result.stderr
+    assert "user longer than 65535 UTF-8 bytes" in result.stdout
+    assert "tunnel established" in result.stdout
+    assert "access granted" in result.stdout
+    assert "Traceback" not in result.stderr + result.stdout
+
+
 def test_script_double_login_reports_and_continues(gateway_factory, tmp_path):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
