@@ -87,16 +87,15 @@ class ClientSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _exchange(
-        self, frames: list[Frame], expected: Optional[MessageType] = None, parse=None
-    ) -> Any:
-        """Send `frames`; when `expected` is given, read one reply of that
-        type and return `parse(state, payload)`. The one place where socket,
-        framing and decryption failures, and an Error frame, become
-        ProtocolFailure. Callers build the frames, so an out-of-order command
+    def _exchange(self, frames: list[Frame], parse=None) -> Any:
+        """Send `frames`; when the protocol answers the last of them, read
+        that reply and return `parse(state, payload)`. The one place where
+        socket, framing and decryption failures, an Error frame and a reply
+        of the wrong type become ProtocolFailure. Callers build the frames, so an out-of-order command
         raises ProtocolOrderError before any is sent."""
         if self._sock is None:
             raise ProtocolFailure("session is closed")
+        expected = protocol.reply_to(frames[-1].msg_type)
         try:
             for frame in frames:
                 raw = frame.encode()
@@ -123,13 +122,10 @@ class ClientSession:
         keypair = dh_generate(self._group)
         self._exchange(
             [protocol.client_connect(self.state, keypair)],
-            MessageType.SERVER_HELLO,
             functools.partial(protocol.client_handle_server_hello, group=self._group),
         )
         ok, reason = self._exchange(
-            [protocol.auth(self.state, tunnel_user, tunnel_pass)],
-            MessageType.PHASE1_RESULT,
-            protocol.handle_auth_result,
+            [protocol.auth(self.state, tunnel_user, tunnel_pass)], protocol.handle_auth_result
         )
         if not ok:
             raise AuthRefused(reason or protocol.REASON_AUTH_FAILED)
@@ -142,7 +138,6 @@ class ClientSession:
                 protocol.service_request(self.state, url_path),
                 protocol.auth(self.state, service_user, service_pass),
             ],
-            MessageType.PHASE2_RESULT,
             protocol.handle_auth_result,
         )
         if not ok:
@@ -157,7 +152,7 @@ class ClientSession:
             raise CommandRefused(_STATUS_MESSAGES[protocol.STATUS_INVALID_NAME]) from None
         except FrameTooLarge:
             raise CommandRefused("object too large for one frame") from None
-        status = self._exchange([frame], MessageType.PUT_RESULT, protocol.parse_put_result)
+        status = self._exchange([frame], protocol.parse_put_result)
         if status != protocol.STATUS_OK:
             raise CommandRefused(_STATUS_MESSAGES.get(status, f"status {status}"))
 
@@ -165,20 +160,14 @@ class ClientSession:
         # an invalid name is left to the gateway, which answers "no such object"
         _refuse_overlong({"object name": name})
         status, data = self._exchange(
-            [protocol.build_get(self.state, name)],
-            MessageType.GET_RESULT,
-            protocol.parse_get_result,
+            [protocol.build_get(self.state, name)], protocol.parse_get_result
         )
         if status != protocol.STATUS_OK:
             raise CommandRefused(_STATUS_MESSAGES.get(status, f"status {status}"))
         return data
 
     def list_names(self) -> list[str]:
-        return self._exchange(
-            [protocol.build_list(self.state)],
-            MessageType.LIST_RESULT,
-            protocol.parse_list_result,
-        )
+        return self._exchange([protocol.build_list(self.state)], protocol.parse_list_result)
 
     def close(self) -> None:
         """Send Disconnect if the session is still open, then drop the

@@ -16,16 +16,16 @@ Message flow (client to server unless marked):
 The server nonce folded into both credential blobs binds them to this
 handshake: a ciphertext captured in one session never verifies in another.
 
-`_SEALING_KEY` maps each encrypted type to the sub-key that seals it, and
-`_seal`/`_open` are the only code that encrypts or decrypts a payload. The
-client side is a set of public functions, each checking the phase it may run
-in; `auth` and `handle_auth_result` serve both credential steps, picked by
-phase from `_AUTH_STEPS`. The server side has one entry point,
-`server_handle_frame`, and one transition table, `_TRANSITIONS`, mapping
-each legal (phase, incoming type) pair to the handler that serves it. Every
-other pair, and every handler failure, becomes an Error frame that closes
-the session. A check or timer that must see every frame before any handler
-runs belongs in that function.
+`_STEPS`, at the end of the module, is the protocol as one table: for each
+client request, its legal phase, the sub-key sealing it and its reply, the
+reply type, the next phase and the server handler. `_seal`/`_open` are the
+only code that encrypts or decrypts a payload, and they refuse a type
+outside its row's phase. `auth` and `handle_auth_result` serve both
+credential steps, picked by phase from the auth rows. The server side has
+one entry point, `server_handle_frame`, which serves a request only in its
+row's phase; every other (phase, type) pair, and every handler failure,
+becomes an Error frame that closes the session. A check or timer that must
+see every frame before any handler runs belongs in that function.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import aes
 from .keyx import (
@@ -107,37 +107,6 @@ class VersionMismatch(Exception):
     pass
 
 
-# Which session sub-key seals each encrypted message type: the README's
-# protocol sketch written as code. `set_keys` expands it into
-# `SessionState.schedules`, which only `_seal` and `_open` read.
-_SEALING_KEY: dict[MessageType, str] = {
-    MessageType.PHASE1_AUTH: "k_phase1",
-    MessageType.PHASE1_RESULT: "k_phase1",
-    MessageType.SERVICE_REQUEST: "k_data",
-    MessageType.PHASE2_AUTH: "k_phase2",
-    MessageType.PHASE2_RESULT: "k_phase2",
-    MessageType.PUT: "k_data",
-    MessageType.PUT_RESULT: "k_data",
-    MessageType.GET: "k_data",
-    MessageType.GET_RESULT: "k_data",
-    MessageType.LIST: "k_data",
-    MessageType.LIST_RESULT: "k_data",
-}
-
-
-# The two credential steps, by the phase each runs in on either side: the
-# message that carries the credentials, the result that answers it, and the
-# phase an ok result leads to.
-_AUTH_STEPS: dict[Phase, tuple[MessageType, MessageType, Phase]] = {
-    Phase.HELLO_EXCHANGED: (
-        MessageType.PHASE1_AUTH, MessageType.PHASE1_RESULT, Phase.TUNNEL_ESTABLISHED
-    ),
-    Phase.SERVICE_REQUESTED: (
-        MessageType.PHASE2_AUTH, MessageType.PHASE2_RESULT, Phase.SESSION_ACTIVE
-    ),
-}
-
-
 @dataclass
 class SessionState:
     phase: Phase = Phase.INIT
@@ -163,30 +132,37 @@ class SessionState:
     def set_keys(self, keys: SessionKeys) -> None:
         """Hold the derived sub-keys, each expanded once for the session."""
         self.keys = keys
-        expanded = {
-            field: aes.key_expansion(getattr(keys, field))
-            for field in dict.fromkeys(_SEALING_KEY.values())
-        }
-        self.schedules = {t: expanded[field] for t, field in _SEALING_KEY.items()}
+        fields = dict.fromkeys(step.key for step in _STEPS.values() if step.key)
+        expanded = {field: aes.key_expansion(getattr(keys, field)) for field in fields}
+        self.schedules = {t: expanded[s.key] for t, s in _STEP_OF.items() if s.key}
 
 
-def _require(state: SessionState, phase: Phase, op: str) -> None:
-    if state.phase is not phase:
-        raise ProtocolOrderError(f"{op} requires phase {phase.name}, not {state.phase.name}")
+def _step(state: SessionState, msg_type: MessageType) -> _Step:
+    """The row of `msg_type`, as request or reply; refused outside its phase."""
+    step = _STEP_OF[msg_type]
+    if state.phase is not step.phase:
+        raise ProtocolOrderError(f"{msg_type.name} is not allowed in phase {state.phase.name}")
+    return step
 
 
 def _seal(state: SessionState, msg_type: MessageType, inner: bytes) -> Frame:
-    """Encrypt `inner` under the sub-key of `msg_type`, behind a fresh IV."""
+    """Encrypt `inner` under the sub-key of `msg_type`, behind a fresh IV.
+    Raises FrameTooLarge, before any encryption, when the payload would not
+    fit in one frame."""
+    _step(state, msg_type)
+    payload_len = aes.BLOCK_SIZE + aes.padded_len(len(inner))  # IV + ciphertext
+    if payload_len > MAX_PAYLOAD_LEN:
+        raise FrameTooLarge(f"payload of {payload_len} bytes exceeds the frame cap")
     iv = os.urandom(16)
     return Frame(msg_type, iv + aes.cbc_encrypt(inner, state.schedules[msg_type], iv))
 
 
 def _open(state: SessionState, msg_type: MessageType, payload: bytes) -> PayloadReader:
     """Decrypt a payload sealed by `_seal` for `msg_type`."""
+    _step(state, msg_type)
     if len(payload) < 32:
         raise MalformedPayload("encrypted payload shorter than IV plus one block")
-    schedule = state.schedules[msg_type]
-    return PayloadReader(aes.cbc_decrypt(payload[16:], schedule, payload[:16]))
+    return PayloadReader(aes.cbc_decrypt(payload[16:], state.schedules[msg_type], payload[:16]))
 
 
 def _noop_audit(event: str, customer_id: Optional[str] = None) -> None:
@@ -200,9 +176,9 @@ def _noop_audit(event: str, customer_id: Optional[str] = None) -> None:
 def client_connect(state: SessionState, keypair: DhKeyPair) -> Frame:
     """Open the handshake: version byte then the client DH public value.
 
-    The phase stays INIT until the ServerHello arrives.
+    The phase stays put until the ServerHello arrives.
     """
-    _require(state, Phase.INIT, "client_connect")
+    _step(state, MessageType.CLIENT_HELLO)
     state.dh_keypair = keypair
     payload = bytes([PROTOCOL_VERSION]) + encode_mpint(keypair.public)
     return Frame(MessageType.CLIENT_HELLO, payload)
@@ -212,7 +188,7 @@ def client_handle_server_hello(
     state: SessionState, payload: bytes, group: DhGroup
 ) -> None:
     """Derive the session keys from the ServerHello and record the nonce."""
-    _require(state, Phase.INIT, "client_handle_server_hello")
+    step = _step(state, MessageType.SERVER_HELLO)
     if state.dh_keypair is None:
         raise ProtocolOrderError("ServerHello before ClientHello was sent")
     r = PayloadReader(payload)
@@ -223,32 +199,34 @@ def client_handle_server_hello(
     state.set_keys(derive_keys(shared))
     state.server_nonce = nonce
     state.dh_keypair = None
-    state.phase = Phase.HELLO_EXCHANGED
+    state.phase = step.next_phase
 
 
-def _auth_step(state: SessionState, op: str) -> tuple[MessageType, MessageType, Phase]:
-    if state.phase not in _AUTH_STEPS:
-        raise ProtocolOrderError(f"{op} is not allowed in phase {state.phase.name}")
-    return _AUTH_STEPS[state.phase]
+def _auth_type(state: SessionState, op: str) -> MessageType:
+    """The credential message of the auth row legal in this phase."""
+    for auth_type in (MessageType.PHASE1_AUTH, MessageType.PHASE2_AUTH):
+        if _STEPS[auth_type].phase is state.phase:
+            return auth_type
+    raise ProtocolOrderError(f"{op} is not allowed in phase {state.phase.name}")
 
 
 def auth(state: SessionState, user: str, password: str) -> Frame:
     """Credentials plus the server nonce: the tunnel pair after the hello
     (phase 1), the service pair after the service request (phase 2)."""
-    auth_type, _, _ = _auth_step(state, "auth")
+    auth_type = _auth_type(state, "auth")
     inner = encode_str(user) + encode_str(password) + state.server_nonce
     return _seal(state, auth_type, inner)
 
 
 def handle_auth_result(state: SessionState, payload: bytes) -> tuple[bool, str]:
     """Read the server's verdict on `auth`; anything but ok closes the session."""
-    _, result_type, next_phase = _auth_step(state, "handle_auth_result")
-    r = _open(state, result_type, payload)
+    step = _STEPS[_auth_type(state, "handle_auth_result")]
+    r = _open(state, step.reply, payload)
     ok = r.u8() == STATUS_OK
     reason = "" if ok else r.string()
     r.expect_end()
     if ok:
-        state.phase = next_phase
+        state.phase = step.next_phase
     else:
         state.close()
     return ok, reason
@@ -256,26 +234,20 @@ def handle_auth_result(state: SessionState, payload: bytes) -> tuple[bool, str]:
 
 def service_request(state: SessionState, url_path: str) -> Frame:
     """Name the provisioned space path."""
-    _require(state, Phase.TUNNEL_ESTABLISHED, "service_request")
     frame = _seal(state, MessageType.SERVICE_REQUEST, encode_str(url_path))
     state.space_path = url_path
-    state.phase = Phase.SERVICE_REQUESTED
+    state.phase = _STEPS[MessageType.SERVICE_REQUEST].next_phase
     return frame
 
 
 def build_put(state: SessionState, name: str, data: bytes) -> Frame:
     """Raises FrameTooLarge, before any encryption, when the encrypted
     payload would not fit in one frame."""
-    _require(state, Phase.SESSION_ACTIVE, "build_put")
     inner = encode_str(name) + struct.pack(">I", len(data)) + data
-    payload_len = aes.BLOCK_SIZE + aes.padded_len(len(inner))  # IV + ciphertext
-    if payload_len > MAX_PAYLOAD_LEN:
-        raise FrameTooLarge(f"put payload of {payload_len} bytes exceeds the frame cap")
     return _seal(state, MessageType.PUT, inner)
 
 
 def parse_put_result(state: SessionState, payload: bytes) -> int:
-    _require(state, Phase.SESSION_ACTIVE, "parse_put_result")
     r = _open(state, MessageType.PUT_RESULT, payload)
     status = r.u8()
     r.expect_end()
@@ -283,12 +255,10 @@ def parse_put_result(state: SessionState, payload: bytes) -> int:
 
 
 def build_get(state: SessionState, name: str) -> Frame:
-    _require(state, Phase.SESSION_ACTIVE, "build_get")
     return _seal(state, MessageType.GET, encode_str(name))
 
 
 def parse_get_result(state: SessionState, payload: bytes) -> tuple[int, bytes]:
-    _require(state, Phase.SESSION_ACTIVE, "parse_get_result")
     r = _open(state, MessageType.GET_RESULT, payload)
     status = r.u8()
     data = r.take(r.u32())
@@ -297,12 +267,10 @@ def parse_get_result(state: SessionState, payload: bytes) -> tuple[int, bytes]:
 
 
 def build_list(state: SessionState) -> Frame:
-    _require(state, Phase.SESSION_ACTIVE, "build_list")
     return _seal(state, MessageType.LIST, b"")
 
 
 def parse_list_result(state: SessionState, payload: bytes) -> list[str]:
-    _require(state, Phase.SESSION_ACTIVE, "parse_list_result")
     r = _open(state, MessageType.LIST_RESULT, payload)
     names = [r.string() for _ in range(r.u16())]
     r.expect_end()
@@ -342,7 +310,7 @@ def server_hello(
 ) -> Frame:
     """Answer a ClientHello: validate version and client public, derive the
     session keys, emit the server public and nonce."""
-    _require(state, Phase.INIT, "server_hello")
+    step = _step(state, MessageType.CLIENT_HELLO)
     if len(nonce) != 16:
         raise ValueError("server nonce must be exactly 16 bytes")
     r = PayloadReader(client_payload)
@@ -354,7 +322,7 @@ def server_hello(
     shared = dh_shared(keypair, client_public, group)
     state.set_keys(derive_keys(shared))
     state.server_nonce = nonce
-    state.phase = Phase.HELLO_EXCHANGED
+    state.phase = step.next_phase
     return Frame(MessageType.SERVER_HELLO, encode_mpint(keypair.public) + nonce)
 
 
@@ -387,12 +355,12 @@ def _answer_auth(
 ) -> list[Frame]:
     """Seal and audit the verdict on an auth step: ok moves the session to
     the step's next phase, a refusal `reason` closes it."""
-    _, result_type, next_phase = _AUTH_STEPS[state.phase]
+    step = _STEPS[_auth_type(state, "_answer_auth")]
     if reason is None:
-        frame = _seal(state, result_type, bytes([STATUS_OK]))
-        state.phase = next_phase
+        frame = _seal(state, step.reply, bytes([STATUS_OK]))
+        state.phase = step.next_phase
     else:
-        frame = _seal(state, result_type, bytes([STATUS_ERROR]) + encode_str(reason))
+        frame = _seal(state, step.reply, bytes([STATUS_ERROR]) + encode_str(reason))
         state.close()
     ctx.audit(event, customer_id)
     return [frame]
@@ -424,7 +392,7 @@ def _serve_service_request(
     path = r.string()
     r.expect_end()
     state.space_path = path
-    state.phase = Phase.SERVICE_REQUESTED
+    state.phase = _STEPS[MessageType.SERVICE_REQUEST].next_phase
     return []
 
 
@@ -495,18 +463,56 @@ def _serve_list(state: SessionState, payload: bytes, ctx: ServerContext) -> list
 
 _Handler = Callable[[SessionState, bytes, ServerContext], list[Frame]]
 
-# The server state machine: each legal (phase, incoming type) pair and the
-# handler that serves it. Disconnect is legal in every phase and handled
-# before the lookup; any other pair is answered with an Error frame.
-_TRANSITIONS: dict[tuple[Phase, MessageType], _Handler] = {
-    (Phase.INIT, MessageType.CLIENT_HELLO): _serve_hello,
-    (Phase.HELLO_EXCHANGED, MessageType.PHASE1_AUTH): _serve_phase1,
-    (Phase.TUNNEL_ESTABLISHED, MessageType.SERVICE_REQUEST): _serve_service_request,
-    (Phase.SERVICE_REQUESTED, MessageType.PHASE2_AUTH): _serve_phase2,
-    (Phase.SESSION_ACTIVE, MessageType.PUT): _serve_put,
-    (Phase.SESSION_ACTIVE, MessageType.GET): _serve_get,
-    (Phase.SESSION_ACTIVE, MessageType.LIST): _serve_list,
+
+class _Step(NamedTuple):
+    phase: Phase                  # the one phase the request is legal in
+    key: Optional[str]            # SessionKeys field sealing request and reply
+    reply: Optional[MessageType]  # the server's answer, if it sends one
+    next_phase: Phase             # the phase once the request is accepted
+    serve: _Handler               # the server's handler
+
+
+# The protocol, one row per client request: the README's protocol sketch
+# written as code. Disconnect is legal in every phase and has no row; any
+# type outside its row's phase is refused on both sides.
+_STEPS: dict[MessageType, _Step] = {
+    MessageType.CLIENT_HELLO: _Step(
+        Phase.INIT, None, MessageType.SERVER_HELLO, Phase.HELLO_EXCHANGED, _serve_hello
+    ),
+    MessageType.PHASE1_AUTH: _Step(
+        Phase.HELLO_EXCHANGED, "k_phase1", MessageType.PHASE1_RESULT,
+        Phase.TUNNEL_ESTABLISHED, _serve_phase1,
+    ),
+    MessageType.SERVICE_REQUEST: _Step(
+        Phase.TUNNEL_ESTABLISHED, "k_data", None, Phase.SERVICE_REQUESTED,
+        _serve_service_request,
+    ),
+    MessageType.PHASE2_AUTH: _Step(
+        Phase.SERVICE_REQUESTED, "k_phase2", MessageType.PHASE2_RESULT,
+        Phase.SESSION_ACTIVE, _serve_phase2,
+    ),
+    MessageType.PUT: _Step(
+        Phase.SESSION_ACTIVE, "k_data", MessageType.PUT_RESULT, Phase.SESSION_ACTIVE, _serve_put
+    ),
+    MessageType.GET: _Step(
+        Phase.SESSION_ACTIVE, "k_data", MessageType.GET_RESULT, Phase.SESSION_ACTIVE, _serve_get
+    ),
+    MessageType.LIST: _Step(
+        Phase.SESSION_ACTIVE, "k_data", MessageType.LIST_RESULT, Phase.SESSION_ACTIVE,
+        _serve_list,
+    ),
 }
+
+# every type that appears in a row, as request or as reply, to that row
+_STEP_OF: dict[MessageType, _Step] = {
+    t: step for request, step in _STEPS.items() for t in (request, step.reply) if t is not None
+}
+
+
+def reply_to(msg_type: MessageType) -> Optional[MessageType]:
+    """The type the server answers `msg_type` with, or None if it sends none."""
+    step = _STEPS.get(msg_type)
+    return None if step is None else step.reply
 
 
 def server_handle_frame(
@@ -527,12 +533,12 @@ def server_handle_frame(
         ctx.audit("disconnect", state.customer_id)
         state.close()
         return []
-    handler = _TRANSITIONS.get((state.phase, msg_type))
-    if handler is None:
+    step = _STEPS.get(msg_type)
+    if step is None or step.phase is not state.phase:
         reason = f"unexpected {msg_type.name} in phase {state.phase.name}"
     else:
         try:
-            return handler(state, payload, ctx)
+            return step.serve(state, payload, ctx)
         except VersionMismatch:
             reason = "version mismatch"
         except InvalidPublicKey:

@@ -240,14 +240,17 @@ def _hex_bytes(obj: dict, key: str, size: int) -> bytes:
 
 
 def _record_from_json(obj: dict) -> CustomerRecord:
-    """Raises ValueError, KeyError or TypeError on a missing field, a field
-    of the wrong JSON type, or a salt or hash of the wrong length."""
+    """Raises ValueError, KeyError or TypeError on a missing, mistyped or
+    wrongly sized field, or on a certificate issued to another customer."""
+    customer_id = _typed(obj, "customer_id", str)
     cert = _typed(obj, "certificate", dict)
+    if _typed(cert, "customer_id", str) != customer_id:
+        raise ValueError(f"certificate customer_id is not {customer_id!r}")
     rights = _typed(cert, "rights", list)
     if not all(type(right) is str for right in rights):
         raise ValueError("rights must be a list of strings")
     return CustomerRecord(
-        customer_id=_typed(obj, "customer_id", str),
+        customer_id=customer_id,
         tunnel_user=_typed(obj, "tunnel_user", str),
         tunnel_salt=_hex_bytes(obj, "tunnel_salt", SALT_LEN),
         tunnel_hash=_hex_bytes(obj, "tunnel_hash", HASH_LEN),
@@ -256,7 +259,7 @@ def _record_from_json(obj: dict) -> CustomerRecord:
         service_hash=_hex_bytes(obj, "service_hash", HASH_LEN),
         space_path=_typed(obj, "space_path", str),
         certificate=Certificate(
-            customer_id=_typed(cert, "customer_id", str),
+            customer_id=customer_id,
             issued_at=_typed(cert, "issued_at", int),
             last_update=_typed(cert, "last_update", int),
             expiry_date=_typed(cert, "expiry_date", int),

@@ -13,7 +13,7 @@ import pytest
 from csg import protocol as P
 from csg.keyx import TEST_SMALL, derive_keys, dh_generate
 from csg.vault import ObjectStore, Registry
-from csg.wire import Frame, MessageType, PayloadReader
+from csg.wire import Frame, MalformedPayload, MessageType, PayloadReader, encode_mpint
 
 from conftest import make_certificate, provision_customer
 
@@ -486,6 +486,60 @@ def test_order_enforcement_full_grid(ctx):
             assert [f.msg_type for f in frames] == [MessageType.ERROR], (phase, msg_type)
             assert state.phase is P.Phase.CLOSED
     assert checked == 6 * 15
+
+
+def test_client_order_enforcement_full_grid(monkeypatch):
+    """Every client builder and parser raises ProtocolOrderError outside the
+    phases it may run in, before anything is encrypted or decrypted and
+    without moving the phase."""
+    active = {P.Phase.SESSION_ACTIVE}
+    auth_phases = {P.Phase.HELLO_EXCHANGED, P.Phase.SERVICE_REQUESTED}
+    keys = derive_keys(os.urandom(32))
+    nonce = os.urandom(16)
+    keypair = dh_generate(TEST_SMALL)
+    server_hello = encode_mpint(dh_generate(TEST_SMALL).public) + nonce
+    sealed = random.Random(89).randbytes(48)  # IV plus two blocks
+    ops = {
+        "client_connect": ({P.Phase.INIT}, lambda s: P.client_connect(s, keypair)),
+        "client_handle_server_hello": (
+            {P.Phase.INIT}, lambda s: P.client_handle_server_hello(s, server_hello, TEST_SMALL)
+        ),
+        "auth": (auth_phases, lambda s: P.auth(s, "user", "password")),
+        "handle_auth_result": (auth_phases, lambda s: P.handle_auth_result(s, sealed)),
+        "service_request": (
+            {P.Phase.TUNNEL_ESTABLISHED}, lambda s: P.service_request(s, "/space/acme")
+        ),
+        "build_put": (active, lambda s: P.build_put(s, "a", b"x")),
+        "build_get": (active, lambda s: P.build_get(s, "a")),
+        "build_list": (active, P.build_list),
+        "parse_put_result": (active, lambda s: P.parse_put_result(s, sealed)),
+        "parse_get_result": (active, lambda s: P.parse_get_result(s, sealed)),
+        "parse_list_result": (active, lambda s: P.parse_list_result(s, sealed)),
+    }
+    cipher_calls = []
+    for name in ("cbc_encrypt", "cbc_decrypt"):
+        real = getattr(P.aes, name)
+        monkeypatch.setattr(
+            P.aes, name, lambda *a, _real=real, _name=name: cipher_calls.append(_name) or _real(*a)
+        )
+    refused = 0
+    for name, (legal, op) in ops.items():
+        for phase in P.Phase:
+            state = _state_in(phase, keys, nonce)
+            state.dh_keypair = keypair  # as if the ClientHello had been sent
+            if phase in legal:
+                try:
+                    op(state)
+                except (P.aes.PaddingError, MalformedPayload):
+                    pass  # random ciphertext; the phase check passed
+                continue
+            cipher_calls.clear()
+            with pytest.raises(P.ProtocolOrderError):
+                op(state)
+            assert cipher_calls == [], (name, phase)
+            assert state.phase is phase, (name, phase)
+            refused += 1
+    assert refused == 11 * 6 - 13
 
 
 @pytest.mark.parametrize(

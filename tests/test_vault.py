@@ -131,6 +131,18 @@ def test_bad_registry_field_is_a_parse_error(tmp_path, field, value):
         load_registry(path)
 
 
+def test_certificate_of_another_customer_is_a_parse_error(tmp_path):
+    # acme's certificate on bravo's line would serve bravo on acme's contract
+    obj = vault._record_to_json(provision_customer("bravo").record)
+    obj["certificate"]["customer_id"] = "acme"
+    path = tmp_path / "registry.jsonl"
+    save_registry(Registry([provision_customer("acme").record]), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj) + "\n")
+    with pytest.raises(ParseError, match="line 2: certificate customer_id"):
+        load_registry(path)
+
+
 def test_check_credentials_success_and_failure():
     p = provision_customer("acme")
     registry = Registry([p.record])
