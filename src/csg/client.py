@@ -77,6 +77,7 @@ class ClientSession:
     ):
         self._group = group
         self._capture = capture
+        self._sent = False  # close() sends Disconnect only once a frame went out
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._stream = self._sock.makefile("rb")
         self.state = protocol.SessionState()
@@ -102,6 +103,7 @@ class ClientSession:
                 if self._capture is not None:
                     self._capture.append(raw)
                 self._sock.sendall(raw)
+                self._sent = True
             if expected is None:
                 return None
             msg_type, payload = decode_frame(self._stream)
@@ -170,12 +172,12 @@ class ClientSession:
         return self._exchange([protocol.build_list(self.state)], protocol.parse_list_result)
 
     def close(self) -> None:
-        """Send Disconnect if the session is still open, then drop the
-        socket; keys are discarded either way."""
+        """Send Disconnect if a frame went out and the session is still
+        open, then drop the socket; keys are discarded either way."""
         if self._sock is None:
             return
         try:
-            if self.state.phase is not protocol.Phase.CLOSED:
+            if self._sent and self.state.phase is not protocol.Phase.CLOSED:
                 self._exchange([protocol.disconnect(self.state)])
         except ClientError:
             pass

@@ -52,7 +52,6 @@ class GatewayConfig:
     dh_group: str = "rfc3526-14"
     max_sessions: int = 256
     audit_log: str = "gateway-audit.log"
-    allow_insecure_group: bool = False
 
     def master_key(self) -> bytes:
         return bytes.fromhex(self.master_key_hex)
@@ -91,14 +90,9 @@ def _max_sessions(value: object) -> int:
     return value
 
 
-def _parse_bool(value: object) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.lower() in ("1", "true", "yes", "on"):
-        return True
-    if isinstance(value, str) and value.lower() in ("0", "false", "no", "off", ""):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
+def _dh_group(value: object) -> str:
+    select_group(_text(value))  # _text first: a list cannot be looked up
+    return value
 
 
 # one parser per GatewayConfig key: returns the value or raises ValueError
@@ -107,10 +101,9 @@ _PARSERS: dict[str, Callable[[object], object]] = {
     "objects_dir": _text,
     "master_key_hex": _master_key_hex,
     "listen_addr": _listen_addr,
-    "dh_group": _text,  # keyx.select_group judges it with allow_insecure_group
+    "dh_group": _dh_group,
     "max_sessions": _max_sessions,
     "audit_log": _text,
-    "allow_insecure_group": _parse_bool,
 }
 
 
@@ -143,14 +136,11 @@ def load_config(
     parser.add_argument("--registry", dest="registry_path", help="customer registry file")
     parser.add_argument("--objects", dest="objects_dir", help="object store directory")
     parser.add_argument("--audit-log", help="audit log file (default gateway-audit.log)")
-    # default None: an absent flag sets nothing, so env and file still count
-    parser.add_argument("--allow-insecure-group", action="store_true", default=None,
-                        help="permit the test-only DH group")
     args = parser.parse_args(argv)
     file_values = _read_config_file(args.config) if args.config else {}
 
     absent = dataclasses.MISSING
-    values, sources = {}, {}
+    values = {}
     for field in dataclasses.fields(GatewayConfig):
         key = field.name
         env_name = _ENV_PREFIX + key.upper()
@@ -169,12 +159,6 @@ def load_config(
             values[key] = _PARSERS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{key} (from {source}): {exc}") from None
-        sources[key] = source
-
-    try:
-        select_group(values["dh_group"], values["allow_insecure_group"])
-    except ValueError as exc:
-        raise ConfigError(f"dh_group (from {sources['dh_group']}): {exc}") from None
     return GatewayConfig(**values)
 
 
@@ -225,7 +209,7 @@ class Gateway:
     appender."""
 
     def __init__(self, config: GatewayConfig):
-        self.group = select_group(config.dh_group, config.allow_insecure_group)
+        self.group = select_group(config.dh_group)
         self.config = config
         self.registry = load_registry(config.registry_path)
         self.store = ObjectStore(config.objects_dir)
@@ -307,8 +291,8 @@ class Gateway:
                     break
                 for frame in server_handle_frame(state, msg_type, payload, ctx):
                     conn.sendall(frame.encode())
-        except OSError:
-            pass  # peer vanished or socket shut down during drain
+        except OSError as exc:  # peer reset, or socket shut down during drain
+            self.audit.append(session_id, f"connection lost {type(exc).__name__}")
         except Exception as exc:  # a session must never take the process down
             self.audit.append(session_id, f"internal error {type(exc).__name__}")
         finally:

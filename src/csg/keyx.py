@@ -52,21 +52,17 @@ _MODP14_HEX = (
 )
 RFC3526_GROUP14 = DhGroup(p=int(_MODP14_HEX, 16), g=2)
 
-# Tiny group for tests only; must never be offered in a real deployment.
+# Tiny group for tests only. It is in no table that a config key, variable
+# or flag reads, so a test can only reach it by passing this object.
 TEST_SMALL = DhGroup(p=23, g=5)
 
-GROUPS = {"rfc3526-14": RFC3526_GROUP14, "test-small": TEST_SMALL}
-INSECURE_GROUPS = frozenset({"test-small"})
+GROUPS = {"rfc3526-14": RFC3526_GROUP14}
 
 
-def select_group(name: str, allow_insecure: bool) -> DhGroup:
-    """The group called `name`, if a caller with this `allow_insecure`
-    may use it; raises ValueError otherwise. The one place that decides
-    which groups may be used."""
+def select_group(name: str) -> DhGroup:
+    """The group called `name`; raises ValueError for any other name."""
     if name not in GROUPS:
         raise ValueError(f"unknown group {name!r}, expected one of {sorted(GROUPS)}")
-    if name in INSECURE_GROUPS and not allow_insecure:
-        raise ValueError(f"{name!r} is test-only; pass --allow-insecure-group to use it")
     return GROUPS[name]
 
 

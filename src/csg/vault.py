@@ -241,8 +241,10 @@ def _hex_bytes(obj: dict, key: str, size: int) -> bytes:
 
 def _record_from_json(obj: dict) -> CustomerRecord:
     """Raises ValueError, KeyError or TypeError on a missing, mistyped or
-    wrongly sized field, or on a certificate issued to another customer."""
+    wrongly sized field, a customer id the store refuses, or a certificate
+    issued to another customer."""
     customer_id = _typed(obj, "customer_id", str)
+    _validate_customer_id(customer_id)
     cert = _typed(obj, "certificate", dict)
     if _typed(cert, "customer_id", str) != customer_id:
         raise ValueError(f"certificate customer_id is not {customer_id!r}")

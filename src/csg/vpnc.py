@@ -31,7 +31,6 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .client import AuthRefused, ClientError, ClientSession, CommandRefused, ProtocolFailure
-from .keyx import DhGroup, select_group
 from .protocol import ProtocolOrderError
 
 EXIT_OK = 0
@@ -77,13 +76,7 @@ class _Console:
     and `run` the one loop that splits lines.
     """
 
-    def __init__(
-        self,
-        group: DhGroup,
-        read_secret: Callable[[str, str], str],
-        out: TextIO = sys.stdout,
-    ):
-        self.group = group
+    def __init__(self, read_secret: Callable[[str, str], str], out: TextIO = sys.stdout):
         self.read_secret = read_secret
         self.out = out
         self.session: Optional[ClientSession] = None
@@ -142,7 +135,7 @@ class _Console:
             raise _UsageError(f"connect: bad port {port!r} (expected 1-65535)")
         password = self.read_secret("tunnel", "tunnel password: ")
         try:
-            self.session = ClientSession(host, int(port), group=self.group)
+            self.session = ClientSession(host, int(port))
         except OSError as exc:
             self.say(f"cannot connect to {host}:{port}: {exc}")
             return EXIT_PROTOCOL
@@ -241,8 +234,8 @@ def _prompted_lines(stdin: TextIO) -> Iterator[str]:
         yield line
 
 
-def _run_interactive(args, group: DhGroup, stdin: TextIO) -> int:
-    console = _Console(group, _prompt_secret)
+def _run_interactive(args, stdin: TextIO) -> int:
+    console = _Console(_prompt_secret)
     connect = ["connect", "--host", args.host, "--port", args.port, "--user", args.user]
     try:
         code = console.run([shlex.join(connect)], stop_on_usage=True)
@@ -253,14 +246,14 @@ def _run_interactive(args, group: DhGroup, stdin: TextIO) -> int:
         console.close()
 
 
-def _run_script(args, group: DhGroup, env: dict) -> int:
+def _run_script(args, env: dict) -> int:
     try:
         with open(args.script, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         print(f"vpnc: cannot read script: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    console = _Console(group, _env_secret(env))
+    console = _Console(_env_secret(env))
     try:
         return console.run(lines, stop_on_usage=True)
     finally:
@@ -275,28 +268,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     connect.add_argument("--host", required=True)
     connect.add_argument("--port", required=True, help="TCP port, 1-65535")
     connect.add_argument("--user", required=True, help="tunnel user name")
-    connect.add_argument("--group", default="rfc3526-14")
-    connect.add_argument("--allow-insecure-group", action="store_true")
 
     run_parser = sub.add_parser("run", help="execute a command script (for CI)")
     run_parser.add_argument("--script", required=True)
-    run_parser.add_argument("--group", default="rfc3526-14")
-    run_parser.add_argument("--allow-insecure-group", action="store_true")
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    try:
-        group = select_group(args.group, args.allow_insecure_group)
-    except ValueError as exc:
-        print(f"vpnc: DH group: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
     if args.mode == "connect":
-        return _run_interactive(args, group, sys.stdin)
-    return _run_script(args, group, dict(os.environ))
+        return _run_interactive(args, sys.stdin)
+    return _run_script(args, dict(os.environ))
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ import pytest
 
 from csg import protocol
 from csg.client import ClientSession
-from csg.gateway import Gateway, GatewayConfig
-from csg.keyx import GROUPS, TEST_SMALL
+from csg.gateway import Gateway, GatewayConfig, parse_audit_line
+from csg.keyx import TEST_SMALL, DhGroup
 from csg.vault import Certificate, CustomerRecord, Registry, make_customer_record, save_registry
 from csg.wire import Frame, MessageType, decode_frame
 
@@ -91,13 +91,14 @@ def provision_customer(
 @pytest.fixture
 def gateway_factory(tmp_path):
     """Start loopback gateways on ephemeral ports; they are shut down when
-    the test ends."""
+    the test ends. No config names the test-only `TEST_SMALL` group, so a
+    gateway is built for group 14 and handed the `group` object to use."""
     started: list[Gateway] = []
 
     def start(
         customers: list[Provisioned],
         *,
-        group: str = "test-small",
+        group: DhGroup = TEST_SMALL,
         max_sessions: int = 256,
         master_key: bytes | None = None,
     ) -> SimpleNamespace:
@@ -110,12 +111,11 @@ def gateway_factory(tmp_path):
             registry_path=str(registry_path),
             objects_dir=str(base / "objects"),
             master_key_hex=(master_key or os.urandom(16)).hex(),
-            dh_group=group,
             max_sessions=max_sessions,
             audit_log=str(base / "audit.log"),
-            allow_insecure_group=True,
         )
         gateway = Gateway(config)
+        gateway.group = group
         host, port = gateway.start()
         started.append(gateway)
         return SimpleNamespace(
@@ -134,10 +134,7 @@ def gateway_factory(tmp_path):
 
 def open_session(handle, customer: Provisioned, *, capture=None, login=True) -> ClientSession:
     """Happy-path session against a gateway started by gateway_factory."""
-    session = ClientSession(
-        handle.host, handle.port, group=GROUPS[handle.gateway.config.dh_group],
-        capture=capture,
-    )
+    session = ClientSession(handle.host, handle.port, group=handle.gateway.group, capture=capture)
     try:
         session.connect_tunnel(customer.tunnel_user, customer.tunnel_pass)
         if login:
@@ -146,6 +143,18 @@ def open_session(handle, customer: Provisioned, *, capture=None, login=True) -> 
         session.close()  # a refused handshake must not leak the socket
         raise
     return session
+
+
+def audit_events(handle, at_least: int, timeout: float = 5.0) -> list[str]:
+    """The event texts in the gateway's audit log, once it holds `at_least`
+    lines or `timeout` has passed: a session thread writes its last line
+    after the client has gone."""
+    deadline = time.monotonic() + timeout
+    while True:
+        lines = handle.audit_path.read_text().splitlines()
+        if len(lines) >= at_least or time.monotonic() > deadline:
+            return [parse_audit_line(line)[2] for line in lines]
+        time.sleep(0.02)
 
 
 class ScriptedClient:

@@ -93,7 +93,7 @@ def test_criterion_4_handshake_under_one_second(gateway_factory):
     """Full two-phase handshake over loopback with the 2048-bit group in
     < 1 s, ending in SessionActive."""
     acme = provision_customer("acme")
-    handle = gateway_factory([acme], group="rfc3526-14")
+    handle = gateway_factory([acme], group=RFC3526_GROUP14)
     started = time.perf_counter()
     session = ClientSession(handle.host, handle.port, group=RFC3526_GROUP14)
     session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)

@@ -17,7 +17,7 @@ from csg.client import ClientSession, CommandRefused, ProtocolFailure
 from csg.keyx import TEST_SMALL, dh_generate
 from csg.wire import MAX_PAYLOAD_LEN, Frame, MessageType, decode_frame
 
-from conftest import open_session, provision_customer
+from conftest import audit_events, open_session, provision_customer
 
 
 def _error_with_malformed_reason(conn, stream):
@@ -153,6 +153,43 @@ def test_overlong_tunnel_user_refused_before_the_hello(gateway_factory):
         assert capture == []
         assert session.state.phase is P.Phase.INIT
         session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)
+
+
+def test_close_sends_nothing_when_nothing_was_sent(gateway_factory):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    capture: list[bytes] = []
+    session = ClientSession(handle.host, handle.port, group=TEST_SMALL, capture=capture)
+    with pytest.raises(CommandRefused):
+        session.connect_tunnel("u" * 70000, acme.tunnel_pass)
+    session.close()
+    assert capture == []
+    # the gateway sees the connection end before any frame, not a Disconnect
+    assert audit_events(handle, 1) == ["frame error truncated"]
+
+
+def test_close_after_an_unanswered_hello_sends_disconnect():
+    listener = socket.create_server(("127.0.0.1", 0))
+    received = []
+
+    def server():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as stream:
+            received.append(decode_frame(stream)[0])  # the ClientHello, never answered
+            received.append(decode_frame(stream)[0])
+
+    thread = threading.Thread(target=server)
+    thread.start()
+    try:
+        session = ClientSession(*listener.getsockname(), group=TEST_SMALL, timeout=0.2)
+        with pytest.raises(ProtocolFailure):
+            session.connect_tunnel("user", "pass")
+        session.close()
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+    assert received == [MessageType.CLIENT_HELLO, MessageType.DISCONNECT]
 
 
 @pytest.mark.parametrize("field", ["path", "user", "password"])

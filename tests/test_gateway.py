@@ -18,13 +18,14 @@ import time
 
 import pytest
 
+from csg import keyx
 from csg.client import ClientSession, ProtocolFailure
 from csg.gateway import AuditLog, ConfigError, GatewayConfig, load_config, parse_audit_line
 from csg.keyx import TEST_SMALL
 from csg.vault import Registry, save_registry
 from csg.wire import MessageType, encode_frame
 
-from conftest import open_session, provision_customer
+from conftest import audit_events, open_session, provision_customer
 
 
 # --- configuration ----------------------------------------------------------
@@ -79,23 +80,6 @@ def test_malformed_master_key_names_the_field(tmp_path):
         load_config(["--config", str(path)], env={})
 
 
-def test_insecure_group_needs_explicit_flag(tmp_path):
-    path = write_config(tmp_path)
-    env = {"CSG_DH_GROUP": "test-small"}
-    with pytest.raises(ConfigError, match="test-small"):
-        load_config(["--config", str(path)], env=env)
-    config = load_config(
-        ["--config", str(path), "--allow-insecure-group"], env=env
-    )
-    assert config.dh_group == "test-small"
-    # the message names where the group came from, not the flag's default
-    with pytest.raises(ConfigError, match=r"dh_group \(from env CSG_DH_GROUP\)"):
-        load_config(["--config", str(path)], env=env)
-    path = write_config(tmp_path, dh_group="test-small")
-    with pytest.raises(ConfigError, match=r"dh_group \(from config file\)"):
-        load_config(["--config", str(path)], env={})
-
-
 def test_listen_addr_has_a_default(tmp_path):
     config = load_config(
         ["--registry", str(tmp_path / "r.jsonl"), "--objects", str(tmp_path)],
@@ -128,13 +112,15 @@ def test_bad_max_sessions(tmp_path):
         load_config(["--config", str(path)], env={})
 
 
-# the required keys, and test-small allowed so that dh_group may name it
+# the required keys
 PRECEDENCE_BASE = {
     "registry_path": "r.jsonl",
     "objects_dir": "objects",
     "master_key_hex": "00" * 16,
-    "allow_insecure_group": True,
 }
+
+# a second legal dh_group name, which the precedence test registers
+SECOND_GROUP = "second-group"
 
 # key, (file value, parsed), (env value, parsed), (flag argv, parsed) or None;
 # each source's value differs from the next source's and from the default
@@ -145,10 +131,9 @@ PRECEDENCE = [
     ("master_key_hex", ("11" * 16, "11" * 16), ("2A" * 16, "2A" * 16), None),
     ("listen_addr", ("127.0.0.1:1111", "127.0.0.1:1111"), ("127.0.0.1:2222", "127.0.0.1:2222"),
      (["--listen", "127.0.0.1:3333"], "127.0.0.1:3333")),
-    ("dh_group", ("test-small", "test-small"), ("rfc3526-14", "rfc3526-14"), None),
+    ("dh_group", (SECOND_GROUP, SECOND_GROUP), ("rfc3526-14", "rfc3526-14"), None),
     ("max_sessions", (7, 7), ("8", 8), None),
     ("audit_log", ("f.log", "f.log"), ("e.log", "e.log"), (["--audit-log", "g.log"], "g.log")),
-    ("allow_insecure_group", (True, True), ("off", False), (["--allow-insecure-group"], True)),
 ]
 
 
@@ -163,7 +148,8 @@ def load_key(tmp_path, key, file_values, env, argv=()):
 
 
 @pytest.mark.parametrize("key, file, env, flag", PRECEDENCE, ids=[r[0] for r in PRECEDENCE])
-def test_flag_beats_env_beats_file_beats_default(tmp_path, key, file, env, flag):
+def test_flag_beats_env_beats_file_beats_default(tmp_path, monkeypatch, key, file, env, flag):
+    monkeypatch.setitem(keyx.GROUPS, SECOND_GROUP, keyx.RFC3526_GROUP14)
     env_name = "CSG_" + key.upper()
     others = {k: v for k, v in PRECEDENCE_BASE.items() if k != key}
     default = GatewayConfig.__dataclass_fields__[key].default
@@ -193,10 +179,12 @@ def test_flag_beats_env_beats_file_beats_default(tmp_path, key, file, env, flag)
         ("listen_addr", "env", "127.0.0.1:\u00b2"),
         ("listen_addr", "flag", "127.0.0.1:\u00b2"),
         ("dh_group", "env", "rfc9999"),
+        # no config names the test-only group
+        ("dh_group", "env", "test-small"),
+        ("dh_group", "config file", "test-small"),
         ("max_sessions", "config file", 2.9),
         ("max_sessions", "config file", True),
         ("max_sessions", "env", "2.9"),
-        ("allow_insecure_group", "env", "maybe"),
     ],
 )
 def test_bad_value_names_key_and_winning_source(tmp_path, key, source, bad):
@@ -420,6 +408,17 @@ def test_audit_event_sequence(gateway_factory):
     assert "disconnect customer=acme" in events
 
 
+def test_connection_reset_leaves_an_audit_line(gateway_factory):
+    handle = gateway_factory([provision_customer("acme")])
+    sock = socket.create_connection((handle.host, handle.port), timeout=5)
+    sock.sendall(b"\x00\x00")  # half a frame length
+    # linger 0: close() resets the connection instead of ending it
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+    # the class name only: an OSError's text may carry an address
+    assert audit_events(handle, 1) == ["connection lost ConnectionResetError"]
+
+
 # --- the executable ----------------------------------------------------------
 
 def test_cli_startup_and_sigterm(tmp_path):
@@ -427,11 +426,7 @@ def test_cli_startup_and_sigterm(tmp_path):
     registry_path = tmp_path / "registry.jsonl"
     save_registry(Registry([acme.record]), registry_path)
     config_path = write_config(
-        tmp_path,
-        registry_path=str(registry_path),
-        dh_group="test-small",
-        allow_insecure_group=True,
-        audit_log=str(tmp_path / "audit.log"),
+        tmp_path, registry_path=str(registry_path), audit_log=str(tmp_path / "audit.log")
     )
     proc = subprocess.Popen(
         [sys.executable, "-m", "csg.gateway", "--config", str(config_path)],
@@ -443,7 +438,7 @@ def test_cli_startup_and_sigterm(tmp_path):
         line = proc.stdout.readline()
         assert line.startswith("gateway listening on 127.0.0.1:")
         port = int(line.rsplit(":", 1)[1])
-        session = ClientSession("127.0.0.1", port, group=TEST_SMALL)
+        session = ClientSession("127.0.0.1", port)
         session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)
         session.login(acme.space_path, acme.service_user, acme.service_pass)
         session.put("via-cli", b"payload")
@@ -484,17 +479,25 @@ def test_cli_unreadable_registry_exits_nonzero(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, file_values, message",
+    "argv, file_values, env_values, message",
     [
-        (["--listen", "127.0.0.1:\u00b2"], {}, "listen_addr (from flag)"),
-        ([], {"objects_dir": None}, "objects_dir (from config file)"),
-        ([], {"max_sessions": 2.9}, "max_sessions (from config file)"),
+        (["--listen", "127.0.0.1:\u00b2"], {}, {}, "listen_addr (from flag)"),
+        ([], {"objects_dir": None}, {}, "objects_dir (from config file)"),
+        ([], {"max_sessions": 2.9}, {}, "max_sessions (from config file)"),
+        # the removed opt-in to the test-only group is refused in any form
+        ([], {}, {"CSG_DH_GROUP": "test-small", "CSG_ALLOW_INSECURE_GROUP": "1"},
+         "dh_group (from env CSG_DH_GROUP)"),
+        ([], {"allow_insecure_group": True}, {}, "allow_insecure_group (from config file)"),
     ],
-    ids=["non-ascii-port-digit", "null-path", "float-max-sessions"],
+    ids=["non-ascii-port-digit", "null-path", "float-max-sessions", "test-group-from-env",
+         "removed-insecure-group-key"],
 )
-def test_cli_config_error_exits_2_with_one_line(tmp_path, argv, file_values, message):
+def test_cli_config_error_exits_2_with_one_line(
+    tmp_path, argv, file_values, env_values, message
+):
     config_path = write_config(tmp_path, **file_values)
     env = {k: v for k, v in os.environ.items() if not k.startswith("CSG_")}
+    env.update(env_values)
     proc = subprocess.run(
         [sys.executable, "-m", "csg.gateway", "--config", str(config_path), *argv],
         capture_output=True,

@@ -209,11 +209,10 @@ def test_objects_survive_gateway_restart(gateway_factory, tmp_path):
         registry_path=str(registry_path),
         objects_dir=str(first.objects_dir),
         master_key_hex=first.master_key.hex(),
-        dh_group="test-small",
         audit_log=str(tmp_path / "restart-audit.log"),
-        allow_insecure_group=True,
     )
     second = Gateway(config)
+    second.group = TEST_SMALL
     host, port = second.start()
     try:
         session = ClientSession(host, port, group=TEST_SMALL)

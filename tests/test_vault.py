@@ -143,6 +143,28 @@ def test_certificate_of_another_customer_is_a_parse_error(tmp_path):
         load_registry(path)
 
 
+@pytest.mark.parametrize(
+    "customer_id, message",
+    [
+        ("a/b", "invalid customer id"),
+        ("..", "invalid customer id"),
+        ("", "invalid customer id"),
+        ("x" * 201, "customer id too long"),
+    ],
+    ids=["slash", "dot-dot", "empty", "201-bytes"],
+)
+def test_customer_id_the_store_refuses_is_a_parse_error(tmp_path, customer_id, message):
+    # the store would refuse this customer's first put and end the session
+    obj = vault._record_to_json(provision_customer("bravo").record)
+    obj["customer_id"] = obj["certificate"]["customer_id"] = customer_id
+    path = tmp_path / "registry.jsonl"
+    save_registry(Registry([provision_customer("acme").record]), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj) + "\n")
+    with pytest.raises(ParseError, match=f"line 2: {message}"):
+        load_registry(path)
+
+
 def test_check_credentials_success_and_failure():
     p = provision_customer("acme")
     registry = Registry([p.record])

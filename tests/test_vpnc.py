@@ -4,6 +4,7 @@ and never reach any output stream."""
 
 from __future__ import annotations
 
+import functools
 import os
 import pty
 import select
@@ -13,9 +14,17 @@ import time
 
 import pytest
 
+from csg.keyx import RFC3526_GROUP14
+
 from conftest import make_certificate, provision_customer
 
 VPNC = [sys.executable, "-m", "csg.vpnc"]
+
+
+@pytest.fixture
+def gateway_factory(gateway_factory):
+    """vpnc speaks only group 14, so every gateway in this module does too."""
+    return functools.partial(gateway_factory, group=RFC3526_GROUP14)
 
 
 def run_script(tmp_path, handle, customer, lines, *, env_extra=None, name="script"):
@@ -26,8 +35,7 @@ def run_script(tmp_path, handle, customer, lines, *, env_extra=None, name="scrip
     env["CSG_SERVICE_PASS"] = customer.service_pass
     env.update(env_extra or {})
     return subprocess.run(
-        VPNC + ["run", "--script", str(script), "--group", "test-small",
-                "--allow-insecure-group"],
+        VPNC + ["run", "--script", str(script)],
         capture_output=True,
         text=True,
         timeout=60,
@@ -245,23 +253,25 @@ def test_script_missing_password_env_is_usage_error(gateway_factory, tmp_path):
     script.write_text(connect_line(handle, acme) + "\nquit\n")
     env = {k: v for k, v in os.environ.items() if not k.startswith("CSG_")}
     result = subprocess.run(
-        VPNC + ["run", "--script", str(script), "--group", "test-small",
-                "--allow-insecure-group"],
+        VPNC + ["run", "--script", str(script)],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert result.returncode == 4
     assert "CSG_TUNNEL_PASS" in result.stderr
 
 
-def test_insecure_group_needs_flag(tmp_path):
+def test_group_flags_are_usage_errors(tmp_path):
+    # vpnc has no way to pick a DH group, so the test-only one is out of reach
     script = tmp_path / "script.txt"
     script.write_text("quit\n")
     result = subprocess.run(
-        VPNC + ["run", "--script", str(script), "--group", "test-small"],
+        VPNC + ["run", "--script", str(script), "--group", "test-small",
+                "--allow-insecure-group"],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 4
-    assert "test-only" in result.stderr
+    assert "unrecognized arguments: --group test-small --allow-insecure-group" in result.stderr
+    assert "Traceback" not in result.stderr + result.stdout
 
 
 def test_usage_error_on_bad_argv():
@@ -292,8 +302,7 @@ def test_interactive_unclosed_quote_reports_and_continues(gateway_factory):
     # without a controlling terminal getpass reads the password from stdin
     result = subprocess.run(
         VPNC + ["connect", "--host", handle.host, "--port", str(handle.port),
-                "--user", acme.tunnel_user, "--group", "test-small",
-                "--allow-insecure-group"],
+                "--user", acme.tunnel_user],
         input=f'{acme.tunnel_pass}\nput "unclosed\nquit\n',
         capture_output=True, text=True, timeout=60, start_new_session=True,
     )
@@ -318,8 +327,7 @@ def test_script_port_out_of_range_is_usage_error(tmp_path, port):
 @pytest.mark.parametrize("port", ["70000", "0"])
 def test_argv_port_out_of_range_is_usage_error(port):
     result = subprocess.run(
-        VPNC + ["connect", "--host", "127.0.0.1", "--port", port, "--user", "u",
-                "--group", "test-small", "--allow-insecure-group"],
+        VPNC + ["connect", "--host", "127.0.0.1", "--port", port, "--user", "u"],
         input="password\n",
         capture_output=True, text=True, timeout=60, start_new_session=True,
     )
@@ -385,7 +393,6 @@ def test_interactive_passwords_never_echoed(gateway_factory, tmp_path):
         sys.executable, "-m", "csg.vpnc", "connect",
         "--host", handle.host, "--port", str(handle.port),
         "--user", acme.tunnel_user,
-        "--group", "test-small", "--allow-insecure-group",
     ]
     steps = [
         (b"tunnel password:", tunnel_pw.encode() + b"\n"),
@@ -412,7 +419,6 @@ def test_interactive_wrong_password_exit_2(gateway_factory):
         sys.executable, "-m", "csg.vpnc", "connect",
         "--host", handle.host, "--port", str(handle.port),
         "--user", acme.tunnel_user,
-        "--group", "test-small", "--allow-insecure-group",
     ]
     output, exit_code = _pty_session(argv, [(b"tunnel password:", b"wrong\n")])
     assert exit_code == 2
@@ -425,8 +431,7 @@ def test_interactive_eof_at_password_prompt_exit_4():
     # pty given as stdin/stderr instead of on the terminal running the tests
     master, slave = pty.openpty()
     proc = subprocess.Popen(
-        VPNC + ["connect", "--host", "127.0.0.1", "--port", "9", "--user", "u",
-                "--group", "test-small", "--allow-insecure-group"],
+        VPNC + ["connect", "--host", "127.0.0.1", "--port", "9", "--user", "u"],
         stdin=slave, stdout=slave, stderr=slave, start_new_session=True,
     )
     os.close(slave)
