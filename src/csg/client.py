@@ -89,21 +89,24 @@ class ClientSession:
         self.close()
 
     def _exchange(self, frames: list[Frame], parse=None) -> Any:
-        """Send `frames`; when the protocol answers the last of them, read
-        that reply and return `parse(state, payload)`. The one place where
-        socket, framing and decryption failures, an Error frame and a reply
-        of the wrong type become ProtocolFailure. Callers build the frames, so an out-of-order command
-        raises ProtocolOrderError before any is sent."""
+        """Send `frames` in one write; when the protocol answers the last of
+        them, read that reply and return `parse(state, payload)`. The one
+        place where socket, framing and decryption failures, an Error frame
+        and a reply of the wrong type become ProtocolFailure. Callers build
+        the frames, so an out-of-order command raises ProtocolOrderError
+        before any is sent."""
         if self._sock is None:
             raise ProtocolFailure("session is closed")
         expected = protocol.reply_to(frames[-1].msg_type)
         try:
-            for frame in frames:
-                raw = frame.encode()
-                if self._capture is not None:
-                    self._capture.append(raw)
-                self._sock.sendall(raw)
-                self._sent = True
+            raws = [frame.encode() for frame in frames]
+            if self._capture is not None:
+                self._capture.extend(raws)
+            # one write: a frame sent after an unanswered one (Phase2Auth
+            # after the ServiceRequest) would wait in Nagle's buffer for the
+            # peer's delayed ACK
+            self._sock.sendall(b"".join(raws))
+            self._sent = True
             if expected is None:
                 return None
             msg_type, payload = decode_frame(self._stream)

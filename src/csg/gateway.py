@@ -29,6 +29,7 @@ from .wire import (
     FrameError,
     Frame,
     MessageType,
+    StreamEnded,
     TruncatedFrame,
     decode_frame,
     encode_str,
@@ -282,6 +283,9 @@ class Gateway:
             while state.phase is not Phase.CLOSED:
                 try:
                     msg_type, payload = decode_frame(stream)
+                except StreamEnded:
+                    self.audit.append(session_id, "connection closed")
+                    break
                 except TruncatedFrame:
                     self.audit.append(session_id, "frame error truncated")
                     break

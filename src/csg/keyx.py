@@ -14,6 +14,13 @@ from typing import Callable, Optional
 
 PASSWORD_HASH_ITERATIONS = 10_000
 
+# Size of a generated private exponent. RFC 3526 section 8 gives group 14 an
+# exponent of 220-320 bits, and NIST SP 800-56A Rev. 3 allows 2s = 224 bits
+# for its s = 112; the group is a safe-prime group, so a short exponent does
+# not open the van Oorschot-Wiener attacks. Each side picks its own, so peers
+# that draw full-size exponents still agree with this one.
+_PRIVATE_BITS = 256
+
 
 class EntropyError(Exception):
     """The random source failed or kept producing unusable values."""
@@ -78,23 +85,26 @@ def dh_generate(
     private: Optional[int] = None,
     randbelow: Optional[Callable[[int], int]] = None,
 ) -> DhKeyPair:
-    """Generate a keypair with private uniform in [2, p-2].
+    """Generate a keypair with private uniform in [2, min(p-2, 2^256 + 1)]:
+    a 256-bit exponent on group 14, and all of [2, p-2] on a smaller group.
 
     Privates whose public value is degenerate (1 or p-1) are resampled so
     that peers applying the degenerate-public rejection always interoperate.
-    `private` is a test hook that skips sampling (and resampling).
+    `private` is a test hook that skips sampling (and resampling); it
+    accepts all of [2, p-2], so a peer's full-size key is reproducible.
     """
     if private is not None:
         if not 2 <= private <= group.p - 2:
             raise ValueError("private key must lie in [2, p-2]")
         return DhKeyPair(private, pow(group.g, private, group.p))
     draw = randbelow if randbelow is not None else secrets.randbelow
+    bound = min(group.p - 3, 1 << _PRIVATE_BITS)
     for _ in range(128):
         try:
-            priv = 2 + draw(group.p - 3)
+            priv = 2 + draw(bound)
         except Exception as exc:
             raise EntropyError(f"random source failed: {exc}") from exc
-        if not 2 <= priv <= group.p - 2:
+        if not 2 <= priv <= bound + 1:
             raise EntropyError("random source returned an out-of-range value")
         pub = pow(group.g, priv, group.p)
         if 1 < pub < group.p - 1:

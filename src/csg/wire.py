@@ -34,6 +34,11 @@ class TruncatedFrame(FrameError):
     pass
 
 
+class StreamEnded(TruncatedFrame):
+    """The stream ended cleanly at a frame boundary, before any byte of the
+    next frame."""
+
+
 class UnknownType(FrameError):
     pass
 
@@ -92,10 +97,15 @@ def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
 def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytes]:
     """Read exactly one frame, leaving the stream at the next one.
 
-    Raises TruncatedFrame, UnknownType or FrameTooLarge; never anything
-    else, whatever the input bytes.
+    Raises TruncatedFrame (StreamEnded when no byte of the frame arrives),
+    UnknownType or FrameTooLarge; never anything else, whatever the input
+    bytes.
     """
-    (length,) = struct.unpack(">I", _read_exact(stream, 4, "frame length"))
+    head = stream.read(4)
+    if not head:
+        raise StreamEnded("stream ended while reading frame length")
+    head += _read_exact(stream, 4 - len(head), "frame length")
+    (length,) = struct.unpack(">I", head)
     if length > MAX_FRAME_LEN:
         raise FrameTooLarge(f"declared frame length {length} exceeds the cap")
     if length < 1:

@@ -5,6 +5,7 @@ session stays usable."""
 
 from __future__ import annotations
 
+import io
 import os
 import socket
 import threading
@@ -165,7 +166,7 @@ def test_close_sends_nothing_when_nothing_was_sent(gateway_factory):
     session.close()
     assert capture == []
     # the gateway sees the connection end before any frame, not a Disconnect
-    assert audit_events(handle, 1) == ["frame error truncated"]
+    assert audit_events(handle, 1) == ["connection closed"]
 
 
 def test_close_after_an_unanswered_hello_sends_disconnect():
@@ -203,3 +204,37 @@ def test_overlong_login_field_refused_before_the_phase_moves(gateway_factory, fi
         assert session.state.phase is P.Phase.TUNNEL_ESTABLISHED
         session.login(*login.values())
         assert session.list_names() == []
+
+
+class _RecordingSocket:
+    """A socket whose `sendall` calls are recorded; all else is passed on."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.writes: list[bytes] = []
+
+    def sendall(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_login_sends_its_two_frames_in_one_write(gateway_factory):
+    # the ServiceRequest has no reply, so a Phase2Auth written after it
+    # would wait in Nagle's buffer for the gateway's delayed ACK
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    capture: list[bytes] = []
+    with open_session(handle, acme, capture=capture, login=False) as session:
+        sock = session._sock = _RecordingSocket(session._sock)
+        del capture[:]
+        session.login(acme.space_path, acme.service_user, acme.service_pass)
+        assert session.state.phase is P.Phase.SESSION_ACTIVE
+        (written,) = sock.writes
+        # the capture still holds one entry per frame: both requests, then the reply
+        assert [decode_frame(io.BytesIO(raw))[0] for raw in capture] == [
+            MessageType.SERVICE_REQUEST, MessageType.PHASE2_AUTH, MessageType.PHASE2_RESULT,
+        ]
+        assert capture[0] + capture[1] == written

@@ -419,6 +419,21 @@ def test_connection_reset_leaves_an_audit_line(gateway_factory):
     assert audit_events(handle, 1) == ["connection lost ConnectionResetError"]
 
 
+@pytest.mark.parametrize(
+    "sent, event",
+    [
+        (b"", "connection closed"),  # a port probe: no byte of any frame
+        (b"\x00\x00", "frame error truncated"),  # half a frame length
+        (encode_frame(MessageType.CLIENT_HELLO, bytes(40))[:-3], "frame error truncated"),
+    ],
+)
+def test_clean_end_is_told_apart_from_a_cut_frame(gateway_factory, sent, event):
+    handle = gateway_factory([provision_customer("acme")])
+    with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+        sock.sendall(sent)
+    assert audit_events(handle, 1) == [event]
+
+
 # --- the executable ----------------------------------------------------------
 
 def test_cli_startup_and_sigterm(tmp_path):

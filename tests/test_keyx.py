@@ -104,6 +104,43 @@ def test_entropy_failure_is_typed():
         dh_generate(TEST_SMALL, randbelow=out_of_range)
 
 
+def test_group14_privates_are_256_bit():
+    # 2 + randbelow(2^256) reaches 2^256 + 1, which takes 257 bits
+    for _ in range(64):
+        assert dh_generate(RFC3526_GROUP14).private.bit_length() <= 257
+
+
+@pytest.mark.parametrize(
+    "group, bound",
+    [(RFC3526_GROUP14, 1 << 256), (TEST_SMALL, TEST_SMALL.p - 3)],
+    ids=["group14", "test-small"],
+)
+def test_draw_bound(group, bound):
+    asked = []
+
+    def recording(n):
+        asked.append(n)
+        return n - 1
+
+    pair = dh_generate(group, randbelow=recording)
+    assert asked == [bound]
+    assert pair.private == bound + 1
+    with pytest.raises(EntropyError):  # a source returning its bound is broken
+        dh_generate(group, randbelow=lambda n: n)
+
+
+def test_full_size_private_still_accepted():
+    # an older peer draws from all of [2, p-2]; its key must agree with ours
+    old = dh_generate(RFC3526_GROUP14, private=RFC3526_GROUP14.p - 2)
+    assert old.public == pow(2, RFC3526_GROUP14.p - 2, RFC3526_GROUP14.p)
+    full_size = random.Random(3).randrange(2**2047, RFC3526_GROUP14.p - 1)
+    full = dh_generate(RFC3526_GROUP14, private=full_size)
+    short = dh_generate(RFC3526_GROUP14)
+    assert dh_shared(full, short.public, RFC3526_GROUP14) == dh_shared(
+        short, full.public, RFC3526_GROUP14
+    )
+
+
 # --- shared secret ----------------------------------------------------------
 
 def test_shared_secret_examples():

@@ -18,6 +18,7 @@ from csg.wire import (
     MalformedPayload,
     MessageType,
     PayloadReader,
+    StreamEnded,
     TruncatedFrame,
     UnknownType,
     decode_frame,
@@ -72,6 +73,15 @@ def test_decode_truncations():
         decode_bytes(b"\x00\x00\x00\x05\x01\x41")  # body cut short
     with pytest.raises(TruncatedFrame):
         decode_bytes(b"\x00\x00\x00\x00")  # zero length leaves no type byte
+
+
+def test_only_an_end_before_the_frame_is_stream_ended():
+    with pytest.raises(StreamEnded):
+        decode_bytes(b"")
+    for cut in (b"\x00", b"\x00\x00\x00\x05\x01"):
+        with pytest.raises(TruncatedFrame) as info:
+            decode_bytes(cut)
+        assert type(info.value) is TruncatedFrame
 
 
 def test_decode_rejects_over_cap_before_reading_body():
