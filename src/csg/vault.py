@@ -2,11 +2,12 @@
 encrypted per-customer object store.
 
 Registry file: UTF-8, one JSON object per line, binary fields hex-encoded
-lowercase. Object file layout (version 0x02): magic "CSG1", version byte,
-16-byte IV, u64 big-endian plaintext length, CBC ciphertext. The ciphertext
-length follows from the plaintext length (PKCS#7 always adds 1 to 16 bytes)
-and must match the file size. Version 0x01 files, whose u64 holds the
-ciphertext length instead, are still read but never written.
+lowercase, each line tagged `"kdf": keyx.PASSWORD_KDF`. Object file layout
+(version 0x02): magic "CSG1", version byte, 16-byte IV, u64 big-endian
+plaintext length, CBC ciphertext. The ciphertext length follows from the
+plaintext length (PKCS#7 always adds 1 to 16 bytes) and must match the file
+size. Version 0x01 files, whose u64 holds the ciphertext length instead,
+are still read but never written.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import aes
-from .keyx import PASSWORD_HASH_ITERATIONS, hash_password
+from .keyx import PASSWORD_HASH_ITERATIONS, PASSWORD_KDF, hash_password
 
 STORAGE_RIGHT = "storage"
 
@@ -210,6 +211,7 @@ def _cert_to_json(cert: Certificate) -> dict:
 
 def _record_to_json(record: CustomerRecord) -> dict:
     return {
+        "kdf": PASSWORD_KDF,
         "customer_id": record.customer_id,
         "tunnel_user": record.tunnel_user,
         "tunnel_salt": record.tunnel_salt.hex(),
@@ -241,10 +243,16 @@ def _hex_bytes(obj: dict, key: str, size: int) -> bytes:
 
 def _record_from_json(obj: dict) -> CustomerRecord:
     """Raises ValueError, KeyError or TypeError on a missing, mistyped or
-    wrongly sized field, a customer id the store refuses, or a certificate
-    issued to another customer."""
+    wrongly sized field, a customer id the store refuses, a certificate
+    issued to another customer, or a `kdf` tag other than PASSWORD_KDF."""
     customer_id = _typed(obj, "customer_id", str)
     _validate_customer_id(customer_id)
+    if obj.get("kdf") != PASSWORD_KDF:
+        found = repr(obj["kdf"]) if "kdf" in obj else "missing"
+        raise ValueError(
+            f"kdf must be {PASSWORD_KDF!r}, not {found}: the password hashes"
+            " were made another way; re-provision this customer"
+        )
     cert = _typed(obj, "certificate", dict)
     if _typed(cert, "customer_id", str) != customer_id:
         raise ValueError(f"certificate customer_id is not {customer_id!r}")

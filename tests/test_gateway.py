@@ -493,6 +493,27 @@ def test_cli_unreadable_registry_exits_nonzero(tmp_path):
     assert "startup failed" in proc.stderr
 
 
+def test_cli_registry_without_kdf_tag_exits_1_with_one_line(tmp_path):
+    # a registry written before PBKDF2 would fail every login; refuse it
+    registry_path = tmp_path / "registry.jsonl"
+    save_registry(Registry([provision_customer("acme").record]), registry_path)
+    obj = json.loads(registry_path.read_text())
+    assert obj.pop("kdf") == keyx.PASSWORD_KDF == "pbkdf2-hmac-sha256/10000"
+    registry_path.write_text(json.dumps(obj) + "\n")
+    config_path = write_config(tmp_path, registry_path=str(registry_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "csg.gateway", "--config", str(config_path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("gateway: startup failed: line 1: kdf must be "), proc.stderr
+    assert "re-provision" in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv, file_values, env_values, message",
     [

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csg import keyx
 from csg.keyx import (
@@ -19,10 +22,11 @@ from csg.keyx import (
     hash_password,
 )
 
-# Frozen oracle values (hashlib / pow, computed before the build).
+# Frozen oracle values (hashlib / pow, computed before the build; the hash
+# also matches the `cryptography` package's PBKDF2HMAC).
 K_PHASE1_OF_ZERO_BYTE = bytes.fromhex("8d3fd2dedf6d201735b2ebf7bf84342c")
-HASH_A_ZERO_SALT_1ITER = bytes.fromhex(
-    "9c6bd5cc05acbe7cb4ab71165168ff3d8c38dfb291f80bb7d0d7f48116bf8891"
+HASH_A_ZERO_SALT_10K = bytes.fromhex(
+    "1419db54907184fac37f9e1cfb78b0e12509fb49c90ab0e7ee6bed13012d756b"
 )
 
 
@@ -106,8 +110,68 @@ def test_entropy_failure_is_typed():
 
 def test_group14_privates_are_256_bit():
     # 2 + randbelow(2^256) reaches 2^256 + 1, which takes 257 bits
+    p = RFC3526_GROUP14.p
     for _ in range(64):
-        assert dh_generate(RFC3526_GROUP14).private.bit_length() <= 257
+        pair = dh_generate(RFC3526_GROUP14)
+        assert pair.private.bit_length() <= 257
+        assert pair.public == pow(2, pair.private, p)
+
+
+# --- fixed-base table -------------------------------------------------------
+
+def test_fixed_base_table_shape():
+    # 257-bit privates take 65 four-bit digits
+    table = keyx._fixed_base_table(RFC3526_GROUP14)
+    assert len(table) == 65
+    assert all(len(row) == 16 for row in table)
+    assert len(keyx._fixed_base_table(TEST_SMALL)) == 2  # 21 has 5 bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**257 + 1))
+@example(0)
+@example(1)
+@example(2**256)
+@example(2**256 + 1)
+@example(2**256 - 1)  # every digit 0xF
+@example(2**260 - 1)  # every digit 0xF in every row of the table
+def test_fixed_base_pow_matches_pow(exponent):
+    p = RFC3526_GROUP14.p
+    assert keyx._fixed_base_pow(RFC3526_GROUP14, exponent) == pow(2, exponent, p)
+
+
+def test_fixed_base_pow_covers_the_small_group():
+    for exponent in range(TEST_SMALL.p - 1):
+        assert keyx._fixed_base_pow(TEST_SMALL, exponent) == pow(
+            TEST_SMALL.g, exponent, TEST_SMALL.p
+        )
+
+
+def test_fixed_base_pow_refuses_an_exponent_past_the_table():
+    with pytest.raises(ValueError):
+        keyx._fixed_base_pow(RFC3526_GROUP14, 2**260)
+
+
+def test_concurrent_first_draws_agree_with_pow():
+    # four threads race to build the table on a cleared cache
+    keyx._fixed_base_table.cache_clear()
+    pairs = []
+    start = threading.Barrier(4)
+
+    def draw():
+        start.wait(timeout=10)
+        for _ in range(8):
+            pairs.append(dh_generate(RFC3526_GROUP14))
+
+    threads = [threading.Thread(target=draw) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(pairs) == 32
+    p = RFC3526_GROUP14.p
+    assert all(pair.public == pow(2, pair.private, p) for pair in pairs)
 
 
 @pytest.mark.parametrize(
@@ -202,7 +266,29 @@ def test_derive_keys_rejects_empty():
 # --- password hashing -------------------------------------------------------
 
 def test_hash_password_frozen_value():
-    assert hash_password("a", bytes(16), iterations=1) == HASH_A_ZERO_SALT_1ITER
+    assert hash_password("a", bytes(16)) == HASH_A_ZERO_SALT_10K
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 1000, 10_000])
+def test_hash_password_matches_cryptography_pbkdf2(iterations):
+    # the `cryptography` package (OpenSSL) is a test-only oracle
+    pytest.importorskip("cryptography")
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
+
+    rng = random.Random(iterations)
+    passwords = ["", "hunter2", "pässwörd", "\u5bc6\u7801\U0001f511"] + [
+        "".join(chr(rng.randrange(32, 0x3000)) for _ in range(rng.randrange(1, 40)))
+        for _ in range(4)
+    ]
+    for password in passwords:
+        salt = rng.randbytes(16)
+        oracle = PBKDF2HMAC(
+            algorithm=hashes.SHA256(), length=32, salt=salt, iterations=iterations
+        )
+        assert hash_password(password, salt, iterations) == oracle.derive(
+            password.encode("utf-8")
+        )
 
 
 def test_hash_password_deterministic():

@@ -10,7 +10,7 @@ import struct
 
 import pytest
 
-from csg import aes, vault
+from csg import aes, keyx, vault
 from csg.vault import (
     AuthFailed,
     Certificate,
@@ -94,6 +94,9 @@ def test_parse_error_on_missing_field(tmp_path):
         load_registry(path)
 
 
+_MISSING = object()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -114,6 +117,10 @@ def test_parse_error_on_missing_field(tmp_path):
         ("certificate.rights", "storage"),
         ("certificate.rights", ["storage", 1]),
         ("certificate.revoked", "false"),  # bool("false") would read as revoked
+        ("kdf", _MISSING),  # a registry written before PBKDF2
+        ("kdf", None),
+        ("kdf", "pbkdf2-hmac-sha256/20000"),
+        ("kdf", "sha256-iterated/10000"),
     ],
 )
 def test_bad_registry_field_is_a_parse_error(tmp_path, field, value):
@@ -122,7 +129,10 @@ def test_bad_registry_field_is_a_parse_error(tmp_path, field, value):
     target = obj
     for parent in parents:
         target = target[parent]
-    target[key] = value
+    if value is _MISSING:
+        del target[key]
+    else:
+        target[key] = value
     path = tmp_path / "registry.jsonl"
     save_registry(Registry([provision_customer("acme").record]), path)
     with open(path, "a", encoding="utf-8") as fh:
@@ -180,6 +190,35 @@ def test_check_credentials_success_and_failure():
         registry.check_credentials("service", p.tunnel_user, p.tunnel_pass)
     with pytest.raises(ValueError):
         registry.check_credentials("other", "x", "y")
+
+
+@pytest.mark.parametrize("kind", ["tunnel", "service"])
+@pytest.mark.parametrize("case", ["unknown-user", "wrong-password", "right-password"])
+def test_check_credentials_hashes_once_whoever_asks(monkeypatch, kind, case):
+    # an unknown user costs one full hash, as a known one does, so timing
+    # does not tell them apart
+    p = provision_customer("acme")
+    registry = Registry([p.record])
+    user = p.tunnel_user if kind == "tunnel" else p.service_user
+    password = p.tunnel_pass if kind == "tunnel" else p.service_pass
+    if case == "unknown-user":
+        user = "nobody"
+    elif case == "wrong-password":
+        password += "x"
+    iterations_seen = []
+    real = vault.hash_password
+
+    def counting(password, salt, iterations=keyx.PASSWORD_HASH_ITERATIONS):
+        iterations_seen.append(iterations)
+        return real(password, salt, iterations)
+
+    monkeypatch.setattr(vault, "hash_password", counting)
+    if case == "right-password":
+        assert registry.check_credentials(kind, user, password) == "acme"
+    else:
+        with pytest.raises(AuthFailed):
+            registry.check_credentials(kind, user, password)
+    assert iterations_seen == [keyx.PASSWORD_HASH_ITERATIONS]
 
 
 def test_salts_are_independent():
