@@ -11,7 +11,9 @@
 # round over a whole chunk of blocks at once (_InverseCipher), in chunks of
 # a fixed _CHUNK_BYTES that bound its scratch memory. The tests check both
 # paths against the reference and against the `cryptography` package, which
-# is a test-only oracle: this module needs only the standard library.
+# is a test-only oracle: this module needs only the standard library. A
+# ciphertext that does not open, by its length or its padding, raises the one
+# PaddingError; only protocol._open and ObjectStore.get_object name it.
 
 from __future__ import annotations
 
@@ -22,11 +24,8 @@ NUM_ROUNDS = 10
 
 
 class PaddingError(ValueError):
-    """Padding is absent or inconsistent (corrupt or wrongly keyed data)."""
-
-
-class LengthError(ValueError):
-    """Ciphertext length is not a positive multiple of the block size."""
+    """A CBC ciphertext does not open: its length is not a positive multiple
+    of 16, or its padding is invalid (corrupt or wrongly keyed data)."""
 
 
 # --------- GF(2^8) arithmetic, reduction polynomial x^8+x^4+x^3+x+1 ---------
@@ -475,14 +474,14 @@ def cbc_decrypt(ciphertext: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
     """Invert cbc_encrypt and strip the padding.
 
     p[i] = D(c[i]) ^ c[i-1] needs no earlier plaintext, so whole chunks of
-    _CHUNK_BYTES are decrypted at once. Raises LengthError when the
-    ciphertext length is not a positive multiple of 16, PaddingError when
-    the recovered padding is invalid (tampering or a wrong key).
+    _CHUNK_BYTES are decrypted at once. Raises PaddingError when the
+    ciphertext length is not a positive multiple of 16 or the recovered
+    padding is invalid (tampering or a wrong key).
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("iv must be exactly 16 bytes")
     if not ciphertext or len(ciphertext) % BLOCK_SIZE != 0:
-        raise LengthError("ciphertext length must be a positive multiple of 16")
+        raise PaddingError("ciphertext length must be a positive multiple of 16")
     out = bytearray(len(ciphertext))
     cipher = None
     for start in range(0, len(ciphertext), _CHUNK_BYTES):

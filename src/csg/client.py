@@ -15,7 +15,6 @@ import socket
 from typing import Any, Optional
 
 from . import protocol
-from .aes import LengthError, PaddingError
 from .keyx import DhGroup, InvalidPublicKey, RFC3526_GROUP14, dh_generate
 from .vault import InvalidName, validate_object_name
 from .wire import (
@@ -118,7 +117,7 @@ class ClientSession:
             if msg_type is not expected:
                 raise ProtocolFailure(f"expected {expected.name}, got {msg_type.name}")
             return parse(self.state, payload)
-        except (FrameError, PaddingError, LengthError, InvalidPublicKey, OSError) as exc:
+        except (FrameError, InvalidPublicKey, OSError) as exc:
             raise ProtocolFailure(str(exc)) from exc
 
     def connect_tunnel(self, tunnel_user: str, tunnel_pass: str) -> None:

@@ -165,7 +165,7 @@ def load_config(
 
 class AuditLog:
     """Append-only security event log: one line per event, formatted as
-    `<utc-timestamp> <session-id> <event> [customer=<id>]`.
+    `<utc-timestamp> <session-id> <event> [customer=<id>]`, CR/LF escaped.
 
     Never receives passwords, keys, nonces, or object plaintext; callers
     only hand it event labels. Write failures are counted, never raised.
@@ -179,10 +179,10 @@ class AuditLog:
 
     def append(self, session_id: int, event: str, customer_id: Optional[str] = None) -> None:
         stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        event = event.replace("\n", "\\n").replace("\r", "\\r")
         line = f"{stamp} {session_id} {event}"
         if customer_id is not None:
             line += f" customer={customer_id}"
+        line = line.replace("\n", "\\n").replace("\r", "\\r")
         try:
             with self._lock:
                 self._fh.write(line + "\n")

@@ -20,12 +20,13 @@ handshake: a ciphertext captured in one session never verifies in another.
 client request, its legal phase, the sub-key sealing it and its reply, the
 reply type, the next phase and the server handler. `_seal`/`_open` are the
 only code that encrypts or decrypts a payload, and they refuse a type
-outside its row's phase. `auth` and `handle_auth_result` serve both
-credential steps, picked by phase from the auth rows. The server side has
-one entry point, `server_handle_frame`, which serves a request only in its
-row's phase; every other (phase, type) pair, and every handler failure,
-becomes an Error frame that closes the session. A check or timer that must
-see every frame before any handler runs belongs in that function.
+outside its row's phase; `_open` makes a payload that does not decrypt a
+MalformedPayload. `auth` and `handle_auth_result` serve both credential
+steps, picked by phase from the auth rows. The server side has one entry
+point, `server_handle_frame`, which serves a request only in its row's
+phase; every other (phase, type) pair, and every handler failure, becomes
+an Error frame that closes the session. A check or timer that must see
+every frame before any handler runs belongs in that function.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class SessionState:
     customer_id: Optional[str] = None
     # client side: own ephemeral keypair until the hello completes
     dh_keypair: Optional[DhKeyPair] = None
-    # client: path it asked for; server: path the client asked for
+    # server side: the path the client asked for, checked in phase 2
     space_path: Optional[str] = None
 
     def close(self) -> None:
@@ -158,11 +159,15 @@ def _seal(state: SessionState, msg_type: MessageType, inner: bytes) -> Frame:
 
 
 def _open(state: SessionState, msg_type: MessageType, payload: bytes) -> PayloadReader:
-    """Decrypt a payload sealed by `_seal` for `msg_type`."""
+    """Decrypt a payload sealed by `_seal` for `msg_type`, or raise MalformedPayload."""
     _step(state, msg_type)
     if len(payload) < 32:
         raise MalformedPayload("encrypted payload shorter than IV plus one block")
-    return PayloadReader(aes.cbc_decrypt(payload[16:], state.schedules[msg_type], payload[:16]))
+    try:
+        inner = aes.cbc_decrypt(payload[16:], state.schedules[msg_type], payload[:16])
+    except aes.PaddingError as exc:
+        raise MalformedPayload(f"payload does not decrypt: {exc}") from None
+    return PayloadReader(inner)
 
 
 def _noop_audit(event: str, customer_id: Optional[str] = None) -> None:
@@ -235,7 +240,6 @@ def handle_auth_result(state: SessionState, payload: bytes) -> tuple[bool, str]:
 def service_request(state: SessionState, url_path: str) -> Frame:
     """Name the provisioned space path."""
     frame = _seal(state, MessageType.SERVICE_REQUEST, encode_str(url_path))
-    state.space_path = url_path
     state.phase = _STEPS[MessageType.SERVICE_REQUEST].next_phase
     return frame
 
@@ -340,13 +344,7 @@ def _open_credentials(
     return user, password
 
 
-_CREDENTIAL_FAILURES = (
-    aes.PaddingError,
-    aes.LengthError,
-    MalformedPayload,
-    ReplayDetected,
-    AuthFailed,
-)
+_CREDENTIAL_FAILURES = (MalformedPayload, ReplayDetected, AuthFailed)
 
 
 def _answer_auth(
@@ -543,7 +541,7 @@ def server_handle_frame(
             reason = "version mismatch"
         except InvalidPublicKey:
             reason = "invalid public key"
-        except (MalformedPayload, aes.PaddingError, aes.LengthError):
+        except MalformedPayload:
             reason = "malformed payload"
         except OSError:
             # LIST_RESULT has no status byte, so a failing store ends the session

@@ -369,7 +369,8 @@ class ObjectStore:
     count at their ciphertext length.
 
     Writes go through a temp file + atomic rename, which commits content and
-    size together, and are serialized by one coarse store-wide lock.
+    size together, and are serialized by one coarse store-wide lock. A failed
+    write or rename removes its temp file and counts nothing to the quota.
     """
 
     def __init__(self, root: str | Path):
@@ -432,8 +433,6 @@ class ObjectStore:
             sizes = self._sizes.setdefault(customer_id, {})
             used = sum(sizes.values()) - sizes.get(name, 0)
             if used + len(plaintext) > quota_bytes:
-                if not sizes:
-                    del self._sizes[customer_id]
                 raise QuotaExceeded(
                     f"storing {len(plaintext)} bytes would exceed the "
                     f"{quota_bytes}-byte quota"
@@ -442,10 +441,13 @@ class ObjectStore:
             directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=directory)
             try:
-                os.write(fd, blob)
-            finally:
-                os.close(fd)
-            os.replace(tmp, directory / name)
+                # a file object writes every byte or raises, and closes fd
+                with open(fd, "wb") as fh:
+                    fh.write(blob)
+                os.replace(tmp, directory / name)
+            except BaseException:
+                Path(tmp).unlink(missing_ok=True)
+                raise
             sizes[name] = len(plaintext)
 
     def get_object(self, customer_id: str, name: str, master_key: bytes) -> bytes:
@@ -462,7 +464,7 @@ class ObjectStore:
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
         try:
             plaintext = aes.cbc_decrypt(blob[OBJECT_HEADER_LEN:], schedule, iv)
-        except (aes.LengthError, aes.PaddingError) as exc:
+        except aes.PaddingError as exc:
             raise CorruptObject(f"decryption failed: {exc}") from None
         if exact and len(plaintext) != size:
             raise CorruptObject("plaintext length does not match the header")

@@ -291,9 +291,9 @@ def test_cbc_round_trip_random_lengths():
 
 
 def test_cbc_decrypt_rejects_bad_lengths():
-    with pytest.raises(aes.LengthError):
+    with pytest.raises(aes.PaddingError):
         aes.cbc_decrypt(b"x" * 15, aes.key_expansion(b"k" * 16), b"i" * 16)
-    with pytest.raises(aes.LengthError):
+    with pytest.raises(aes.PaddingError):
         aes.cbc_decrypt(b"", aes.key_expansion(b"k" * 16), b"i" * 16)
 
 

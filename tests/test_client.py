@@ -16,7 +16,7 @@ from csg import aes
 from csg import protocol as P
 from csg.client import ClientSession, CommandRefused, ProtocolFailure
 from csg.keyx import TEST_SMALL, dh_generate
-from csg.wire import MAX_PAYLOAD_LEN, Frame, MessageType, decode_frame
+from csg.wire import MAX_PAYLOAD_LEN, Frame, MessageType, decode_frame, encode_str
 
 from conftest import audit_events, open_session, provision_customer
 
@@ -24,6 +24,11 @@ from conftest import audit_events, open_session, provision_customer
 def _error_with_malformed_reason(conn, stream):
     decode_frame(stream)
     conn.sendall(Frame(MessageType.ERROR, b"\x00").encode())
+
+
+def _error_with_readable_reason(conn, stream):
+    decode_frame(stream)
+    conn.sendall(Frame(MessageType.ERROR, encode_str("version mismatch")).encode())
 
 
 def _wrong_message_type(conn, stream):
@@ -56,6 +61,7 @@ def _garbage_phase1_result(conn, stream):
         _wrong_message_type,
         _truncated_frame,
         _garbage_phase1_result,
+        _error_with_readable_reason,
     ],
 )
 def test_connect_tunnel_failures_raise_protocol_failure(serve):
@@ -70,12 +76,14 @@ def test_connect_tunnel_failures_raise_protocol_failure(serve):
     thread.start()
     try:
         with ClientSession(*listener.getsockname(), group=TEST_SMALL) as session:
-            with pytest.raises(ProtocolFailure):
+            with pytest.raises(ProtocolFailure) as failure:
                 session.connect_tunnel("user", "pass")
     finally:
         thread.join(timeout=10)
         listener.close()
     assert not thread.is_alive()
+    if serve is _error_with_readable_reason:
+        assert str(failure.value) == "server error: version mismatch"
 
 
 def test_oversized_put_refused_before_encryption(gateway_factory, monkeypatch):

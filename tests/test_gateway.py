@@ -217,6 +217,18 @@ def test_audit_lines_parse_back(tmp_path):
     assert "\n" not in parse_audit_line(lines[2])[2]
 
 
+def test_audit_customer_field_cannot_forge_a_line(tmp_path):
+    log = AuditLog(tmp_path / "audit.log")
+    log.append(3, "phase2 ok cert=valid", "acme\n2026-01-01T00:00:00Z 7 forged")
+    log.close()
+    lines = (tmp_path / "audit.log").read_text().splitlines()
+    assert len(lines) == 1
+    _, session, event = parse_audit_line(lines[0])
+    assert (session, event) == (
+        3, "phase2 ok cert=valid customer=acme\\n2026-01-01T00:00:00Z 7 forged"
+    )
+
+
 def test_audit_failures_counted_not_raised(tmp_path):
     log = AuditLog(tmp_path / "audit.log")
     log.close()

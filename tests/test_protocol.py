@@ -382,6 +382,21 @@ def test_put_statuses(tmp_path):
     assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_QUOTA_EXCEEDED
 
 
+def test_put_storage_failure_is_a_status_not_an_error_frame(ctx, wire, acme, tmp_path):
+    events: list[str] = []
+    ctx.audit = lambda event, _customer_id: events.append(event)
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme)[0]
+    (tmp_path / "objects" / "acme").write_bytes(b"")  # where the customer's directory goes
+    reply = wire.send(P.build_put(wire.client, "a", b"x"))
+    assert [f.msg_type for f in reply] == [MessageType.PUT_RESULT]
+    assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_ERROR
+    assert events[-1] == "put name='a' bytes=1 status=0"
+    assert wire.server.phase is P.Phase.SESSION_ACTIVE
+    reply = wire.send(P.build_list(wire.client))
+    assert P.parse_list_result(wire.client, reply[0].payload) == []
+
+
 def test_list_storage_failure_sends_error_frame(tmp_path, acme):
     events: list[str] = []
     ctx = P.ServerContext(
@@ -530,7 +545,7 @@ def test_client_order_enforcement_full_grid(monkeypatch):
             if phase in legal:
                 try:
                     op(state)
-                except (P.aes.PaddingError, MalformedPayload):
+                except MalformedPayload:
                     pass  # random ciphertext; the phase check passed
                 continue
             cipher_calls.clear()
@@ -564,6 +579,17 @@ def test_dispatch_error_reason_and_audit(ctx, phase, msg_type, payload, reason):
     assert PayloadReader(frames[0].payload).string() == reason
     assert events == [f"error {reason}"]
     assert state.phase is P.Phase.CLOSED
+
+
+def test_open_reports_a_payload_that_does_not_decrypt_as_malformed():
+    state = _state_in(P.Phase.SESSION_ACTIVE, derive_keys(os.urandom(32)), os.urandom(16))
+    block = os.urandom(16)
+    # an IV equal to the block's decryption makes the plaintext all zeros,
+    # and a padding byte of 0x00 is never valid
+    iv = P.aes.decrypt_block(block, state.schedules[MessageType.PUT])
+    for payload in (iv + block, iv + block + b"x"):  # bad padding, bad length
+        with pytest.raises(MalformedPayload, match="^payload does not decrypt: "):
+            P._open(state, MessageType.PUT, payload)
 
 
 def test_malformed_encrypted_payload_closes_session(wire, acme):

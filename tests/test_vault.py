@@ -6,9 +6,18 @@ import json
 import os
 import random
 import shutil
+import signal
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from csg import aes, keyx, vault
 from csg.vault import (
@@ -389,6 +398,8 @@ def test_list_after_store_root_deleted(store, tmp_path):
     shutil.rmtree(tmp_path / "objects")
     with pytest.raises(OSError):
         store.list_objects("acme")
+    with pytest.raises(OSError):
+        store.list_objects("bravo")  # never stored anything
 
 
 def test_customer_isolation(store):
@@ -471,6 +482,59 @@ def test_failed_write_cannot_exceed_quota_after_restart(tmp_path, monkeypatch):
     with pytest.raises(QuotaExceeded):
         second.put_object("acme", "b", bytes(750), MASTER, 1000)
     assert (root / "acme.index.json").read_text() == json.dumps({"a": 100})
+
+
+# Run in a child so the file-size limit binds only there: with SIGXFSZ
+# ignored, a write past the limit is cut short, then fails with EFBIG.
+_PUT_PAST_FILE_SIZE_LIMIT = """
+import json, os, resource, signal, sys
+sys.path.insert(0, sys.argv[1])
+from csg.vault import ObjectStore
+store = ObjectStore(sys.argv[2])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+try:
+    store.put_object("acme", "big", os.urandom(10_000), bytes(16), 1 << 20)
+    raised = None
+except OSError as exc:
+    raised = type(exc).__name__
+print(json.dumps({"raised": raised, "used": store.used_bytes("acme"),
+                  "listed": store.list_objects("acme")}))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGXFSZ") or not hasattr(resource, "RLIMIT_FSIZE"),
+    reason="needs RLIMIT_FSIZE and SIGXFSZ",
+)
+def test_put_cut_short_by_file_size_limit_fails_and_leaves_nothing(tmp_path):
+    root = tmp_path / "objects"
+    src = Path(vault.__file__).parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", _PUT_PAST_FILE_SIZE_LIMIT, str(src), str(root)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    outcome = json.loads(child.stdout)
+    assert outcome["raised"] is not None
+    assert outcome["used"] == 0 and outcome["listed"] == []
+    assert list((root / "acme").iterdir()) == []  # no object, no .tmp-*
+
+
+def test_failed_rename_leaves_no_temp_file(store, tmp_path, monkeypatch):
+    store.put_object("acme", "kept", b"old", MASTER, QUOTA)
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(vault.os, "replace", refuse)
+    with pytest.raises(OSError):
+        store.put_object("acme", "kept", b"new content", MASTER, QUOTA)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path / "objects" / "acme") == ["kept"]
+    assert store.get_object("acme", "kept", MASTER) == b"old"
+    assert store.used_bytes("acme") == 3
 
 
 def test_v1_object_still_readable(tmp_path):
