@@ -1,23 +1,27 @@
-# AES-128 from scratch: key expansion, single-block encrypt/decrypt, and
-# CBC mode with PKCS#7 padding for variable-length messages.
+# AES-128 from scratch: key expansion, single-block encrypt/decrypt, CBC mode
+# with PKCS#7 padding for variable-length messages, and CTR mode.
 #
 # Fixed parameters: 16-byte blocks, 16-byte keys, 10 rounds. The S-boxes and
 # GF(2^8) multiplication tables are generated at import time from the field
 # definition and cross-checked against each other.
 #
-# encrypt_block/decrypt_block are the FIPS-197 reference. CBC encryption is
-# block-serial through encrypt_block, because each block chains on the
-# previous ciphertext. CBC decryption has no such chain, so it runs each
-# round over a whole chunk of blocks at once (_InverseCipher), in chunks of
-# a fixed _CHUNK_BYTES that bound its scratch memory. The tests check both
+# encrypt_block/decrypt_block are the FIPS-197 reference. CBC encryption, on
+# the tunnel, is block-serial through encrypt_block, because each block
+# chains on the previous ciphertext. CBC decryption and CTR mode (the object
+# store's cipher) have no such chain, so they run each round over a whole
+# chunk of blocks at once (_InverseCipher, _ForwardCipher), in chunks of a
+# fixed _CHUNK_BYTES that bound their scratch memory. The tests check these
 # paths against the reference and against the `cryptography` package, which
-# is a test-only oracle: this module needs only the standard library. A
+# is a test-only oracle: this module needs only the standard library. A CBC
 # ciphertext that does not open, by its length or its padding, raises the one
-# PaddingError; only protocol._open and ObjectStore.get_object name it.
+# PaddingError; only protocol._open and ObjectStore.get_object name it. CTR
+# has no failure of its own: the object store authenticates before it
+# decrypts.
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 BLOCK_SIZE = 16
 NUM_ROUNDS = 10
@@ -116,6 +120,17 @@ class KeySchedule:
             len(rk) != BLOCK_SIZE for rk in self.round_keys
         ):
             raise ValueError("schedule must hold 11 round keys of 16 bytes")
+
+    @cached_property
+    def inverse_round_keys(self) -> tuple[bytes, ...]:
+        """Round keys 9 down to 1, each through InvMixColumns: the keys of
+        the equivalent inverse cipher (FIPS-197 5.3.5). Computed on first
+        use and kept with the schedule, so every decryption under one
+        schedule shares them."""
+        return tuple(
+            _inv_mix_columns(rk, _BLOCK_MASKS).to_bytes(BLOCK_SIZE, "little")
+            for rk in self.round_keys[NUM_ROUNDS - 1 : 0 : -1]
+        )
 
 
 def key_expansion(key: bytes) -> KeySchedule:
@@ -355,11 +370,17 @@ def unpad(data: bytes) -> bytes:
     return data[:-n]
 
 
-# --------- whole-buffer decryption ---------
+# --------- whole-buffer encryption and decryption ---------
 #
-# decrypt_block's rounds, run over every block of a buffer at once. The
-# buffer is read as one little-endian integer, so the 4 bytes of a column
-# form a 32-bit lane with row j in bits 8j..8j+7:
+# encrypt_block's and decrypt_block's rounds, run over every block of a
+# buffer at once. The buffer is read as one little-endian integer, so the 4
+# bytes of a column form a 32-bit lane with row j in bits 8j..8j+7:
+#   SubBytes        one bytes.translate with _SBOX;
+#   ShiftRows       16 strided slice copies (byte i of each block takes
+#                   byte _SHIFT_ROWS[i] of the same block);
+#   MixColumns      row j gets 2*a[j] ^ 3*a[j+1] ^ a[j+2] ^ a[j+3]: the
+#                   _MUL2 and _MUL3 translates, with the 3 and 1 terms
+#                   rotated inside each lane by shifts and lane masks;
 #   InvSubBytes     one bytes.translate with _INV_SBOX;
 #   InvShiftRows    16 strided slice copies (byte i of each block takes
 #                   byte _INV_SHIFT_ROWS[i] of the same block);
@@ -371,7 +392,8 @@ def unpad(data: bytes) -> bytes:
 # goes through InvMixColumns too (FIPS-197 5.3.5, the equivalent inverse
 # cipher); a round then converts bytes to integers once per table.
 
-_CHUNK_BYTES = 16 * 1024  # bounds the scratch buffers of one decrypt call
+_CHUNK_BYTES = 16 * 1024  # bounds the scratch buffers of one CBC or CTR call
+_SHIFT_ROWS = (0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
 _INV_SHIFT_ROWS = (0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
 
 
@@ -396,6 +418,19 @@ def _lane_masks(size: int) -> tuple[int, ...]:
 _BLOCK_MASKS = _lane_masks(BLOCK_SIZE)
 
 
+def _mix_columns(state: bytes, masks: tuple[int, ...]) -> int:
+    """MixColumns of every column of state, as a little-endian integer."""
+    down1, wrap1, down2, wrap2, down3, wrap3 = masks
+    x1 = int.from_bytes(state, "little")
+    x3 = int.from_bytes(state.translate(_MUL3), "little")
+    return (
+        int.from_bytes(state.translate(_MUL2), "little")
+        ^ ((x3 >> 8) & down1) ^ ((x3 << 24) & wrap1)
+        ^ ((x1 >> 16) & down2) ^ ((x1 << 16) & wrap2)
+        ^ ((x1 >> 24) & down3) ^ ((x1 << 8) & wrap3)
+    )
+
+
 def _inv_mix_columns(state: bytes, masks: tuple[int, ...]) -> int:
     """InvMixColumns of every column of state, as a little-endian integer."""
     down1, wrap1, down2, wrap2, down3, wrap3 = masks
@@ -410,6 +445,43 @@ def _inv_mix_columns(state: bytes, masks: tuple[int, ...]) -> int:
     )
 
 
+class _ForwardCipher:
+    """encrypt_block applied to every block of a size-byte buffer at once.
+
+    Holds the round keys and lane masks widened to size bytes, so one
+    instance serves every chunk of that size.
+    """
+
+    def __init__(self, schedule: KeySchedule, size: int) -> None:
+        rks = schedule.round_keys
+        self.size = size
+        self._masks = _lane_masks(size)
+        self._first_key = _widen(rks[0], size)
+        self._round_keys = tuple(_widen(rk, size) for rk in rks[1:NUM_ROUNDS])
+        self._last_key = _widen(rks[NUM_ROUNDS], size)
+
+    def __call__(self, blocks: bytes, text: bytes) -> bytes:
+        """Encrypt size bytes of whole blocks and XOR the result with text,
+        which may be shorter than size."""
+        size = self.size
+        masks = self._masks
+        state = (int.from_bytes(blocks, "little") ^ self._first_key).to_bytes(size, "little")
+        shifted = bytearray(size)
+        for rk in self._round_keys:
+            for i, j in enumerate(_SHIFT_ROWS):
+                shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
+            mixed = _mix_columns(shifted.translate(_SBOX), masks)
+            state = (mixed ^ rk).to_bytes(size, "little")
+        for i, j in enumerate(_SHIFT_ROWS):
+            shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
+        out = (
+            int.from_bytes(shifted.translate(_SBOX), "little")
+            ^ self._last_key
+            ^ int.from_bytes(text, "little")
+        )
+        return out.to_bytes(size, "little")
+
+
 class _InverseCipher:
     """decrypt_block applied to every block of a size-byte buffer at once.
 
@@ -422,10 +494,7 @@ class _InverseCipher:
         self.size = size
         self._masks = _lane_masks(size)
         self._first_key = _widen(rks[NUM_ROUNDS], size)
-        self._round_keys = tuple(
-            _widen(_inv_mix_columns(rk, _BLOCK_MASKS).to_bytes(BLOCK_SIZE, "little"), size)
-            for rk in rks[NUM_ROUNDS - 1 : 0 : -1]
-        )
+        self._round_keys = tuple(_widen(rk, size) for rk in schedule.inverse_round_keys)
         self._last_key = _widen(rks[0], size)
 
     def __call__(self, blocks: bytes, chain: bytes) -> bytes:
@@ -496,3 +565,50 @@ def cbc_decrypt(ciphertext: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
         out[start:end] = cipher(ciphertext[start:end], chain)
     # a view, so stripping the padding copies the plaintext only once
     return unpad(memoryview(out)).tobytes()
+
+
+# --------- CTR mode ---------
+#
+# The counter blocks of a chunk are built as one big-endian integer, block k
+# holding first + k: first times a 1 in every block, plus a ramp 0, 1, 2, ...
+# Both are kept for a whole chunk; a shorter chunk takes their top blocks by
+# a right shift.
+
+_CHUNK_BLOCKS = _CHUNK_BYTES // BLOCK_SIZE
+_COUNTER_MOD = 1 << 128
+_ONES = int.from_bytes((1).to_bytes(BLOCK_SIZE, "big") * _CHUNK_BLOCKS, "big")
+_RAMP = int.from_bytes(
+    b"".join(k.to_bytes(BLOCK_SIZE, "big") for k in range(_CHUNK_BLOCKS)), "big"
+)
+
+
+def ctr_crypt(data: bytes, schedule: KeySchedule, counter: bytes) -> bytes:
+    """XOR data with the key stream E(counter), E(counter + 1), ... (NIST SP
+    800-38A 6.5), so the same call encrypts and decrypts.
+
+    The counter is the whole 16-byte block, a big-endian integer incremented
+    mod 2^128. It must never repeat under one key: the caller draws 16 fresh
+    random bytes per message. No padding: the output is as long as data.
+    Whole chunks of _CHUNK_BYTES are encrypted at once.
+    """
+    if len(counter) != BLOCK_SIZE:
+        raise ValueError("counter must be exactly 16 bytes")
+    start = int.from_bytes(counter, "big")
+    out = bytearray(len(data) + -len(data) % BLOCK_SIZE)
+    cipher = None
+    for pos in range(0, len(data), _CHUNK_BYTES):
+        size = min(_CHUNK_BYTES, len(out) - pos)
+        blocks = size // BLOCK_SIZE
+        # only the last chunk can differ in size from the ones before it
+        if cipher is None or cipher.size != size:
+            cipher = _ForwardCipher(schedule, size)
+        first = (start + pos // BLOCK_SIZE) % _COUNTER_MOD
+        drop = 128 * (_CHUNK_BLOCKS - blocks)
+        counters = first * (_ONES >> drop) + (_RAMP >> drop)
+        wrapped = first + blocks - _COUNTER_MOD
+        if wrapped > 0:
+            # the last `wrapped` blocks passed 2^128: take 2^128 off each
+            counters -= (_ONES >> (128 * (_CHUNK_BLOCKS - wrapped))) << 128
+        out[pos : pos + size] = cipher(counters.to_bytes(size, "big"), data[pos : pos + size])
+    # a view, so dropping the key stream past the data copies it only once
+    return memoryview(out)[: len(data)].tobytes()

@@ -2,12 +2,17 @@
 encrypted per-customer object store.
 
 Registry file: UTF-8, one JSON object per line, binary fields hex-encoded
-lowercase, each line tagged `"kdf": keyx.PASSWORD_KDF`. Object file layout
-(version 0x02): magic "CSG1", version byte, 16-byte IV, u64 big-endian
-plaintext length, CBC ciphertext. The ciphertext length follows from the
-plaintext length (PKCS#7 always adds 1 to 16 bytes) and must match the file
-size. Version 0x01 files, whose u64 holds the ciphertext length instead,
-are still read but never written.
+lowercase, each line tagged `"kdf": keyx.PASSWORD_KDF`.
+
+Object file layout (version 0x03): magic "CSG1", version byte, 16-byte
+random initial counter, u64 big-endian plaintext length, the AES-128-CTR
+ciphertext (as long as the plaintext), then a 32-byte HMAC-SHA256 tag. The
+tag covers the customer id, the object name, the header and the ciphertext
+(encrypt-then-MAC), so a file that was altered, renamed, or moved to another
+customer does not verify; it is checked before anything is decrypted. The
+file size must be 29 + length + 32. Version 0x02 (CBC, u64 plaintext
+length, no tag) and version 0x01 (CBC, u64 ciphertext length) files are
+still read but never written.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ from .keyx import PASSWORD_HASH_ITERATIONS, PASSWORD_KDF, hash_password
 STORAGE_RIGHT = "storage"
 
 OBJECT_MAGIC = b"CSG1"
-OBJECT_VERSION = 0x02
-OBJECT_VERSION_V1 = 0x01  # read-only; its u64 is the ciphertext length
-OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + iv(16) + length(8)
+OBJECT_VERSION = 0x03
+OBJECT_VERSION_V2 = 0x02  # read-only: CBC, its u64 is the plaintext length
+OBJECT_VERSION_V1 = 0x01  # read-only: CBC, its u64 is the ciphertext length
+OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + counter or iv(16) + length(8)
+OBJECT_TAG_LEN = 32  # HMAC-SHA256, after the ciphertext of a version 0x03 file
 
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
 
@@ -65,8 +72,11 @@ class NoSuchObject(Exception):
 
 
 class CorruptObject(Exception):
-    """Bad magic or version, a length that disagrees with the file or the
-    decrypted plaintext, or a padding failure on decrypt."""
+    """Bad magic or version, or a length that disagrees with the file size.
+    For a version 0x03 file, a tag that does not verify: the file was
+    altered, or holds another object or another customer's object. For an
+    older file, a padding failure on decrypt or a plaintext length that
+    disagrees with the header."""
 
 
 class CertVerdict(enum.Enum):
@@ -309,6 +319,30 @@ def storage_key(master_key: bytes, customer_id: str) -> bytes:
     ).digest()[:16]
 
 
+def storage_mac_key(master_key: bytes, customer_id: str) -> bytes:
+    """Per-customer key of the object tag: SHA-256(master_key || customer_id
+    || "storage-mac"). Its label ends in another byte than storage_key's, so
+    the two hash inputs never coincide."""
+    return hashlib.sha256(
+        master_key + customer_id.encode("utf-8") + b"storage-mac"
+    ).digest()
+
+
+def _object_tag(
+    master_key: bytes, customer_id: str, name: str, header: bytes, ciphertext: bytes
+) -> bytes:
+    """HMAC-SHA256 under storage_mac_key over the customer id and the object
+    name, each UTF-8 with a u16 length prefix, then the fixed-length header
+    and the ciphertext, whose length the header gives."""
+    mac = hmac.new(storage_mac_key(master_key, customer_id), digestmod=hashlib.sha256)
+    for field in (customer_id, name):
+        raw = field.encode("utf-8")
+        mac.update(struct.pack(">H", len(raw)) + raw)
+    mac.update(header)
+    mac.update(ciphertext)
+    return mac.digest()
+
+
 def validate_object_name(name: str) -> None:
     """Raise InvalidName for a name the store refuses; the client checks a
     put name with it before encrypting the object."""
@@ -322,13 +356,12 @@ def validate_object_name(name: str) -> None:
         raise InvalidName(f"object name prefix {_TMP_PREFIX!r} is reserved")
 
 
-def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int, bool]:
+def _parse_header(header: bytes, file_size: int) -> tuple[int, bytes, int]:
     """Check an object header against the size of its file.
 
-    Returns (iv, size, exact). For version 0x02 the size is the exact
-    plaintext length, which the decrypted object must match. For version
-    0x01 it is the ciphertext length, a conservative estimate, and exact is
-    False. Raises CorruptObject.
+    Returns (version, counter or iv, size). For versions 0x03 and 0x02 the
+    size is the exact plaintext length; for version 0x01 it is the
+    ciphertext length, a conservative estimate. Raises CorruptObject.
     """
     if len(header) < OBJECT_HEADER_LEN:
         raise CorruptObject("object file shorter than its header")
@@ -337,16 +370,18 @@ def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int, bool]:
     version = header[4]
     (size,) = struct.unpack(">Q", header[21:29])
     if version == OBJECT_VERSION:
-        ct_len = aes.padded_len(size)
+        body_len = size + OBJECT_TAG_LEN
+    elif version == OBJECT_VERSION_V2:
+        body_len = aes.padded_len(size)
     elif version == OBJECT_VERSION_V1:
         if size == 0 or size % aes.BLOCK_SIZE != 0:
             raise CorruptObject("v1 ciphertext length is not a positive multiple of 16")
-        ct_len = size
+        body_len = size
     else:
         raise CorruptObject(f"unsupported object version 0x{version:02x}")
-    if file_size != OBJECT_HEADER_LEN + ct_len:
+    if file_size != OBJECT_HEADER_LEN + body_len:
         raise CorruptObject("ciphertext length does not match the header")
-    return header[5:21], size, version == OBJECT_VERSION
+    return version, header[5:21], size
 
 
 def _validate_customer_id(customer_id: str) -> None:
@@ -361,12 +396,14 @@ def _validate_customer_id(customer_id: str) -> None:
 class ObjectStore:
     """Encrypted blob store under root/<customer_id>/<name>.
 
-    Every blob is independently CBC-encrypted under the customer's derived
-    storage key with a fresh IV. Each file's header carries the exact
+    Every blob is independently CTR-encrypted under the customer's derived
+    storage key from a fresh random counter, and tagged with HMAC-SHA256
+    under a second derived key. Each file's header carries the exact
     plaintext length, so the object file is the only record of its size:
     there is no index beside it, and quota totals are rebuilt from the
-    headers at startup. Version 0x01 files are read but never written; they
-    count at their ciphertext length.
+    headers at startup, which checks no tag. Version 0x02 and 0x01 files are
+    read but never written; a version 0x01 file counts at its ciphertext
+    length.
 
     Writes go through a temp file + atomic rename, which commits content and
     size together, and are serialized by one coarse store-wide lock. A failed
@@ -378,6 +415,7 @@ class ObjectStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._sizes: dict[str, dict[str, int]] = {}
+        self._used: dict[str, int] = {}  # per customer, the sum of its sizes
         self._scan()
 
     # --- startup scan ---
@@ -399,11 +437,12 @@ class ObjectStore:
                     with open(f, "rb") as fh:
                         header = fh.read(OBJECT_HEADER_LEN)
                         file_size = os.fstat(fh.fileno()).st_size
-                    sizes[f.name] = _parse_header(header, file_size)[1]
+                    sizes[f.name] = _parse_header(header, file_size)[2]
                 except (OSError, CorruptObject):
                     continue
             if sizes:
                 self._sizes[entry.name] = sizes
+                self._used[entry.name] = sum(sizes.values())
 
     # --- operations ---
 
@@ -420,18 +459,15 @@ class ObjectStore:
         _validate_customer_id(customer_id)
         validate_object_name(name)
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
-        iv = os.urandom(16)
-        ciphertext = aes.cbc_encrypt(plaintext, schedule, iv)
-        blob = (
-            OBJECT_MAGIC
-            + bytes([OBJECT_VERSION])
-            + iv
-            + struct.pack(">Q", len(plaintext))
-            + ciphertext
+        counter = os.urandom(aes.BLOCK_SIZE)
+        header = (
+            OBJECT_MAGIC + bytes([OBJECT_VERSION]) + counter + struct.pack(">Q", len(plaintext))
         )
+        ciphertext = aes.ctr_crypt(plaintext, schedule, counter)
+        tag = _object_tag(master_key, customer_id, name, header, ciphertext)
         with self._lock:
             sizes = self._sizes.setdefault(customer_id, {})
-            used = sum(sizes.values()) - sizes.get(name, 0)
+            used = self._used.get(customer_id, 0) - sizes.get(name, 0)
             if used + len(plaintext) > quota_bytes:
                 raise QuotaExceeded(
                     f"storing {len(plaintext)} bytes would exceed the "
@@ -443,16 +479,20 @@ class ObjectStore:
             try:
                 # a file object writes every byte or raises, and closes fd
                 with open(fd, "wb") as fh:
-                    fh.write(blob)
+                    fh.write(header)
+                    fh.write(ciphertext)
+                    fh.write(tag)
                 os.replace(tmp, directory / name)
             except BaseException:
                 Path(tmp).unlink(missing_ok=True)
                 raise
             sizes[name] = len(plaintext)
+            self._used[customer_id] = used + len(plaintext)
 
     def get_object(self, customer_id: str, name: str, master_key: bytes) -> bytes:
         """Read, verify and decrypt one object; byte-exact inverse of
-        put_object."""
+        put_object. A version 0x03 object's tag is checked before it is
+        decrypted."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
         path = self._dir(customer_id) / name
@@ -460,13 +500,20 @@ class ObjectStore:
             blob = path.read_bytes()
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
-        iv, size, exact = _parse_header(blob[:OBJECT_HEADER_LEN], len(blob))
+        header = blob[:OBJECT_HEADER_LEN]
+        version, iv, size = _parse_header(header, len(blob))
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
+        if version == OBJECT_VERSION:
+            ciphertext = memoryview(blob)[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
+            tag = _object_tag(master_key, customer_id, name, header, ciphertext)
+            if not hmac.compare_digest(tag, blob[-OBJECT_TAG_LEN:]):
+                raise CorruptObject("object tag does not verify")
+            return aes.ctr_crypt(ciphertext, schedule, iv)
         try:
             plaintext = aes.cbc_decrypt(blob[OBJECT_HEADER_LEN:], schedule, iv)
         except aes.PaddingError as exc:
             raise CorruptObject(f"decryption failed: {exc}") from None
-        if exact and len(plaintext) != size:
+        if version == OBJECT_VERSION_V2 and len(plaintext) != size:
             raise CorruptObject("plaintext length does not match the header")
         return plaintext
 
@@ -485,4 +532,4 @@ class ObjectStore:
 
     def used_bytes(self, customer_id: str) -> int:
         with self._lock:
-            return sum(self._sizes.get(customer_id, {}).values())
+            return self._used.get(customer_id, 0)

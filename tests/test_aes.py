@@ -1,6 +1,7 @@
 """AES core tests: fixture known-answer vectors, the key-schedule word
 recurrence checked against an independently written oracle, inverse
-properties, padding, and CBC behaviour."""
+properties, padding, CBC behaviour, and the whole-buffer ciphers against
+the single-block reference."""
 
 from __future__ import annotations
 
@@ -323,6 +324,79 @@ def test_inverse_cipher_matches_decrypt_block():
         cipher = aes._InverseCipher(schedule, len(data))
         assert cipher(data, bytes(len(data))) == reference
         assert cipher(data, chain) == bytes(a ^ b for a, b in zip(reference, chain))
+
+
+def _inv_mix_column_scalar(column: bytes) -> bytes:
+    a = column
+    return bytes(
+        aes._MUL14[a[j]] ^ aes._MUL11[a[(j + 1) % 4]]
+        ^ aes._MUL13[a[(j + 2) % 4]] ^ aes._MUL9[a[(j + 3) % 4]]
+        for j in range(4)
+    )
+
+
+def test_inverse_round_keys_are_cached_and_correct():
+    rng = random.Random(37)
+    for _ in range(20):
+        schedule = aes.key_expansion(rng.randbytes(16))
+        fresh = tuple(
+            b"".join(_inv_mix_column_scalar(rk[c : c + 4]) for c in (0, 4, 8, 12))
+            for rk in schedule.round_keys[9:0:-1]
+        )
+        assert schedule.inverse_round_keys == fresh
+        assert schedule.inverse_round_keys is schedule.inverse_round_keys
+
+
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    blocks=st.integers(1, 40).flatmap(lambda n: st.binary(min_size=16 * n, max_size=16 * n)),
+    data=st.data(),
+)
+def test_forward_cipher_matches_encrypt_block(key, blocks, data):
+    # the whole-buffer rounds against the FIPS-197 single-block reference
+    schedule = aes.key_expansion(key)
+    text = data.draw(st.binary(max_size=len(blocks)))
+    reference = b"".join(
+        aes.encrypt_block(blocks[i : i + 16], schedule) for i in range(0, len(blocks), 16)
+    )
+    cipher = aes._ForwardCipher(schedule, len(blocks))
+    assert cipher(blocks, b"") == reference
+    assert cipher(blocks, text) == bytes(
+        a ^ b for a, b in zip(reference, text.ljust(len(blocks), b"\x00"))
+    )
+
+
+def test_ctr_round_trip_and_lengths():
+    rng = random.Random(41)
+    for length in (0, 1, 15, 16, 17, 1000, aes._CHUNK_BYTES + 5):
+        schedule, counter = aes.key_expansion(rng.randbytes(16)), rng.randbytes(16)
+        data = rng.randbytes(length)
+        ciphertext = aes.ctr_crypt(data, schedule, counter)
+        assert len(ciphertext) == length
+        assert aes.ctr_crypt(ciphertext, schedule, counter) == data
+        assert aes.ctr_crypt(memoryview(ciphertext), schedule, counter) == data
+
+
+def test_ctr_rejects_bad_counter_lengths():
+    schedule = aes.key_expansion(bytes(16))
+    for n in (0, 15, 17):
+        with pytest.raises(ValueError):
+            aes.ctr_crypt(b"data", schedule, bytes(n))
+
+
+def test_ctr_peak_memory_is_bounded():
+    # the output and its copy, plus chunk-sized scratch whatever the length:
+    # 17 widened round keys and lane masks, and a few state buffers
+    rng = random.Random(43)
+    schedule, counter = aes.key_expansion(rng.randbytes(16)), rng.randbytes(16)
+    data = rng.randbytes(1 << 20)
+    tracemalloc.start()
+    try:
+        aes.ctr_crypt(data, schedule, counter)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(data) + 24 * aes._CHUNK_BYTES
 
 
 def test_cbc_decrypt_peak_memory_is_bounded():

@@ -1,4 +1,4 @@
-"""CBC encryption and decryption checked against an independent AES: the
+"""CBC and CTR modes checked against an independent AES: the
 `cryptography` package (OpenSSL). It is a test-only oracle; the tests skip
 where it is not installed, and csg itself needs only the standard library."""
 
@@ -59,3 +59,27 @@ def test_bad_padding_raises_padding_error(length, tail):
     ciphertext = oracle_encrypt(rng.randbytes(length - len(tail)) + tail, key, iv, pad=False)
     with pytest.raises(aes.PaddingError):
         aes.cbc_decrypt(ciphertext, aes.key_expansion(key), iv)
+
+
+# around the chunk boundary, and one length past several chunks
+CTR_LENGTHS = [0, 1, 15, 16, 17, CHUNK - 1, CHUNK, CHUNK + 1, 100_003]
+# the all-0xFF counter wraps after its first block; the others wrap inside
+# the first and the second chunk of a 100,003-byte message
+WRAPPING_COUNTERS = [b"\xff" * 16, ((1 << 128) - 5).to_bytes(16, "big"),
+                     ((1 << 128) - 1030).to_bytes(16, "big")]
+
+
+def oracle_ctr(data: bytes, key: bytes, counter: bytes) -> bytes:
+    encryptor = Cipher(algorithms.AES(key), modes.CTR(counter)).encryptor()
+    return encryptor.update(data) + encryptor.finalize()
+
+
+@pytest.mark.parametrize("length", CTR_LENGTHS)
+@pytest.mark.parametrize(
+    "counter", [None] + WRAPPING_COUNTERS, ids=["random", "all-ff", "wrap-5", "wrap-1030"]
+)
+def test_ctr_matches_oracle(length, counter):
+    rng = random.Random(length)
+    key, data = rng.randbytes(16), rng.randbytes(length)
+    counter = rng.randbytes(16) if counter is None else counter
+    assert aes.ctr_crypt(data, aes.key_expansion(key), counter) == oracle_ctr(data, key, counter)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
 import os
 import random
@@ -36,6 +38,7 @@ from csg.vault import (
     load_registry,
     save_registry,
     storage_key,
+    storage_mac_key,
 )
 
 from conftest import make_certificate, provision_customer
@@ -306,10 +309,28 @@ def test_on_disk_layout(store, tmp_path):
     path = tmp_path / "objects" / "acme" / "blob"
     blob = path.read_bytes()
     assert blob[:4] == b"CSG1"
-    assert blob[4] == 0x02
+    assert blob[4] == 0x03
+    counter = blob[5:21]
     (length,) = struct.unpack(">Q", blob[21:29])
     assert length == len(data)
-    assert len(blob) == 29 + (len(data) // 16 + 1) * 16
+    assert len(blob) == 29 + len(data) + 32
+    ciphertext = blob[29:-32]
+    schedule = aes.key_expansion(storage_key(MASTER, "acme"))
+    assert ciphertext == aes.ctr_crypt(data, schedule, counter)
+    expected_tag = hmac.new(
+        storage_mac_key(MASTER, "acme"),
+        b"\x00\x04acme" + b"\x00\x04blob" + blob[:29] + ciphertext,
+        hashlib.sha256,
+    ).digest()
+    assert blob[-32:] == expected_tag
+
+
+def test_storage_mac_key_is_its_own_key():
+    mac_key = storage_mac_key(MASTER, "acme")
+    assert len(mac_key) == 32
+    assert mac_key == hashlib.sha256(MASTER + b"acme" + b"storage-mac").digest()
+    assert mac_key[:16] != storage_key(MASTER, "acme")
+    assert mac_key != storage_mac_key(MASTER, "bravo")
 
 
 def test_plaintext_absent_from_disk(store, tmp_path):
@@ -366,6 +387,46 @@ def test_bad_magic_is_corrupt(store, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptObject):
         store.get_object("acme", "blob", MASTER)
+
+
+def test_every_flipped_byte_is_corrupt(store, tmp_path):
+    # header, ciphertext and tag: the tag covers all of it, and the scan's
+    # size check catches a flip in the length field before any tag is read
+    data = random.Random(8).randbytes(100)
+    store.put_object("acme", "blob", data, MASTER, QUOTA)
+    path = tmp_path / "objects" / "acme" / "blob"
+    good = path.read_bytes()
+    assert len(good) == 29 + 100 + 32
+    for index in range(len(good)):
+        blob = bytearray(good)
+        blob[index] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptObject):
+            store.get_object("acme", "blob", MASTER)
+    path.write_bytes(good)
+    assert store.get_object("acme", "blob", MASTER) == data
+
+
+def test_swapped_object_files_are_corrupt(store, tmp_path):
+    # same customer, same key, same size: only the name in the tag differs
+    store.put_object("acme", "a", b"A" * 64, MASTER, QUOTA)
+    store.put_object("acme", "b", b"B" * 64, MASTER, QUOTA)
+    directory = tmp_path / "objects" / "acme"
+    blob_a, blob_b = (directory / "a").read_bytes(), (directory / "b").read_bytes()
+    (directory / "a").write_bytes(blob_b)
+    (directory / "b").write_bytes(blob_a)
+    for name in ("a", "b"):
+        with pytest.raises(CorruptObject):
+            store.get_object("acme", name, MASTER)
+
+
+def test_object_copied_to_another_customer_is_corrupt(store, tmp_path):
+    store.put_object("acme", "blob", b"acme data", MASTER, QUOTA)
+    store.put_object("bravo", "blob", b"bravo's own", MASTER, QUOTA)
+    root = tmp_path / "objects"
+    shutil.copyfile(root / "acme" / "blob", root / "bravo" / "blob")
+    with pytest.raises(CorruptObject):
+        store.get_object("bravo", "blob", MASTER)
 
 
 def test_flipped_ciphertext_never_crashes_or_matches(store, tmp_path):
@@ -537,26 +598,57 @@ def test_failed_rename_leaves_no_temp_file(store, tmp_path, monkeypatch):
     assert store.used_bytes("acme") == 3
 
 
-def test_v1_object_still_readable(tmp_path):
-    root = tmp_path / "objects"
-    (root / "acme").mkdir(parents=True)
-    data = os.urandom(100)
+def _write_cbc_object(path: Path, version: int, data: bytes) -> None:
+    """An acme object file as versions 0x01 and 0x02 wrote it: CBC, no tag;
+    the u64 holds the ciphertext length in 0x01 and the plaintext length in
+    0x02."""
     iv = os.urandom(16)
     ciphertext = aes.cbc_encrypt(data, aes.key_expansion(storage_key(MASTER, "acme")), iv)
-    (root / "acme" / "old").write_bytes(
-        b"CSG1" + bytes([0x01]) + iv + struct.pack(">Q", len(ciphertext)) + ciphertext
-    )
+    length = len(ciphertext) if version == 0x01 else len(data)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"CSG1" + bytes([version]) + iv + struct.pack(">Q", length) + ciphertext)
+
+
+def test_v1_object_still_readable(tmp_path):
+    root = tmp_path / "objects"
+    data = os.urandom(100)
+    _write_cbc_object(root / "acme" / "old", 0x01, data)
     store = ObjectStore(root)
     assert store.list_objects("acme") == ["old"]
     assert store.get_object("acme", "old", MASTER) == data
-    assert store.used_bytes("acme") == len(ciphertext) == 112
+    assert store.used_bytes("acme") == 112  # the ciphertext length
 
 
-@pytest.mark.parametrize("new_length, listed", [(101, True), (200, False)])
-def test_altered_length_field_is_corrupt(tmp_path, new_length, listed):
+@pytest.mark.parametrize("size", [0, 15, 16, 100])
+def test_v2_object_still_readable(tmp_path, size):
+    root = tmp_path / "objects"
+    data = os.urandom(size)
+    _write_cbc_object(root / "acme" / "old", 0x02, data)
+    store = ObjectStore(root)
+    assert store.list_objects("acme") == ["old"]
+    assert store.get_object("acme", "old", MASTER) == data
+    assert store.used_bytes("acme") == size
+    store.put_object("acme", "old", data, MASTER, QUOTA)  # rewritten as v3
+    assert (root / "acme" / "old").read_bytes()[4] == 0x03
+    assert store.get_object("acme", "old", MASTER) == data
+
+
+@pytest.mark.parametrize(
+    "version, new_length, listed",
+    [
+        pytest.param(0x02, 101, True, id="101-True"),
+        pytest.param(0x02, 200, False, id="200-False"),
+        pytest.param(0x03, 99, False, id="v3-99-False"),
+        pytest.param(0x03, 101, False, id="v3-101-False"),
+    ],
+)
+def test_altered_length_field_is_corrupt(tmp_path, version, new_length, listed):
     root = tmp_path / "objects"
     store = ObjectStore(root)
-    store.put_object("acme", "blob", bytes(100), MASTER, QUOTA)
+    if version == 0x02:
+        _write_cbc_object(root / "acme" / "blob", 0x02, bytes(100))
+    else:
+        store.put_object("acme", "blob", bytes(100), MASTER, QUOTA)
     store.put_object("acme", "other", b"x", MASTER, QUOTA)
     path = root / "acme" / "blob"
     blob = bytearray(path.read_bytes())
@@ -565,10 +657,45 @@ def test_altered_length_field_is_corrupt(tmp_path, new_length, listed):
     with pytest.raises(CorruptObject):
         store.get_object("acme", "blob", MASTER)
     # the scan reads headers only, so it can skip the file only when the
-    # length no longer matches the file size
+    # length no longer matches the file size; a v2 file pads, a v3 file
+    # does not
     rescanned = ObjectStore(root)
     expected = ["blob", "other"] if listed else ["other"]
     assert rescanned.list_objects("acme") == expected
+    assert rescanned.used_bytes("acme") == (new_length if listed else 0) + 1
+
+
+def _listed_bytes(store: ObjectStore, customer_id: str) -> int:
+    return sum(
+        len(store.get_object(customer_id, name, MASTER))
+        for name in store.list_objects(customer_id)
+    )
+
+
+def test_used_bytes_is_the_sum_of_listed_sizes(tmp_path, monkeypatch):
+    root = tmp_path / "objects"
+    store = ObjectStore(root)
+    store.put_object("acme", "a", bytes(300), MASTER, 1000)
+    store.put_object("acme", "b", bytes(200), MASTER, 1000)
+    store.put_object("bravo", "a", bytes(7), MASTER, 1000)
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 500
+    store.put_object("acme", "a", bytes(100), MASTER, 1000)  # overwrite
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300
+    with pytest.raises(QuotaExceeded):
+        store.put_object("acme", "c", bytes(701), MASTER, 1000)
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(vault.os, "replace", refuse)
+    with pytest.raises(OSError):
+        store.put_object("acme", "b", bytes(600), MASTER, 1000)
+    monkeypatch.undo()
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300
+    restarted = ObjectStore(root)
+    assert restarted.used_bytes("acme") == _listed_bytes(restarted, "acme") == 300
+    assert restarted.used_bytes("bravo") == _listed_bytes(restarted, "bravo") == 7
 
 
 def test_store_root_holds_only_customer_directories(tmp_path):
