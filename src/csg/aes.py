@@ -5,18 +5,17 @@
 # GF(2^8) multiplication tables are generated at import time from the field
 # definition and cross-checked against each other.
 #
-# encrypt_block/decrypt_block are the FIPS-197 reference. CBC encryption, on
-# the tunnel, is block-serial through encrypt_block, because each block
-# chains on the previous ciphertext. CBC decryption and CTR mode (the object
-# store's cipher) have no such chain, so they run each round over a whole
-# chunk of blocks at once (_InverseCipher, _ForwardCipher), in chunks of a
-# fixed _CHUNK_BYTES that bound their scratch memory. The tests check these
+# encrypt_block/decrypt_block are the FIPS-197 reference. CBC is the tunnel's
+# cipher; its encryption is block-serial through encrypt_block, because each
+# block chains on the previous ciphertext. CBC decryption and CTR mode (the
+# object store's cipher) have no such chain, so they run each round over a
+# whole chunk of blocks at once (_InverseCipher, _ForwardCipher), in chunks of
+# a fixed _CHUNK_BYTES that bound their scratch memory. The tests check these
 # paths against the reference and against the `cryptography` package, which
 # is a test-only oracle: this module needs only the standard library. A CBC
 # ciphertext that does not open, by its length or its padding, raises the one
-# PaddingError; only protocol._open and ObjectStore.get_object name it. CTR
-# has no failure of its own: the object store authenticates before it
-# decrypts.
+# PaddingError; only protocol._open names it. CTR has no failure of its own:
+# the object store authenticates before it decrypts.
 
 from __future__ import annotations
 

@@ -258,14 +258,20 @@ class Gateway:
                     )
                     self._sessions[session_id] = (thread, conn)
             if full:
-                # at capacity: immediate reject, no queueing
-                self.audit.append(session_id, "refused at capacity")
+                event = "refused at capacity"  # immediate reject, no queueing
+            else:
                 try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue
-            thread.start()
+                    thread.start()
+                    continue
+                except RuntimeError:  # the process cannot start another thread
+                    with self._sessions_lock:
+                        self._sessions.pop(session_id, None)
+                    event = "refused thread start"
+            self.audit.append(session_id, event)
+            try:
+                conn.close()
+            except OSError:
+                pass
 
     def _run_session(self, session_id: int, conn: socket.socket) -> None:
         state = SessionState()

@@ -10,9 +10,9 @@ ciphertext (as long as the plaintext), then a 32-byte HMAC-SHA256 tag. The
 tag covers the customer id, the object name, the header and the ciphertext
 (encrypt-then-MAC), so a file that was altered, renamed, or moved to another
 customer does not verify; it is checked before anything is decrypted. The
-file size must be 29 + length + 32. Version 0x02 (CBC, u64 plaintext
-length, no tag) and version 0x01 (CBC, u64 ciphertext length) files are
-still read but never written.
+file size must be 29 + length + 32. No other version is read: a file of
+version 0x02 or 0x01 (CBC, no tag), or of any other version, is a
+CorruptObject, and the startup scan skips it.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ STORAGE_RIGHT = "storage"
 
 OBJECT_MAGIC = b"CSG1"
 OBJECT_VERSION = 0x03
-OBJECT_VERSION_V2 = 0x02  # read-only: CBC, its u64 is the plaintext length
-OBJECT_VERSION_V1 = 0x01  # read-only: CBC, its u64 is the ciphertext length
-OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + counter or iv(16) + length(8)
-OBJECT_TAG_LEN = 32  # HMAC-SHA256, after the ciphertext of a version 0x03 file
+OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + counter(16) + length(8)
+OBJECT_TAG_LEN = 32  # HMAC-SHA256, after the ciphertext
 
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
 
@@ -72,11 +70,9 @@ class NoSuchObject(Exception):
 
 
 class CorruptObject(Exception):
-    """Bad magic or version, or a length that disagrees with the file size.
-    For a version 0x03 file, a tag that does not verify: the file was
-    altered, or holds another object or another customer's object. For an
-    older file, a padding failure on decrypt or a plaintext length that
-    disagrees with the header."""
+    """Bad magic, a version other than 0x03, a length that disagrees with
+    the file size, or a tag that does not verify: the file was altered, or
+    holds another object or another customer's object."""
 
 
 class CertVerdict(enum.Enum):
@@ -356,32 +352,22 @@ def validate_object_name(name: str) -> None:
         raise InvalidName(f"object name prefix {_TMP_PREFIX!r} is reserved")
 
 
-def _parse_header(header: bytes, file_size: int) -> tuple[int, bytes, int]:
+def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int]:
     """Check an object header against the size of its file.
 
-    Returns (version, counter or iv, size). For versions 0x03 and 0x02 the
-    size is the exact plaintext length; for version 0x01 it is the
-    ciphertext length, a conservative estimate. Raises CorruptObject.
+    Returns (counter, plaintext length). Raises CorruptObject.
     """
     if len(header) < OBJECT_HEADER_LEN:
         raise CorruptObject("object file shorter than its header")
     if header[:4] != OBJECT_MAGIC:
         raise CorruptObject("bad magic")
     version = header[4]
-    (size,) = struct.unpack(">Q", header[21:29])
-    if version == OBJECT_VERSION:
-        body_len = size + OBJECT_TAG_LEN
-    elif version == OBJECT_VERSION_V2:
-        body_len = aes.padded_len(size)
-    elif version == OBJECT_VERSION_V1:
-        if size == 0 or size % aes.BLOCK_SIZE != 0:
-            raise CorruptObject("v1 ciphertext length is not a positive multiple of 16")
-        body_len = size
-    else:
+    if version != OBJECT_VERSION:
         raise CorruptObject(f"unsupported object version 0x{version:02x}")
-    if file_size != OBJECT_HEADER_LEN + body_len:
+    (size,) = struct.unpack(">Q", header[21:29])
+    if file_size != OBJECT_HEADER_LEN + size + OBJECT_TAG_LEN:
         raise CorruptObject("ciphertext length does not match the header")
-    return version, header[5:21], size
+    return header[5:21], size
 
 
 def _validate_customer_id(customer_id: str) -> None:
@@ -401,9 +387,9 @@ class ObjectStore:
     under a second derived key. Each file's header carries the exact
     plaintext length, so the object file is the only record of its size:
     there is no index beside it, and quota totals are rebuilt from the
-    headers at startup, which checks no tag. Version 0x02 and 0x01 files are
-    read but never written; a version 0x01 file counts at its ciphertext
-    length.
+    headers at startup, which checks no tag. Only version 0x03 is read: a
+    file of any other version is a CorruptObject, and the scan skips it, so
+    it is neither listed nor counted.
 
     Writes go through a temp file + atomic rename, which commits content and
     size together, and are serialized by one coarse store-wide lock. A failed
@@ -437,7 +423,7 @@ class ObjectStore:
                     with open(f, "rb") as fh:
                         header = fh.read(OBJECT_HEADER_LEN)
                         file_size = os.fstat(fh.fileno()).st_size
-                    sizes[f.name] = _parse_header(header, file_size)[2]
+                    sizes[f.name] = _parse_header(header, file_size)[1]
                 except (OSError, CorruptObject):
                     continue
             if sizes:
@@ -491,8 +477,7 @@ class ObjectStore:
 
     def get_object(self, customer_id: str, name: str, master_key: bytes) -> bytes:
         """Read, verify and decrypt one object; byte-exact inverse of
-        put_object. A version 0x03 object's tag is checked before it is
-        decrypted."""
+        put_object. The tag is checked before anything is decrypted."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
         path = self._dir(customer_id) / name
@@ -501,21 +486,13 @@ class ObjectStore:
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
         header = blob[:OBJECT_HEADER_LEN]
-        version, iv, size = _parse_header(header, len(blob))
+        counter, _size = _parse_header(header, len(blob))
+        ciphertext = memoryview(blob)[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
+        tag = _object_tag(master_key, customer_id, name, header, ciphertext)
+        if not hmac.compare_digest(tag, blob[-OBJECT_TAG_LEN:]):
+            raise CorruptObject("object tag does not verify")
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
-        if version == OBJECT_VERSION:
-            ciphertext = memoryview(blob)[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
-            tag = _object_tag(master_key, customer_id, name, header, ciphertext)
-            if not hmac.compare_digest(tag, blob[-OBJECT_TAG_LEN:]):
-                raise CorruptObject("object tag does not verify")
-            return aes.ctr_crypt(ciphertext, schedule, iv)
-        try:
-            plaintext = aes.cbc_decrypt(blob[OBJECT_HEADER_LEN:], schedule, iv)
-        except aes.PaddingError as exc:
-            raise CorruptObject(f"decryption failed: {exc}") from None
-        if version == OBJECT_VERSION_V2 and len(plaintext) != size:
-            raise CorruptObject("plaintext length does not match the header")
-        return plaintext
+        return aes.ctr_crypt(ciphertext, schedule, counter)
 
     def list_objects(self, customer_id: str) -> list[str]:
         """Object names in lexicographic byte order; empty for a customer

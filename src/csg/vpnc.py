@@ -250,7 +250,7 @@ def _run_script(args, env: dict) -> int:
     try:
         with open(args.script, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"vpnc: cannot read script: {exc}", file=sys.stderr)
         return EXIT_USAGE
     console = _Console(_env_secret(env))

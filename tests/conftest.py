@@ -1,10 +1,12 @@
 """Shared fixtures: customer provisioning, a loopback gateway factory, a
-scripted low-level client, and the acceptance pass/fail summary."""
+scripted low-level client, pre-v3 object files, and the acceptance pass/fail
+summary."""
 
 from __future__ import annotations
 
 import os
 import socket
+import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,11 +14,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from csg import protocol
+from csg import aes, protocol
 from csg.client import ClientSession
 from csg.gateway import Gateway, GatewayConfig, parse_audit_line
 from csg.keyx import TEST_SMALL, DhGroup
-from csg.vault import Certificate, CustomerRecord, Registry, make_customer_record, save_registry
+from csg.vault import (
+    Certificate,
+    CustomerRecord,
+    Registry,
+    make_customer_record,
+    save_registry,
+    storage_key,
+)
 from csg.wire import Frame, MessageType, decode_frame
 
 VECTORS_DIR = Path(__file__).parent / "vectors"
@@ -86,6 +95,20 @@ def provision_customer(
         service_pass=service_pass,
         space_path=space_path,
     )
+
+
+def write_cbc_object(
+    path: Path, version: int, data: bytes, master_key: bytes, customer_id: str
+) -> None:
+    """An object file as versions 0x01 and 0x02 wrote it, which the store no
+    longer reads: CBC under the customer's storage key, no tag; the u64 holds
+    the ciphertext length in 0x01 and the plaintext length in 0x02."""
+    iv = os.urandom(16)
+    schedule = aes.key_expansion(storage_key(master_key, customer_id))
+    ciphertext = aes.cbc_encrypt(data, schedule, iv)
+    length = len(ciphertext) if version == 0x01 else len(data)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"CSG1" + bytes([version]) + iv + struct.pack(">Q", length) + ciphertext)
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ def test_cbc_matches_oracle(length):
 
 
 @pytest.mark.parametrize("length", [16, CHUNK, CHUNK + 16, 3 * CHUNK + 48])
-def test_truncated_ciphertext_raises_length_error(length):
+def test_truncated_ciphertext_raises_padding_error(length):
     rng = random.Random(length)
     key, iv = rng.randbytes(16), rng.randbytes(16)
     ciphertext = oracle_encrypt(rng.randbytes(length - 1), key, iv)

@@ -309,6 +309,35 @@ def test_session_cap_immediate_reject(gateway_factory):
     third.close()
 
 
+def test_failed_session_thread_start_is_refused_and_audited(gateway_factory, monkeypatch):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    start = threading.Thread.start
+    failed: list[str] = []
+
+    def start_or_fail_once(thread):
+        if thread.name.startswith("gateway-session-") and not failed:
+            failed.append(thread.name)
+            raise RuntimeError("can't start new thread")
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_fail_once)
+    with socket.create_connection((handle.host, handle.port), timeout=5) as refused:
+        refused.settimeout(5)
+        assert refused.recv(1) == b""  # closed without any frame
+    assert failed == ["gateway-session-1"]
+    assert 1 not in handle.gateway._sessions  # the slot is free again
+    # the accept loop goes on: the next client is served and audited
+    session = open_session(handle, acme)
+    session.put("after", b"refusal")
+    assert session.get("after") == b"refusal"
+    session.close()
+    events = audit_events(handle, 7)
+    assert events[0] == "refused thread start"
+    assert events[1:3] == ["hello", "phase1 ok customer=acme"]
+    assert events[-1] == "disconnect customer=acme"
+
+
 def test_chaos_50_fuzz_clients_do_not_disturb_5_honest_clients(gateway_factory):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])

@@ -15,7 +15,7 @@ from csg.keyx import TEST_SMALL, derive_keys, dh_generate
 from csg.vault import ObjectStore, Registry
 from csg.wire import Frame, MalformedPayload, MessageType, PayloadReader, encode_mpint
 
-from conftest import make_certificate, provision_customer
+from conftest import make_certificate, provision_customer, write_cbc_object
 
 
 @pytest.fixture
@@ -395,6 +395,38 @@ def test_put_storage_failure_is_a_status_not_an_error_frame(ctx, wire, acme, tmp
     assert wire.server.phase is P.Phase.SESSION_ACTIVE
     reply = wire.send(P.build_list(wire.client))
     assert P.parse_list_result(wire.client, reply[0].payload) == []
+
+
+@pytest.mark.parametrize("damage", ["planted-v2", "flipped-v3"])
+def test_get_of_a_corrupt_object_is_a_status_not_an_error_frame(
+    ctx, wire, acme, tmp_path, damage
+):
+    events: list[str] = []
+    ctx.audit = lambda event, _customer_id: events.append(event)
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme)[0]
+    reply = wire.send(P.build_put(wire.client, "kept", b"kept"))
+    assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_OK
+    path = tmp_path / "objects" / "acme" / "bad"
+    secret = b"never returned"
+    if damage == "planted-v2":
+        write_cbc_object(path, 0x02, secret, ctx.master_key, "acme")
+        listed = ["kept"]
+    else:
+        reply = wire.send(P.build_put(wire.client, "bad", secret))
+        assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_OK
+        blob = bytearray(path.read_bytes())
+        blob[40] ^= 0x01  # a ciphertext byte
+        path.write_bytes(bytes(blob))
+        listed = ["bad", "kept"]
+    reply = wire.send(P.build_get(wire.client, "bad"))
+    assert [f.msg_type for f in reply] == [MessageType.GET_RESULT]
+    assert P.parse_get_result(wire.client, reply[0].payload) == (P.STATUS_ERROR, b"")
+    assert events[-1] == "get name='bad' status=0"
+    assert [e for e in events if e.startswith("get ")] == [events[-1]]
+    assert wire.server.phase is P.Phase.SESSION_ACTIVE
+    reply = wire.send(P.build_list(wire.client))
+    assert P.parse_list_result(wire.client, reply[0].payload) == listed
 
 
 def test_list_storage_failure_sends_error_frame(tmp_path, acme):

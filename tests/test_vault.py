@@ -41,7 +41,7 @@ from csg.vault import (
     storage_mac_key,
 )
 
-from conftest import make_certificate, provision_customer
+from conftest import make_certificate, provision_customer, write_cbc_object
 
 
 # --- registry ---------------------------------------------------------------
@@ -598,57 +598,35 @@ def test_failed_rename_leaves_no_temp_file(store, tmp_path, monkeypatch):
     assert store.used_bytes("acme") == 3
 
 
-def _write_cbc_object(path: Path, version: int, data: bytes) -> None:
-    """An acme object file as versions 0x01 and 0x02 wrote it: CBC, no tag;
-    the u64 holds the ciphertext length in 0x01 and the plaintext length in
-    0x02."""
-    iv = os.urandom(16)
-    ciphertext = aes.cbc_encrypt(data, aes.key_expansion(storage_key(MASTER, "acme")), iv)
-    length = len(ciphertext) if version == 0x01 else len(data)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"CSG1" + bytes([version]) + iv + struct.pack(">Q", length) + ciphertext)
-
-
-def test_v1_object_still_readable(tmp_path):
+@pytest.mark.parametrize("version", [0x01, 0x02], ids=["v1", "v2"])
+def test_pre_v3_object_is_never_returned(tmp_path, version):
     root = tmp_path / "objects"
     data = os.urandom(100)
-    _write_cbc_object(root / "acme" / "old", 0x01, data)
+    write_cbc_object(root / "acme" / "old", version, data, MASTER, "acme")
+    # the same file copied under a second name of the same customer
+    shutil.copyfile(root / "acme" / "old", root / "acme" / "copy")
     store = ObjectStore(root)
-    assert store.list_objects("acme") == ["old"]
-    assert store.get_object("acme", "old", MASTER) == data
-    assert store.used_bytes("acme") == 112  # the ciphertext length
-
-
-@pytest.mark.parametrize("size", [0, 15, 16, 100])
-def test_v2_object_still_readable(tmp_path, size):
-    root = tmp_path / "objects"
-    data = os.urandom(size)
-    _write_cbc_object(root / "acme" / "old", 0x02, data)
-    store = ObjectStore(root)
-    assert store.list_objects("acme") == ["old"]
-    assert store.get_object("acme", "old", MASTER) == data
-    assert store.used_bytes("acme") == size
+    store.put_object("acme", "kept", b"kept", MASTER, QUOTA)
+    for name in ("old", "copy"):
+        with pytest.raises(CorruptObject, match="unsupported object version"):
+            store.get_object("acme", name, MASTER)
+    assert store.list_objects("acme") == ["kept"]
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 4
     store.put_object("acme", "old", data, MASTER, QUOTA)  # rewritten as v3
     assert (root / "acme" / "old").read_bytes()[4] == 0x03
     assert store.get_object("acme", "old", MASTER) == data
+    assert store.list_objects("acme") == ["kept", "old"]
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 104
 
 
 @pytest.mark.parametrize(
-    "version, new_length, listed",
-    [
-        pytest.param(0x02, 101, True, id="101-True"),
-        pytest.param(0x02, 200, False, id="200-False"),
-        pytest.param(0x03, 99, False, id="v3-99-False"),
-        pytest.param(0x03, 101, False, id="v3-101-False"),
-    ],
+    "new_length",
+    [pytest.param(99, id="v3-99-False"), pytest.param(101, id="v3-101-False")],
 )
-def test_altered_length_field_is_corrupt(tmp_path, version, new_length, listed):
+def test_altered_length_field_is_corrupt(tmp_path, new_length):
     root = tmp_path / "objects"
     store = ObjectStore(root)
-    if version == 0x02:
-        _write_cbc_object(root / "acme" / "blob", 0x02, bytes(100))
-    else:
-        store.put_object("acme", "blob", bytes(100), MASTER, QUOTA)
+    store.put_object("acme", "blob", bytes(100), MASTER, QUOTA)
     store.put_object("acme", "other", b"x", MASTER, QUOTA)
     path = root / "acme" / "blob"
     blob = bytearray(path.read_bytes())
@@ -656,13 +634,10 @@ def test_altered_length_field_is_corrupt(tmp_path, version, new_length, listed):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptObject):
         store.get_object("acme", "blob", MASTER)
-    # the scan reads headers only, so it can skip the file only when the
-    # length no longer matches the file size; a v2 file pads, a v3 file
-    # does not
+    # the scan reads headers only, and a v3 file's size fixes its length
     rescanned = ObjectStore(root)
-    expected = ["blob", "other"] if listed else ["other"]
-    assert rescanned.list_objects("acme") == expected
-    assert rescanned.used_bytes("acme") == (new_length if listed else 0) + 1
+    assert rescanned.list_objects("acme") == ["other"]
+    assert rescanned.used_bytes("acme") == 1
 
 
 def _listed_bytes(store: ObjectStore, customer_id: str) -> int:

@@ -282,6 +282,20 @@ def test_usage_error_on_bad_argv():
     assert result.returncode == 4
 
 
+def test_script_that_is_not_utf8_is_a_usage_error(tmp_path):
+    script = tmp_path / "script.txt"
+    script.write_bytes(b"quit\xff\n")
+    result = subprocess.run(
+        VPNC + ["run", "--script", str(script)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("vpnc: cannot read script: ")
+    assert "0xff" in line
+
+
 def test_script_unclosed_quote_is_usage_error(gateway_factory, tmp_path):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
