@@ -9,8 +9,9 @@
 # cipher; its encryption is block-serial through encrypt_block, because each
 # block chains on the previous ciphertext. CBC decryption and CTR mode (the
 # object store's cipher) have no such chain, so they run each round over a
-# whole chunk of blocks at once (_InverseCipher, _ForwardCipher), in chunks of
-# a fixed _CHUNK_BYTES that bound their scratch memory. The tests check these
+# whole chunk of blocks at once, in chunks of a fixed _CHUNK_BYTES that bound
+# their scratch memory. One engine, _ChunkCipher, runs both directions; its
+# _FORWARD and _INVERSE rows differ only in tables. The tests check these
 # paths against the reference and against the `cryptography` package, which
 # is a test-only oracle: this module needs only the standard library. A CBC
 # ciphertext that does not open, by its length or its padding, raises the one
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator, NamedTuple, Optional
 
 BLOCK_SIZE = 16
 NUM_ROUNDS = 10
@@ -122,13 +124,19 @@ class KeySchedule:
 
     @cached_property
     def inverse_round_keys(self) -> tuple[bytes, ...]:
-        """Round keys 9 down to 1, each through InvMixColumns: the keys of
-        the equivalent inverse cipher (FIPS-197 5.3.5). Computed on first
+        """The 11 keys of the equivalent inverse cipher (FIPS-197 5.3.5), in
+        the order decryption applies them: round key 10, round keys 9 down
+        to 1 each through InvMixColumns, then round key 0. Computed on first
         use and kept with the schedule, so every decryption under one
         schedule shares them."""
-        return tuple(
-            _inv_mix_columns(rk, _BLOCK_MASKS).to_bytes(BLOCK_SIZE, "little")
-            for rk in self.round_keys[NUM_ROUNDS - 1 : 0 : -1]
+        rks = self.round_keys
+        return (
+            rks[NUM_ROUNDS],
+            *(
+                _mix_columns(rk, _INVERSE.mix, _BLOCK_MASKS).to_bytes(BLOCK_SIZE, "little")
+                for rk in rks[NUM_ROUNDS - 1 : 0 : -1]
+            ),
+            rks[0],
         )
 
 
@@ -372,28 +380,37 @@ def unpad(data: bytes) -> bytes:
 # --------- whole-buffer encryption and decryption ---------
 #
 # encrypt_block's and decrypt_block's rounds, run over every block of a
-# buffer at once. The buffer is read as one little-endian integer, so the 4
-# bytes of a column form a 32-bit lane with row j in bits 8j..8j+7:
-#   SubBytes        one bytes.translate with _SBOX;
-#   ShiftRows       16 strided slice copies (byte i of each block takes
-#                   byte _SHIFT_ROWS[i] of the same block);
-#   MixColumns      row j gets 2*a[j] ^ 3*a[j+1] ^ a[j+2] ^ a[j+3]: the
-#                   _MUL2 and _MUL3 translates, with the 3 and 1 terms
-#                   rotated inside each lane by shifts and lane masks;
-#   InvSubBytes     one bytes.translate with _INV_SBOX;
-#   InvShiftRows    16 strided slice copies (byte i of each block takes
-#                   byte _INV_SHIFT_ROWS[i] of the same block);
-#   InvMixColumns   row j gets 14*a[j] ^ 11*a[j+1] ^ 13*a[j+2] ^ 9*a[j+3]:
-#                   one translate per _MUL table, then the 11/13/9 terms
-#                   rotated inside each lane by shifts and lane masks;
-#   AddRoundKey     one integer XOR with the round key repeated per block.
-# InvMixColumns is linear, so AddRoundKey moves after it when the round key
-# goes through InvMixColumns too (FIPS-197 5.3.5, the equivalent inverse
-# cipher); a round then converts bytes to integers once per table.
+# buffer at once. Decryption runs the same steps as encryption with other
+# tables and transformed round keys (FIPS-197 5.3.5, the equivalent inverse
+# cipher), so one engine, _ChunkCipher, serves both, reading its tables from
+# a _Direction row. The buffer is read as one little-endian integer, so the
+# 4 bytes of a column form a 32-bit lane with row j in bits 8j..8j+7:
+#   SubBytes      one bytes.translate with the row's S-box;
+#   ShiftRows     16 strided slice copies (byte i of each block takes byte
+#                 shift_rows[i] of the same block);
+#   MixColumns    row j gets f0*a[j] ^ f1*a[j+1] ^ f2*a[j+2] ^ f3*a[j+3]: one
+#                 translate per factor table, the a[j+k] term rotated k bytes
+#                 inside each lane by shifts and lane masks;
+#   AddRoundKey   one integer XOR with the round key repeated per block.
+# Forward, the factors are (2, 3, 1, 1); inverse, (14, 11, 13, 9). Since
+# InvMixColumns is linear, AddRoundKey moves after it when the round key
+# goes through InvMixColumns too (KeySchedule.inverse_round_keys).
 
 _CHUNK_BYTES = 16 * 1024  # bounds the scratch buffers of one CBC or CTR call
 _SHIFT_ROWS = (0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
 _INV_SHIFT_ROWS = (0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
+
+
+class _Direction(NamedTuple):
+    """The tables one direction of the whole-buffer cipher runs on."""
+
+    sbox: bytes
+    shift_rows: tuple[int, ...]
+    mix: tuple[Optional[bytes], ...]  # factor tables of a[j..j+3]; None is 1
+
+
+_FORWARD = _Direction(_SBOX, _SHIFT_ROWS, (_MUL2, _MUL3, None, None))
+_INVERSE = _Direction(_INV_SBOX, _INV_SHIFT_ROWS, (_MUL14, _MUL11, _MUL13, _MUL9))
 
 
 def _widen(pattern: bytes, size: int) -> int:
@@ -417,104 +434,75 @@ def _lane_masks(size: int) -> tuple[int, ...]:
 _BLOCK_MASKS = _lane_masks(BLOCK_SIZE)
 
 
-def _mix_columns(state: bytes, masks: tuple[int, ...]) -> int:
-    """MixColumns of every column of state, as a little-endian integer."""
+def _mix_columns(state: bytes, mix: tuple[Optional[bytes], ...], masks: tuple[int, ...]) -> int:
+    """MixColumns of every column of state under the factor tables mix (row
+    j gets the XOR of mix[k][a[j + k]]), as a little-endian integer."""
     down1, wrap1, down2, wrap2, down3, wrap3 = masks
-    x1 = int.from_bytes(state, "little")
-    x3 = int.from_bytes(state.translate(_MUL3), "little")
+    # the factor-1 terms share one conversion of the untranslated state
+    plain = int.from_bytes(state, "little") if None in mix else 0
+    x0, x1, x2, x3 = (
+        plain if table is None else int.from_bytes(state.translate(table), "little")
+        for table in mix
+    )
     return (
-        int.from_bytes(state.translate(_MUL2), "little")
-        ^ ((x3 >> 8) & down1) ^ ((x3 << 24) & wrap1)
-        ^ ((x1 >> 16) & down2) ^ ((x1 << 16) & wrap2)
-        ^ ((x1 >> 24) & down3) ^ ((x1 << 8) & wrap3)
+        x0
+        ^ ((x1 >> 8) & down1) ^ ((x1 << 24) & wrap1)
+        ^ ((x2 >> 16) & down2) ^ ((x2 << 16) & wrap2)
+        ^ ((x3 >> 24) & down3) ^ ((x3 << 8) & wrap3)
     )
 
 
-def _inv_mix_columns(state: bytes, masks: tuple[int, ...]) -> int:
-    """InvMixColumns of every column of state, as a little-endian integer."""
-    down1, wrap1, down2, wrap2, down3, wrap3 = masks
-    x11 = int.from_bytes(state.translate(_MUL11), "little")
-    x13 = int.from_bytes(state.translate(_MUL13), "little")
-    x9 = int.from_bytes(state.translate(_MUL9), "little")
-    return (
-        int.from_bytes(state.translate(_MUL14), "little")
-        ^ ((x11 >> 8) & down1) ^ ((x11 << 24) & wrap1)
-        ^ ((x13 >> 16) & down2) ^ ((x13 << 16) & wrap2)
-        ^ ((x9 >> 24) & down3) ^ ((x9 << 8) & wrap3)
-    )
+class _ChunkCipher:
+    """One direction of the cipher applied to every block of a size-byte
+    buffer at once: encrypt_block with (schedule.round_keys, _FORWARD),
+    decrypt_block with (schedule.inverse_round_keys, _INVERSE).
 
-
-class _ForwardCipher:
-    """encrypt_block applied to every block of a size-byte buffer at once.
-
-    Holds the round keys and lane masks widened to size bytes, so one
-    instance serves every chunk of that size.
+    Holds the 11 keys, in the order they are applied, and the lane masks
+    widened to size bytes, so one instance serves every chunk of that size.
     """
 
-    def __init__(self, schedule: KeySchedule, size: int) -> None:
-        rks = schedule.round_keys
+    def __init__(self, keys: tuple[bytes, ...], direction: _Direction, size: int) -> None:
         self.size = size
+        self._direction = direction
         self._masks = _lane_masks(size)
-        self._first_key = _widen(rks[0], size)
-        self._round_keys = tuple(_widen(rk, size) for rk in rks[1:NUM_ROUNDS])
-        self._last_key = _widen(rks[NUM_ROUNDS], size)
+        self._first_key, *round_keys, self._last_key = (_widen(k, size) for k in keys)
+        self._round_keys = tuple(round_keys)
 
     def __call__(self, blocks: bytes, text: bytes) -> bytes:
-        """Encrypt size bytes of whole blocks and XOR the result with text,
-        which may be shorter than size."""
+        """Run size bytes of whole blocks through the cipher and XOR the
+        result with text, which may be shorter than size."""
         size = self.size
         masks = self._masks
+        sbox, shift_rows, mix = self._direction
         state = (int.from_bytes(blocks, "little") ^ self._first_key).to_bytes(size, "little")
         shifted = bytearray(size)
         for rk in self._round_keys:
-            for i, j in enumerate(_SHIFT_ROWS):
+            for i, j in enumerate(shift_rows):
                 shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
-            mixed = _mix_columns(shifted.translate(_SBOX), masks)
+            mixed = _mix_columns(shifted.translate(sbox), mix, masks)
             state = (mixed ^ rk).to_bytes(size, "little")
-        for i, j in enumerate(_SHIFT_ROWS):
+        for i, j in enumerate(shift_rows):
             shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
         out = (
-            int.from_bytes(shifted.translate(_SBOX), "little")
+            int.from_bytes(shifted.translate(sbox), "little")
             ^ self._last_key
             ^ int.from_bytes(text, "little")
         )
         return out.to_bytes(size, "little")
 
 
-class _InverseCipher:
-    """decrypt_block applied to every block of a size-byte buffer at once.
-
-    Holds the round keys and lane masks widened to size bytes, so one
-    instance serves every chunk of that size.
-    """
-
-    def __init__(self, schedule: KeySchedule, size: int) -> None:
-        rks = schedule.round_keys
-        self.size = size
-        self._masks = _lane_masks(size)
-        self._first_key = _widen(rks[NUM_ROUNDS], size)
-        self._round_keys = tuple(_widen(rk, size) for rk in schedule.inverse_round_keys)
-        self._last_key = _widen(rks[0], size)
-
-    def __call__(self, blocks: bytes, chain: bytes) -> bytes:
-        """Decrypt size bytes of whole blocks and XOR the result with chain."""
-        size = self.size
-        masks = self._masks
-        state = (int.from_bytes(blocks, "little") ^ self._first_key).to_bytes(size, "little")
-        shifted = bytearray(size)
-        for rk in self._round_keys:
-            for i, j in enumerate(_INV_SHIFT_ROWS):
-                shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
-            mixed = _inv_mix_columns(shifted.translate(_INV_SBOX), masks)
-            state = (mixed ^ rk).to_bytes(size, "little")
-        for i, j in enumerate(_INV_SHIFT_ROWS):
-            shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
-        out = (
-            int.from_bytes(shifted.translate(_INV_SBOX), "little")
-            ^ self._last_key
-            ^ int.from_bytes(chain, "little")
-        )
-        return out.to_bytes(size, "little")
+def _chunk_ciphers(
+    keys: tuple[bytes, ...], direction: _Direction, length: int
+) -> Iterator[tuple[int, _ChunkCipher]]:
+    """(start, cipher) for each chunk of a length-byte buffer of whole
+    blocks. Every chunk but the last is _CHUNK_BYTES long, so a call builds
+    at most two ciphers."""
+    cipher = None
+    for start in range(0, length, _CHUNK_BYTES):
+        size = min(_CHUNK_BYTES, length - start)
+        if cipher is None or cipher.size != size:
+            cipher = _ChunkCipher(keys, direction, size)
+        yield start, cipher
 
 
 # --------- CBC mode ---------
@@ -551,12 +539,8 @@ def cbc_decrypt(ciphertext: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
     if not ciphertext or len(ciphertext) % BLOCK_SIZE != 0:
         raise PaddingError("ciphertext length must be a positive multiple of 16")
     out = bytearray(len(ciphertext))
-    cipher = None
-    for start in range(0, len(ciphertext), _CHUNK_BYTES):
-        end = min(start + _CHUNK_BYTES, len(ciphertext))
-        # only the last chunk can differ in size from the ones before it
-        if cipher is None or cipher.size != end - start:
-            cipher = _InverseCipher(schedule, end - start)
+    for start, cipher in _chunk_ciphers(schedule.inverse_round_keys, _INVERSE, len(ciphertext)):
+        end = start + cipher.size
         if start:
             chain = ciphertext[start - BLOCK_SIZE : end - BLOCK_SIZE]
         else:
@@ -594,13 +578,9 @@ def ctr_crypt(data: bytes, schedule: KeySchedule, counter: bytes) -> bytes:
         raise ValueError("counter must be exactly 16 bytes")
     start = int.from_bytes(counter, "big")
     out = bytearray(len(data) + -len(data) % BLOCK_SIZE)
-    cipher = None
-    for pos in range(0, len(data), _CHUNK_BYTES):
-        size = min(_CHUNK_BYTES, len(out) - pos)
+    for pos, cipher in _chunk_ciphers(schedule.round_keys, _FORWARD, len(out)):
+        size = cipher.size
         blocks = size // BLOCK_SIZE
-        # only the last chunk can differ in size from the ones before it
-        if cipher is None or cipher.size != size:
-            cipher = _ForwardCipher(schedule, size)
         first = (start + pos // BLOCK_SIZE) % _COUNTER_MOD
         drop = 128 * (_CHUNK_BLOCKS - blocks)
         counters = first * (_ONES >> drop) + (_RAMP >> drop)

@@ -216,6 +216,13 @@ class Gateway:
         self.store = ObjectStore(config.objects_dir)
         self.master_key = config.master_key()
         self.audit = AuditLog(config.audit_log)
+        if self.store.scan_skipped or self.store.scan_removed:
+            # counts only: a file name can be an object name
+            self.audit.append(
+                0,
+                f"store scan skipped={self.store.scan_skipped} "
+                f"removed_temps={self.store.scan_removed}",
+            )
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._sessions: dict[int, tuple[threading.Thread, socket.socket]] = {}

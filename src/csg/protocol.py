@@ -452,10 +452,10 @@ def _serve_get(state: SessionState, payload: bytes, ctx: ServerContext) -> list[
 def _serve_list(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
     _open(state, MessageType.LIST, payload).expect_end()
     names = ctx.store.list_objects(state.customer_id)
-    if len(names) > 0xFFFF:
-        raise MalformedPayload("object count exceeds the u16 listing limit")
-    inner = struct.pack(">H", len(names)) + b"".join(encode_str(n) for n in names)
     ctx.audit(f"list count={len(names)}", state.customer_id)
+    if len(names) > 0xFFFF:
+        raise FrameTooLarge(f"{len(names)} objects exceed the u16 listing count")
+    inner = struct.pack(">H", len(names)) + b"".join(encode_str(n) for n in names)
     return [_seal(state, MessageType.LIST_RESULT, inner)]
 
 
@@ -522,8 +522,9 @@ def server_handle_frame(
     """Drive the server state machine for one incoming frame.
 
     Returns the frames to send back (possibly none). Any illegal
-    (phase, type) pair or malformed payload yields a single Error frame and
-    a closed session; frames arriving after close are dropped silently.
+    (phase, type) pair, malformed payload or reply too large for one frame
+    yields a single Error frame and a closed session; frames arriving after
+    close are dropped silently.
     """
     if state.phase is Phase.CLOSED:
         return []
@@ -543,6 +544,9 @@ def server_handle_frame(
             reason = "invalid public key"
         except MalformedPayload:
             reason = "malformed payload"
+        except FrameTooLarge:
+            # a listing over the u16 count or the frame cap: the request was fine
+            reason = "reply too large"
         except OSError:
             # LIST_RESULT has no status byte, so a failing store ends the session
             reason = "storage error"

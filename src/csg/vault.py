@@ -389,11 +389,13 @@ class ObjectStore:
     there is no index beside it, and quota totals are rebuilt from the
     headers at startup, which checks no tag. Only version 0x03 is read: a
     file of any other version is a CorruptObject, and the scan skips it, so
-    it is neither listed nor counted.
+    it is neither listed nor counted toward the quota; `scan_skipped` counts
+    such files.
 
     Writes go through a temp file + atomic rename, which commits content and
     size together, and are serialized by one coarse store-wide lock. A failed
-    write or rename removes its temp file and counts nothing to the quota.
+    write or rename removes its temp file and counts nothing to the quota;
+    one left by a crash is removed by the next startup scan (`scan_removed`).
     """
 
     def __init__(self, root: str | Path):
@@ -402,6 +404,8 @@ class ObjectStore:
         self._lock = threading.Lock()
         self._sizes: dict[str, dict[str, int]] = {}
         self._used: dict[str, int] = {}  # per customer, the sum of its sizes
+        self.scan_skipped = 0  # object files the startup scan could not read
+        self.scan_removed = 0  # temp files of cut-off writes it removed
         self._scan()
 
     # --- startup scan ---
@@ -410,22 +414,27 @@ class ObjectStore:
         return self.root / customer_id
 
     def _scan(self) -> None:
-        """Rebuild the size table from object headers; unreadable or corrupt
-        files are skipped."""
+        """Rebuild the size table from object headers. Unreadable or corrupt
+        files are skipped, and `.tmp-*` files, left by a write cut off before
+        its rename, are removed; both are counted."""
         for entry in sorted(self.root.iterdir()):
             if not entry.is_dir():
                 continue
             sizes: dict[str, int] = {}
             for f in sorted(entry.iterdir()):
-                if not f.is_file() or f.name.startswith(_TMP_PREFIX):
+                if not f.is_file():
                     continue
                 try:
+                    if f.name.startswith(_TMP_PREFIX):
+                        f.unlink()
+                        self.scan_removed += 1
+                        continue
                     with open(f, "rb") as fh:
                         header = fh.read(OBJECT_HEADER_LEN)
                         file_size = os.fstat(fh.fileno()).st_size
                     sizes[f.name] = _parse_header(header, file_size)[1]
                 except (OSError, CorruptObject):
-                    continue
+                    self.scan_skipped += 1
             if sizes:
                 self._sizes[entry.name] = sizes
                 self._used[entry.name] = sum(sizes.values())

@@ -1,16 +1,18 @@
 """AES core tests: fixture known-answer vectors, the key-schedule word
 recurrence checked against an independently written oracle, inverse
-properties, padding, CBC behaviour, and the whole-buffer ciphers against
-the single-block reference."""
+properties, padding, CBC behaviour, and both directions of the whole-buffer
+cipher against the single-block reference."""
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from csg import aes
@@ -312,25 +314,61 @@ def test_cbc_tamper_never_returns_original():
         assert recovered != data
 
 
-def test_inverse_cipher_matches_decrypt_block():
-    # the whole-buffer rounds against the FIPS-197 single-block reference
-    rng = random.Random(29)
-    for blocks in (1, 2, 3, 7, 64, 300):
-        schedule = aes.key_expansion(rng.randbytes(16))
-        data, chain = rng.randbytes(16 * blocks), rng.randbytes(16 * blocks)
-        reference = b"".join(
-            aes.decrypt_block(data[i : i + 16], schedule) for i in range(0, len(data), 16)
+def _buffers(max_blocks: int):
+    """(blocks, text, chain) of n whole blocks, 1 <= n <= max_blocks: text
+    is as long as the chunk or shorter, chain exactly as long."""
+    return st.integers(1, max_blocks).flatmap(
+        lambda n: st.tuples(
+            st.binary(min_size=16 * n, max_size=16 * n),
+            st.binary(max_size=16 * n),
+            st.binary(min_size=16 * n, max_size=16 * n),
         )
-        cipher = aes._InverseCipher(schedule, len(data))
-        assert cipher(data, bytes(len(data))) == reference
-        assert cipher(data, chain) == bytes(a ^ b for a, b in zip(reference, chain))
+    )
 
 
-def _inv_mix_column_scalar(column: bytes) -> bytes:
-    a = column
+_RNG_300 = random.Random(29)
+# 300 blocks, a text 11 bytes short of them, and a full chain
+_BUFFERS_300 = (
+    _RNG_300.randbytes(16 * 300), _RNG_300.randbytes(16 * 299 + 5), _RNG_300.randbytes(16 * 300)
+)
+
+
+@pytest.mark.parametrize(
+    "direction, reference, keys",
+    [
+        (aes._FORWARD, aes.encrypt_block, lambda s: s.round_keys),
+        (aes._INVERSE, aes.decrypt_block, lambda s: s.inverse_round_keys),
+    ],
+    ids=["forward", "inverse"],
+)
+@given(key=st.binary(min_size=16, max_size=16), buffers=_buffers(40))
+@example(key=bytes(range(16)), buffers=_BUFFERS_300)
+def test_chunk_cipher_matches_block_reference(direction, reference, keys, key, buffers):
+    # the whole-buffer rounds against the FIPS-197 single-block reference,
+    # in both directions
+    blocks, text, chain = buffers
+    schedule = aes.key_expansion(key)
+    expected = b"".join(
+        reference(blocks[i : i + 16], schedule) for i in range(0, len(blocks), 16)
+    )
+    cipher = aes._ChunkCipher(keys(schedule), direction, len(blocks))
+    assert cipher(blocks, b"") == expected
+    assert cipher(blocks, text) == bytes(
+        a ^ b for a, b in zip(expected, text.ljust(len(blocks), b"\x00"))
+    )
+    assert cipher(blocks, chain) == bytes(a ^ b for a, b in zip(expected, chain))
+
+
+_FORWARD_FACTORS = (2, 3, 1, 1)
+_INVERSE_FACTORS = (14, 11, 13, 9)
+
+
+def _mix_column_scalar(column: bytes, factors: tuple[int, ...]) -> bytes:
+    # row j of the mixed column is the XOR of factors[k] * column[j + k]
     return bytes(
-        aes._MUL14[a[j]] ^ aes._MUL11[a[(j + 1) % 4]]
-        ^ aes._MUL13[a[(j + 2) % 4]] ^ aes._MUL9[a[(j + 3) % 4]]
+        functools.reduce(
+            operator.xor, (aes._gf_mul(f, column[(j + k) % 4]) for k, f in enumerate(factors))
+        )
         for j in range(4)
     )
 
@@ -339,31 +377,30 @@ def test_inverse_round_keys_are_cached_and_correct():
     rng = random.Random(37)
     for _ in range(20):
         schedule = aes.key_expansion(rng.randbytes(16))
-        fresh = tuple(
-            b"".join(_inv_mix_column_scalar(rk[c : c + 4]) for c in (0, 4, 8, 12))
-            for rk in schedule.round_keys[9:0:-1]
+        rks = schedule.round_keys
+        mixed = tuple(
+            b"".join(_mix_column_scalar(rk[c : c + 4], _INVERSE_FACTORS) for c in (0, 4, 8, 12))
+            for rk in rks[9:0:-1]
         )
-        assert schedule.inverse_round_keys == fresh
+        assert schedule.inverse_round_keys == (rks[10], *mixed, rks[0])
         assert schedule.inverse_round_keys is schedule.inverse_round_keys
 
 
-@given(
-    key=st.binary(min_size=16, max_size=16),
-    blocks=st.integers(1, 40).flatmap(lambda n: st.binary(min_size=16 * n, max_size=16 * n)),
-    data=st.data(),
+@pytest.mark.parametrize(
+    "direction, factors",
+    [(aes._FORWARD, _FORWARD_FACTORS), (aes._INVERSE, _INVERSE_FACTORS)],
+    ids=["forward", "inverse"],
 )
-def test_forward_cipher_matches_encrypt_block(key, blocks, data):
-    # the whole-buffer rounds against the FIPS-197 single-block reference
-    schedule = aes.key_expansion(key)
-    text = data.draw(st.binary(max_size=len(blocks)))
-    reference = b"".join(
-        aes.encrypt_block(blocks[i : i + 16], schedule) for i in range(0, len(blocks), 16)
-    )
-    cipher = aes._ForwardCipher(schedule, len(blocks))
-    assert cipher(blocks, b"") == reference
-    assert cipher(blocks, text) == bytes(
-        a ^ b for a, b in zip(reference, text.ljust(len(blocks), b"\x00"))
-    )
+def test_mix_columns_matches_scalar_columns(direction, factors):
+    # the lane rotations against one column at a time, for both factor rows
+    rng = random.Random(47)
+    for blocks in (1, 2, 5):
+        state = rng.randbytes(16 * blocks)
+        fresh = b"".join(
+            _mix_column_scalar(state[c : c + 4], factors) for c in range(0, len(state), 4)
+        )
+        mixed = aes._mix_columns(state, direction.mix, aes._lane_masks(len(state)))
+        assert mixed.to_bytes(len(state), "little") == fresh
 
 
 def test_ctr_round_trip_and_lengths():

@@ -25,7 +25,7 @@ from csg.keyx import TEST_SMALL
 from csg.vault import Registry, save_registry
 from csg.wire import MessageType, encode_frame
 
-from conftest import audit_events, open_session, provision_customer
+from conftest import audit_events, open_session, provision_customer, write_cbc_object
 
 
 # --- configuration ----------------------------------------------------------
@@ -447,6 +447,23 @@ def test_audit_event_sequence(gateway_factory):
     assert any(e.startswith("get name='f'") for e in events)
     assert any(e.startswith("list count=") for e in events)
     assert "disconnect customer=acme" in events
+
+
+def test_startup_scan_counts_are_audited(gateway_factory, tmp_path):
+    acme = provision_customer("acme")
+    master_key = os.urandom(16)
+    objects = tmp_path / "gw0" / "objects"  # where the factory's first gateway keeps them
+    write_cbc_object(objects / "acme" / "private-plans.txt", 0x02, b"v2", master_key, "acme")
+    (objects / "acme" / ".tmp-x").write_bytes(b"partial write")
+    handle = gateway_factory([acme], master_key=master_key)
+    assert handle.objects_dir == objects
+    assert (handle.gateway.store.scan_skipped, handle.gateway.store.scan_removed) == (1, 1)
+    assert not (objects / "acme" / ".tmp-x").exists()
+    lines = handle.audit_path.read_text().splitlines()
+    # counts only, never a file name
+    assert [parse_audit_line(line)[1:] for line in lines] == [
+        (0, "store scan skipped=1 removed_temps=1")
+    ]
 
 
 def test_connection_reset_leaves_an_audit_line(gateway_factory):

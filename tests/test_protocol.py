@@ -451,6 +451,30 @@ def test_list_storage_failure_sends_error_frame(tmp_path, acme):
     assert wire.server.phase is P.Phase.CLOSED
 
 
+@pytest.mark.parametrize(
+    "names",
+    [
+        # empty objects use no quota: 65,300 names of 255 bytes make a
+        # 16,782,128-byte listing, past the frame cap
+        pytest.param(lambda: [f"{i:0255d}" for i in range(65_300)], id="frame-cap"),
+        pytest.param(lambda: [str(i) for i in range(0x10000)], id="u16-count"),
+    ],
+)
+def test_list_too_large_for_one_frame_sends_error_frame(ctx, acme, monkeypatch, names):
+    events: list[str] = []
+    ctx.audit = lambda event, _customer_id: events.append(event)
+    wire = Wire(ctx)
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme)[0]
+    listed = names()
+    monkeypatch.setattr(ctx.store, "list_objects", lambda _customer_id: listed)
+    reply = wire.send(P.build_list(wire.client))
+    assert [f.msg_type for f in reply] == [MessageType.ERROR]
+    assert PayloadReader(reply[0].payload).string() == "reply too large"
+    assert events[-2:] == [f"list count={len(listed)}", "error reply too large"]
+    assert wire.server.phase is P.Phase.CLOSED
+
+
 def test_data_frames_rejected_outside_active_session(wire, acme):
     assert wire.handshake(acme)[0]
     with pytest.raises(P.ProtocolOrderError):

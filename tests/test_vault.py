@@ -507,6 +507,22 @@ def test_stray_tmp_files_ignored_on_scan(tmp_path):
     assert second.list_objects("acme") == ["real"]
 
 
+def test_scan_counts_skipped_files_and_removes_temp_files(tmp_path):
+    root = tmp_path / "objects"
+    first = ObjectStore(root)
+    first.put_object("acme", "real", b"data", MASTER, QUOTA)
+    assert (first.scan_skipped, first.scan_removed) == (0, 0)
+    write_cbc_object(root / "acme" / "old", 0x02, b"v2 data", MASTER, "acme")
+    (root / "acme" / ".tmp-x").write_bytes(b"partial write")
+    second = ObjectStore(root)
+    assert (second.scan_skipped, second.scan_removed) == (1, 1)
+    assert sorted(os.listdir(root / "acme")) == ["old", "real"]
+    assert second.list_objects("acme") == ["real"]
+    assert second.used_bytes("acme") == 4
+    third = ObjectStore(root)  # the temp file is gone, the v2 file is not
+    assert (third.scan_skipped, third.scan_removed) == (1, 0)
+
+
 @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 1024])
 def test_exact_used_bytes_after_restart(tmp_path, size):
     root = tmp_path / "objects"
