@@ -7,10 +7,12 @@
 #
 # encrypt_block/decrypt_block are the FIPS-197 reference. CBC is the tunnel's
 # cipher; its encryption is block-serial through encrypt_block, because each
-# block chains on the previous ciphertext. CBC decryption and CTR mode (the
-# object store's cipher) have no such chain, so they run each round over a
-# whole chunk of blocks at once, in chunks of a fixed _CHUNK_BYTES that bound
-# their scratch memory. One engine, _ChunkCipher, runs both directions; its
+# block chains on the previous ciphertext, so only encrypt_block is unrolled
+# for speed. No production path calls decrypt_block: it is the plain
+# InvCipher loop of FIPS-197 5.3, independent of the engine it checks. CBC
+# decryption and CTR mode (the object store's cipher) have no chain, so they
+# run each round over a whole chunk of blocks at once, in chunks of a fixed
+# _CHUNK_BYTES that bound their scratch memory. One engine, _ChunkCipher, runs both directions; its
 # _FORWARD and _INVERSE rows differ only in tables. The tests check these
 # paths against the reference and against the `cryptography` package, which
 # is a test-only oracle: this module needs only the standard library. A CBC
@@ -167,8 +169,10 @@ def key_expansion(key: bytes) -> KeySchedule:
 #
 # State layout is flat input order: byte i sits at row i % 4, column i // 4,
 # so each run of 4 bytes is one column. ShiftRows turns into a fixed index
-# permutation; the 16 state bytes are kept in scalar locals for speed (pure
-# Python pays heavily for per-byte list indexing in the round loop).
+# permutation. Only encrypt_block keeps the 16 state bytes in scalar locals
+# (pure Python pays heavily for per-byte list indexing in the round loop),
+# since CBC encryption runs every tunnel payload through it block by block.
+# decrypt_block, which only the tests call, is the plain round loop.
 
 def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
     """Encrypt one 16-byte block: AddRoundKey, 9 full rounds of
@@ -259,96 +263,28 @@ def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
 
 
 def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
-    """Decrypt one 16-byte block.
-
-    Loop order: initial AddRoundKey with round key 10, then rounds 9..1
-    applying InvShiftRows, InvSubBytes, AddRoundKey, InvMixColumns, and a
-    final InvShiftRows/InvSubBytes/AddRoundKey with round key 0. Round keys
-    are used untransformed.
-    """
+    """Decrypt one 16-byte block by the FIPS-197 5.3 InvCipher loop:
+    AddRoundKey with round key 10, then for each round 9 down to 0
+    InvShiftRows, InvSubBytes and AddRoundKey, with InvMixColumns after
+    all but the last. Round keys are used untransformed."""
     if len(block) != BLOCK_SIZE:
         raise ValueError("block must be exactly 16 bytes")
-    inv = _INV_SBOX
-    m9 = _MUL9
-    m11 = _MUL11
-    m13 = _MUL13
-    m14 = _MUL14
     rks = schedule.round_keys
-    rk = rks[NUM_ROUNDS]
-    s0 = block[0] ^ rk[0]
-    s1 = block[1] ^ rk[1]
-    s2 = block[2] ^ rk[2]
-    s3 = block[3] ^ rk[3]
-    s4 = block[4] ^ rk[4]
-    s5 = block[5] ^ rk[5]
-    s6 = block[6] ^ rk[6]
-    s7 = block[7] ^ rk[7]
-    s8 = block[8] ^ rk[8]
-    s9 = block[9] ^ rk[9]
-    s10 = block[10] ^ rk[10]
-    s11 = block[11] ^ rk[11]
-    s12 = block[12] ^ rk[12]
-    s13 = block[13] ^ rk[13]
-    s14 = block[14] ^ rk[14]
-    s15 = block[15] ^ rk[15]
-    for r in range(NUM_ROUNDS - 1, 0, -1):
-        rk = rks[r]
-        # InvShiftRows + InvSubBytes (per-byte, so they commute with the
-        # permutation), then AddRoundKey folded into the column loads
-        a0 = inv[s0] ^ rk[0]
-        a1 = inv[s13] ^ rk[1]
-        a2 = inv[s10] ^ rk[2]
-        a3 = inv[s7] ^ rk[3]
-        b0 = inv[s4] ^ rk[4]
-        b1 = inv[s1] ^ rk[5]
-        b2 = inv[s14] ^ rk[6]
-        b3 = inv[s11] ^ rk[7]
-        c0 = inv[s8] ^ rk[8]
-        c1 = inv[s5] ^ rk[9]
-        c2 = inv[s2] ^ rk[10]
-        c3 = inv[s15] ^ rk[11]
-        d0 = inv[s12] ^ rk[12]
-        d1 = inv[s9] ^ rk[13]
-        d2 = inv[s6] ^ rk[14]
-        d3 = inv[s3] ^ rk[15]
-        # InvMixColumns
-        s0 = m14[a0] ^ m11[a1] ^ m13[a2] ^ m9[a3]
-        s1 = m9[a0] ^ m14[a1] ^ m11[a2] ^ m13[a3]
-        s2 = m13[a0] ^ m9[a1] ^ m14[a2] ^ m11[a3]
-        s3 = m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3]
-        s4 = m14[b0] ^ m11[b1] ^ m13[b2] ^ m9[b3]
-        s5 = m9[b0] ^ m14[b1] ^ m11[b2] ^ m13[b3]
-        s6 = m13[b0] ^ m9[b1] ^ m14[b2] ^ m11[b3]
-        s7 = m11[b0] ^ m13[b1] ^ m9[b2] ^ m14[b3]
-        s8 = m14[c0] ^ m11[c1] ^ m13[c2] ^ m9[c3]
-        s9 = m9[c0] ^ m14[c1] ^ m11[c2] ^ m13[c3]
-        s10 = m13[c0] ^ m9[c1] ^ m14[c2] ^ m11[c3]
-        s11 = m11[c0] ^ m13[c1] ^ m9[c2] ^ m14[c3]
-        s12 = m14[d0] ^ m11[d1] ^ m13[d2] ^ m9[d3]
-        s13 = m9[d0] ^ m14[d1] ^ m11[d2] ^ m13[d3]
-        s14 = m13[d0] ^ m9[d1] ^ m14[d2] ^ m11[d3]
-        s15 = m11[d0] ^ m13[d1] ^ m9[d2] ^ m14[d3]
-    rk = rks[0]
-    return bytes(
-        (
-            inv[s0] ^ rk[0],
-            inv[s13] ^ rk[1],
-            inv[s10] ^ rk[2],
-            inv[s7] ^ rk[3],
-            inv[s4] ^ rk[4],
-            inv[s1] ^ rk[5],
-            inv[s14] ^ rk[6],
-            inv[s11] ^ rk[7],
-            inv[s8] ^ rk[8],
-            inv[s5] ^ rk[9],
-            inv[s2] ^ rk[10],
-            inv[s15] ^ rk[11],
-            inv[s12] ^ rk[12],
-            inv[s9] ^ rk[13],
-            inv[s6] ^ rk[14],
-            inv[s3] ^ rk[15],
-        )
-    )
+    # InvShiftRows (5.3.1): row r of column c takes row r of column c - r
+    inv_shift_rows = [row + 4 * ((col - row) % 4) for col in range(4) for row in range(4)]
+    state = [b ^ k for b, k in zip(block, rks[NUM_ROUNDS])]
+    for r in range(NUM_ROUNDS - 1, -1, -1):
+        state = [_INV_SBOX[state[j]] ^ k for j, k in zip(inv_shift_rows, rks[r])]
+        if r:
+            # InvMixColumns (5.3.3): row j of a column a gets
+            # 14*a[j] ^ 11*a[j+1] ^ 13*a[j+2] ^ 9*a[j+3], rows mod 4, so
+            # each column is read twice over
+            state = [
+                _MUL14[a[j]] ^ _MUL11[a[j + 1]] ^ _MUL13[a[j + 2]] ^ _MUL9[a[j + 3]]
+                for a in (state[c : c + 4] * 2 for c in range(0, BLOCK_SIZE, 4))
+                for j in range(4)
+            ]
+    return bytes(state)
 
 
 # --------- PKCS#7 padding ---------
@@ -379,12 +315,13 @@ def unpad(data: bytes) -> bytes:
 
 # --------- whole-buffer encryption and decryption ---------
 #
-# encrypt_block's and decrypt_block's rounds, run over every block of a
-# buffer at once. Decryption runs the same steps as encryption with other
-# tables and transformed round keys (FIPS-197 5.3.5, the equivalent inverse
-# cipher), so one engine, _ChunkCipher, serves both, reading its tables from
-# a _Direction row. The buffer is read as one little-endian integer, so the
-# 4 bytes of a column form a 32-bit lane with row j in bits 8j..8j+7:
+# encrypt_block's and decrypt_block's results, for every block of a buffer
+# at once. Decryption here is not decrypt_block's InvCipher but the
+# equivalent inverse cipher (FIPS-197 5.3.5): the same steps as encryption
+# with other tables and transformed round keys, so one engine, _ChunkCipher,
+# serves both, reading its tables from a _Direction row. The buffer is read
+# as one little-endian integer, so the 4 bytes of a column form a 32-bit
+# lane with row j in bits 8j..8j+7:
 #   SubBytes      one bytes.translate with the row's S-box;
 #   ShiftRows     16 strided slice copies (byte i of each block takes byte
 #                 shift_rows[i] of the same block);

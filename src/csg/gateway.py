@@ -331,7 +331,8 @@ class Gateway:
 
     def shutdown(self, drain_seconds: float = DRAIN_SECONDS) -> None:
         """Stop accepting, give active sessions `drain_seconds` to finish,
-        then force-close the stragglers."""
+        then force-close the stragglers. Reports the count of audit lines
+        that could not be written, if any, on stderr."""
         if self._listener is not None:
             # shutdown() unblocks a thread sitting in accept() and tears the
             # listen queue down; close() alone leaves both in place
@@ -361,6 +362,8 @@ class Gateway:
         for thread, _conn in remaining:
             thread.join(timeout=1.0)
         self.audit.close()
+        if self.audit.dropped:
+            print(f"gateway: audit log dropped {self.audit.dropped} lines", file=sys.stderr)
 
 
 def run(config: GatewayConfig) -> int:

@@ -417,11 +417,11 @@ class ObjectStore:
         """Rebuild the size table from object headers. Unreadable or corrupt
         files are skipped, and `.tmp-*` files, left by a write cut off before
         its rename, are removed; both are counted."""
-        for entry in sorted(self.root.iterdir()):
+        for entry in self.root.iterdir():
             if not entry.is_dir():
                 continue
             sizes: dict[str, int] = {}
-            for f in sorted(entry.iterdir()):
+            for f in entry.iterdir():
                 if not f.is_file():
                     continue
                 try:

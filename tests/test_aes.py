@@ -182,6 +182,22 @@ def test_block_determinism():
     assert aes.decrypt_block(ct, schedule) == aes.decrypt_block(ct, schedule)
 
 
+def test_block_reference_is_independent_of_the_engine(monkeypatch):
+    # with the engine's inverse ShiftRows broken, the reference still meets
+    # every vector while whole-buffer CBC decryption stops round-tripping
+    broken = aes._INVERSE._replace(shift_rows=aes._INVERSE.shift_rows[::-1])
+    monkeypatch.setattr(aes, "_INVERSE", broken)
+    for key, plaintext, ciphertext in load_vectors():
+        assert aes.decrypt_block(ciphertext, aes.key_expansion(key)) == plaintext
+    schedule = aes.key_expansion(bytes(range(16)))
+    iv, plaintext = bytes(16), b"engine under test" * 4
+    try:
+        opened = aes.cbc_decrypt(aes.cbc_encrypt(plaintext, schedule, iv), schedule, iv)
+    except aes.PaddingError:
+        opened = None
+    assert opened != plaintext
+
+
 def test_block_rejects_bad_lengths():
     schedule = aes.key_expansion(bytes(16))
     with pytest.raises(ValueError):

@@ -412,6 +412,22 @@ def test_shutdown_drains_and_stops_accepting(gateway_factory):
     session.close()
 
 
+def test_shutdown_reports_dropped_audit_lines_as_a_count(gateway_factory, capsys):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    audit = handle.gateway.audit
+    audit._fh.close()  # every later append fails and is counted
+    session = open_session(handle, acme)
+    session.put("f", b"x")
+    session.close()
+    capsys.readouterr()
+    handle.gateway.shutdown(drain_seconds=2.0)
+    assert audit.dropped >= 4  # hello, phase1, phase2, put at least
+    assert capsys.readouterr().err.splitlines() == [
+        f"gateway: audit log dropped {audit.dropped} lines"
+    ]
+
+
 def test_audit_redaction_on_failed_phase1(gateway_factory):
     acme = provision_customer("acme", tunnel_pass="sup3r-secret-tunnel-pw")
     handle = gateway_factory([acme])

@@ -475,6 +475,41 @@ def test_list_too_large_for_one_frame_sends_error_frame(ctx, acme, monkeypatch, 
     assert wire.server.phase is P.Phase.CLOSED
 
 
+# --- the unauthenticated tunnel (README "Non-goals") -------------------------
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="tunnel frames carry no MAC, so an IV flip passes; ROADMAP item 2 unmarks this",
+)
+def test_flipped_iv_byte_of_a_put_is_refused(wire, acme):
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme)[0]
+    frame = P.build_put(wire.client, "notes", b"x")
+    # the inner plaintext opens with the u16 name length, so byte 3 of the
+    # first block is the 'o' of "notes", and CBC XORs the IV into it
+    payload = bytearray(frame.payload)
+    payload[3] ^= ord("o") ^ ord("p")
+    reply = wire.send(Frame(MessageType.PUT, bytes(payload)))
+    assert wire.ctx.store.list_objects("acme") == []
+    assert [f.msg_type for f in reply] == [MessageType.ERROR]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="tunnel frames carry no sequence number, so a replay passes; "
+    "ROADMAP item 2 unmarks this",
+)
+def test_replayed_put_frame_is_refused(wire, acme):
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme)[0]
+    frame = P.build_put(wire.client, "notes", b"x")
+    reply = wire.send(frame)
+    assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_OK
+    for _ in range(2):
+        assert MessageType.PUT_RESULT not in [f.msg_type for f in wire.send(frame)]
+    assert wire.server.phase is P.Phase.CLOSED
+
+
 def test_data_frames_rejected_outside_active_session(wire, acme):
     assert wire.handshake(acme)[0]
     with pytest.raises(P.ProtocolOrderError):
