@@ -5,23 +5,27 @@
 # GF(2^8) multiplication tables are generated at import time from the field
 # definition and cross-checked against each other.
 #
-# encrypt_block/decrypt_block are the FIPS-197 reference. CBC is the tunnel's
-# cipher; its encryption is block-serial through encrypt_block, because each
-# block chains on the previous ciphertext, so only encrypt_block is unrolled
-# for speed. No production path calls decrypt_block: it is the plain
-# InvCipher loop of FIPS-197 5.3, independent of the engine it checks. CBC
-# decryption and CTR mode (the object store's cipher) have no chain, so they
-# run each round over a whole chunk of blocks at once, in chunks of a fixed
-# _CHUNK_BYTES that bound their scratch memory. One engine, _ChunkCipher, runs both directions; its
-# _FORWARD and _INVERSE rows differ only in tables. The tests check these
-# paths against the reference and against the `cryptography` package, which
-# is a test-only oracle: this module needs only the standard library. A CBC
-# ciphertext that does not open, by its length or its padding, raises the one
-# PaddingError; only protocol._open names it. CTR has no failure of its own:
-# the object store authenticates before it decrypts.
+# encrypt_block/decrypt_block are the single-block reference. CBC is the
+# tunnel's cipher; its encryption is block-serial through encrypt_block,
+# because each block chains on the previous ciphertext. encrypt_block runs
+# the four-table round of the Rijndael proposal (Daemen and Rijmen, 1999,
+# 5.2.1) on four 32-bit column words and reads none of the engine's tables,
+# so it checks CTR mode. No production path calls decrypt_block: it is the
+# plain InvCipher loop of FIPS-197 5.3, independent of the engine it checks.
+# CBC decryption and CTR mode (the object store's cipher) have no chain, so
+# they run each round over a whole chunk of blocks at once, in chunks of a
+# fixed _CHUNK_BYTES that bound their scratch memory. One engine,
+# _ChunkCipher, runs both directions; its _FORWARD and _INVERSE rows differ
+# only in tables. The tests check these paths against the reference and
+# against the `cryptography` package, which is a test-only oracle: this
+# module needs only the standard library. A CBC ciphertext that does not
+# open, by its length or its padding, raises the one PaddingError; only
+# protocol._open names it. CTR has no failure of its own: the object store
+# authenticates before it decrypts.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
@@ -141,6 +145,12 @@ class KeySchedule:
             rks[0],
         )
 
+    @cached_property
+    def words(self) -> tuple[int, ...]:
+        """The 44 round-key words as big-endian integers, row 0 in the top
+        byte, 4 per round key: the form encrypt_block adds them in."""
+        return struct.unpack(">44I", b"".join(self.round_keys))
+
 
 def key_expansion(key: bytes) -> KeySchedule:
     """Expand a 16-byte cipher key into the 11 round keys.
@@ -167,12 +177,24 @@ def key_expansion(key: bytes) -> KeySchedule:
 
 # --------- block encryption / decryption ---------
 #
-# State layout is flat input order: byte i sits at row i % 4, column i // 4,
-# so each run of 4 bytes is one column. ShiftRows turns into a fixed index
-# permutation. Only encrypt_block keeps the 16 state bytes in scalar locals
-# (pure Python pays heavily for per-byte list indexing in the round loop),
-# since CBC encryption runs every tunnel payload through it block by block.
-# decrypt_block, which only the tests call, is the plain round loop.
+# decrypt_block keeps the state in flat input order: byte i sits at row
+# i % 4, column i // 4, so each run of 4 bytes is one column. encrypt_block
+# holds the same four columns as 32-bit big-endian words, row 0 in the top
+# byte, and runs each full round as the four-table round of the Rijndael
+# proposal (Daemen and Rijmen, 1999, 5.2.1): 16 table lookups and 4 key
+# words per round, with no per-byte state. CBC encryption runs every tunnel
+# payload through encrypt_block block by block, since each block chains on
+# the ciphertext before it. decrypt_block, which only the tests call, is the
+# plain round loop.
+
+# _TE0[x] is the column SubBytes then MixColumns make of byte x in row 0,
+# (2*S(x), S(x), S(x), 3*S(x)); _TE1, _TE2 and _TE3, for rows 1 to 3, are it
+# rotated right by 8, 16 and 24 bits
+_TE0 = tuple(_MUL2[s] << 24 | s << 16 | s << 8 | _MUL3[s] for s in _SBOX)
+_TE1, _TE2, _TE3 = (
+    tuple((t >> n | t << 32 - n) & 0xFFFFFFFF for t in _TE0) for n in (8, 16, 24)
+)
+
 
 def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
     """Encrypt one 16-byte block: AddRoundKey, 9 full rounds of
@@ -180,86 +202,29 @@ def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
     MixColumns."""
     if len(block) != BLOCK_SIZE:
         raise ValueError("block must be exactly 16 bytes")
-    sbox = _SBOX
-    m2 = _MUL2
-    m3 = _MUL3
-    rks = schedule.round_keys
-    rk = rks[0]
-    s0 = block[0] ^ rk[0]
-    s1 = block[1] ^ rk[1]
-    s2 = block[2] ^ rk[2]
-    s3 = block[3] ^ rk[3]
-    s4 = block[4] ^ rk[4]
-    s5 = block[5] ^ rk[5]
-    s6 = block[6] ^ rk[6]
-    s7 = block[7] ^ rk[7]
-    s8 = block[8] ^ rk[8]
-    s9 = block[9] ^ rk[9]
-    s10 = block[10] ^ rk[10]
-    s11 = block[11] ^ rk[11]
-    s12 = block[12] ^ rk[12]
-    s13 = block[13] ^ rk[13]
-    s14 = block[14] ^ rk[14]
-    s15 = block[15] ^ rk[15]
-    for r in range(1, NUM_ROUNDS):
-        rk = rks[r]
-        # SubBytes + ShiftRows: column c of the shifted state reads rows
-        # 0..3 from columns c, c+1, c+2, c+3 of the old state
-        a0 = sbox[s0]
-        a1 = sbox[s5]
-        a2 = sbox[s10]
-        a3 = sbox[s15]
-        b0 = sbox[s4]
-        b1 = sbox[s9]
-        b2 = sbox[s14]
-        b3 = sbox[s3]
-        c0 = sbox[s8]
-        c1 = sbox[s13]
-        c2 = sbox[s2]
-        c3 = sbox[s7]
-        d0 = sbox[s12]
-        d1 = sbox[s1]
-        d2 = sbox[s6]
-        d3 = sbox[s11]
-        # MixColumns + AddRoundKey
-        s0 = m2[a0] ^ m3[a1] ^ a2 ^ a3 ^ rk[0]
-        s1 = a0 ^ m2[a1] ^ m3[a2] ^ a3 ^ rk[1]
-        s2 = a0 ^ a1 ^ m2[a2] ^ m3[a3] ^ rk[2]
-        s3 = m3[a0] ^ a1 ^ a2 ^ m2[a3] ^ rk[3]
-        s4 = m2[b0] ^ m3[b1] ^ b2 ^ b3 ^ rk[4]
-        s5 = b0 ^ m2[b1] ^ m3[b2] ^ b3 ^ rk[5]
-        s6 = b0 ^ b1 ^ m2[b2] ^ m3[b3] ^ rk[6]
-        s7 = m3[b0] ^ b1 ^ b2 ^ m2[b3] ^ rk[7]
-        s8 = m2[c0] ^ m3[c1] ^ c2 ^ c3 ^ rk[8]
-        s9 = c0 ^ m2[c1] ^ m3[c2] ^ c3 ^ rk[9]
-        s10 = c0 ^ c1 ^ m2[c2] ^ m3[c3] ^ rk[10]
-        s11 = m3[c0] ^ c1 ^ c2 ^ m2[c3] ^ rk[11]
-        s12 = m2[d0] ^ m3[d1] ^ d2 ^ d3 ^ rk[12]
-        s13 = d0 ^ m2[d1] ^ m3[d2] ^ d3 ^ rk[13]
-        s14 = d0 ^ d1 ^ m2[d2] ^ m3[d3] ^ rk[14]
-        s15 = m3[d0] ^ d1 ^ d2 ^ m2[d3] ^ rk[15]
-    # final round: SubBytes, ShiftRows, AddRoundKey
-    rk = rks[NUM_ROUNDS]
-    return bytes(
-        (
-            sbox[s0] ^ rk[0],
-            sbox[s5] ^ rk[1],
-            sbox[s10] ^ rk[2],
-            sbox[s15] ^ rk[3],
-            sbox[s4] ^ rk[4],
-            sbox[s9] ^ rk[5],
-            sbox[s14] ^ rk[6],
-            sbox[s3] ^ rk[7],
-            sbox[s8] ^ rk[8],
-            sbox[s13] ^ rk[9],
-            sbox[s2] ^ rk[10],
-            sbox[s7] ^ rk[11],
-            sbox[s12] ^ rk[12],
-            sbox[s1] ^ rk[13],
-            sbox[s6] ^ rk[14],
-            sbox[s11] ^ rk[15],
+    te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+    w = schedule.words
+    s0, s1, s2, s3 = struct.unpack(">4I", block)
+    s0, s1, s2, s3 = s0 ^ w[0], s1 ^ w[1], s2 ^ w[2], s3 ^ w[3]
+    for i in range(4, 4 * NUM_ROUNDS, 4):
+        # ShiftRows: column c reads row r from column c + r
+        s0, s1, s2, s3 = (
+            te0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255] ^ te3[s3 & 255] ^ w[i],
+            te0[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255] ^ te3[s0 & 255] ^ w[i + 1],
+            te0[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255] ^ te3[s1 & 255] ^ w[i + 2],
+            te0[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255] ^ te3[s2 & 255] ^ w[i + 3],
         )
-    )
+    # final round: ShiftRows on the words, SubBytes on their bytes (the two
+    # commute), then AddRoundKey
+    shifted = struct.pack(
+        ">4I",
+        s0 & 0xFF000000 | s1 & 0xFF0000 | s2 & 0xFF00 | s3 & 0xFF,
+        s1 & 0xFF000000 | s2 & 0xFF0000 | s3 & 0xFF00 | s0 & 0xFF,
+        s2 & 0xFF000000 | s3 & 0xFF0000 | s0 & 0xFF00 | s1 & 0xFF,
+        s3 & 0xFF000000 | s0 & 0xFF0000 | s1 & 0xFF00 | s2 & 0xFF,
+    ).translate(_SBOX)
+    out = int.from_bytes(shifted, "big") ^ int.from_bytes(schedule.round_keys[NUM_ROUNDS], "big")
+    return out.to_bytes(BLOCK_SIZE, "big")
 
 
 def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:

@@ -168,7 +168,8 @@ class AuditLog:
     `<utc-timestamp> <session-id> <event> [customer=<id>]`, CR/LF escaped.
 
     Never receives passwords, keys, nonces, or object plaintext; callers
-    only hand it event labels. Write failures are counted, never raised.
+    only hand it event labels. Write failures are counted, never raised;
+    the first one is reported on stderr when it happens.
     """
 
     def __init__(self, path: str | Path):
@@ -183,12 +184,23 @@ class AuditLog:
         if customer_id is not None:
             line += f" customer={customer_id}"
         line = line.replace("\n", "\\n").replace("\r", "\\r")
-        try:
-            with self._lock:
+        failure = None
+        with self._lock:
+            try:
                 self._fh.write(line + "\n")
                 self._fh.flush()
-        except (OSError, ValueError):
-            self.dropped += 1
+            except (OSError, ValueError) as exc:
+                self.dropped += 1
+                if self.dropped == 1:
+                    failure = type(exc).__name__
+        if failure:
+            # the class name only, outside the lock: a stalled stderr must not
+            # hold up every session's audit line
+            print(
+                f"gateway: audit log write failed ({failure}); "
+                "later lines are dropped and counted",
+                file=sys.stderr,
+            )
 
     def close(self) -> None:
         with self._lock:

@@ -417,16 +417,16 @@ class ObjectStore:
         """Rebuild the size table from object headers. Unreadable or corrupt
         files are skipped, and `.tmp-*` files, left by a write cut off before
         its rename, are removed; both are counted."""
-        for entry in self.root.iterdir():
-            if not entry.is_dir():
-                continue
+        with os.scandir(self.root) as entries:
+            customers = [entry for entry in entries if entry.is_dir()]
+        for customer in customers:
+            with os.scandir(customer.path) as entries:
+                files = [entry for entry in entries if entry.is_file()]
             sizes: dict[str, int] = {}
-            for f in entry.iterdir():
-                if not f.is_file():
-                    continue
+            for f in files:
                 try:
                     if f.name.startswith(_TMP_PREFIX):
-                        f.unlink()
+                        os.unlink(f.path)
                         self.scan_removed += 1
                         continue
                     with open(f, "rb") as fh:
@@ -436,8 +436,8 @@ class ObjectStore:
                 except (OSError, CorruptObject):
                     self.scan_skipped += 1
             if sizes:
-                self._sizes[entry.name] = sizes
-                self._used[entry.name] = sum(sizes.values())
+                self._sizes[customer.name] = sizes
+                self._used[customer.name] = sum(sizes.values())
 
     # --- operations ---
 

@@ -182,20 +182,33 @@ def test_block_determinism():
     assert aes.decrypt_block(ct, schedule) == aes.decrypt_block(ct, schedule)
 
 
-def test_block_reference_is_independent_of_the_engine(monkeypatch):
-    # with the engine's inverse ShiftRows broken, the reference still meets
-    # every vector while whole-buffer CBC decryption stops round-tripping
-    broken = aes._INVERSE._replace(shift_rows=aes._INVERSE.shift_rows[::-1])
-    monkeypatch.setattr(aes, "_INVERSE", broken)
-    for key, plaintext, ciphertext in load_vectors():
-        assert aes.decrypt_block(ciphertext, aes.key_expansion(key)) == plaintext
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_block_reference_is_independent_of_the_engine(monkeypatch, direction):
+    # with the engine's ShiftRows broken in one direction, that direction's
+    # single-block reference still meets every vector while the engine's
+    # whole-buffer mode stops agreeing with it
+    row = "_FORWARD" if direction == "forward" else "_INVERSE"
+    engine = getattr(aes, row)
+    monkeypatch.setattr(aes, row, engine._replace(shift_rows=engine.shift_rows[::-1]))
     schedule = aes.key_expansion(bytes(range(16)))
-    iv, plaintext = bytes(16), b"engine under test" * 4
-    try:
-        opened = aes.cbc_decrypt(aes.cbc_encrypt(plaintext, schedule, iv), schedule, iv)
-    except aes.PaddingError:
-        opened = None
-    assert opened != plaintext
+    if direction == "forward":
+        for key, plaintext, ciphertext in load_vectors():
+            assert aes.encrypt_block(plaintext, aes.key_expansion(key)) == ciphertext
+        counter = bytes(range(16, 32))
+        first = int.from_bytes(counter, "big")
+        blocks = b"".join(
+            aes.encrypt_block((first + i).to_bytes(16, "big"), schedule) for i in range(4)
+        )
+        assert aes.ctr_crypt(bytes(64), schedule, counter) != blocks
+    else:
+        for key, plaintext, ciphertext in load_vectors():
+            assert aes.decrypt_block(ciphertext, aes.key_expansion(key)) == plaintext
+        iv, plaintext = bytes(16), b"engine under test" * 4
+        try:
+            opened = aes.cbc_decrypt(aes.cbc_encrypt(plaintext, schedule, iv), schedule, iv)
+        except aes.PaddingError:
+            opened = None
+        assert opened != plaintext
 
 
 def test_block_rejects_bad_lengths():

@@ -236,6 +236,27 @@ def test_audit_failures_counted_not_raised(tmp_path):
     assert log.dropped == 1
 
 
+def test_audit_drops_from_concurrent_sessions_are_all_counted(tmp_path, capsys):
+    log = AuditLog(tmp_path / "audit.log")
+    log.close()
+    threads = [
+        threading.Thread(target=lambda: [log.append(i, "event") for i in range(500)])
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert log.dropped == 8 * 500
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 # --- live gateway -------------------------------------------------------------
 
 def test_readiness_line_and_round_trip(gateway_factory, capsys):
@@ -423,6 +444,25 @@ def test_shutdown_reports_dropped_audit_lines_as_a_count(gateway_factory, capsys
     capsys.readouterr()
     handle.gateway.shutdown(drain_seconds=2.0)
     assert audit.dropped >= 4  # hello, phase1, phase2, put at least
+    assert capsys.readouterr().err.splitlines() == [
+        f"gateway: audit log dropped {audit.dropped} lines"
+    ]
+
+
+def test_first_dropped_audit_line_is_reported_when_it_happens(gateway_factory, capsys):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    audit = handle.gateway.audit
+    capsys.readouterr()
+    audit._fh.close()  # every later append fails and is counted
+    session = open_session(handle, acme)
+    session.put("f", b"x")
+    session.close()
+    assert audit.dropped >= 4  # hello, phase1, phase2, put at least
+    assert capsys.readouterr().err.splitlines() == [
+        "gateway: audit log write failed (ValueError); later lines are dropped and counted"
+    ]
+    handle.gateway.shutdown(drain_seconds=2.0)
     assert capsys.readouterr().err.splitlines() == [
         f"gateway: audit log dropped {audit.dropped} lines"
     ]
