@@ -23,7 +23,13 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from .keyx import select_group
-from .protocol import Phase, ServerContext, SessionState, server_handle_frame
+from .protocol import (
+    Phase,
+    ServerContext,
+    SessionState,
+    server_derive_keys,
+    server_handle_frame,
+)
 from .vault import DuplicateUser, ObjectStore, ParseError, load_registry
 from .wire import (
     FrameError,
@@ -320,6 +326,8 @@ class Gateway:
                     break
                 for frame in server_handle_frame(state, msg_type, payload, ctx):
                     conn.sendall(frame.encode())
+                # once the ServerHello is out, this pow runs beside the client's
+                server_derive_keys(state, ctx.group)
         except OSError as exc:  # peer reset, or socket shut down during drain
             self.audit.append(session_id, f"connection lost {type(exc).__name__}")
         except Exception as exc:  # a session must never take the process down

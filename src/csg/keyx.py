@@ -156,11 +156,16 @@ def _fixed_base_pow(group: DhGroup, exponent: int) -> int:
     return result
 
 
+def check_public(peer_public: int, group: DhGroup) -> None:
+    """Raise InvalidPublicKey unless 1 < peer_public < p-1."""
+    if not 1 < peer_public < group.p - 1:
+        raise InvalidPublicKey(f"peer public value {peer_public} is degenerate")
+
+
 def dh_shared(own: DhKeyPair, peer_public: int, group: DhGroup) -> bytes:
     """Shared secret peer_public^private mod p, big-endian, zero-padded to
     the modulus length."""
-    if not 1 < peer_public < group.p - 1:
-        raise InvalidPublicKey(f"peer public value {peer_public} is degenerate")
+    check_public(peer_public, group)
     shared = pow(peer_public, own.private, group.p)
     return shared.to_bytes(group.byte_len, "big")
 

@@ -27,10 +27,20 @@ point, `server_handle_frame`, which serves a request only in its row's
 phase; every other (phase, type) pair, and every handler failure, becomes
 an Error frame that closes the session. A check or timer that must see
 every frame before any handler runs belongs in that function.
+
+The server answers a ClientHello before it derives the session keys.
+`server_hello` checks the version and the client public, draws the server
+keypair and returns the ServerHello; the keypair and the client public wait
+on the SessionState until `server_derive_keys` runs the server's DH `pow`.
+The gateway calls it right after sending the ServerHello, so that `pow` runs
+while the client computes its own; `server_handle_frame` calls it first, so
+an in-process caller finds the keys on the next frame. A refused hello
+costs no DH work.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import os
 import struct
@@ -44,6 +54,7 @@ from .keyx import (
     DhKeyPair,
     SessionKeys,
     InvalidPublicKey,
+    check_public,
     derive_keys,
     dh_generate,
     dh_shared,
@@ -116,19 +127,20 @@ class SessionState:
     schedules: Optional[dict[MessageType, aes.KeySchedule]] = None
     server_nonce: Optional[bytes] = None
     customer_id: Optional[str] = None
-    # client side: own ephemeral keypair until the hello completes
+    # own ephemeral keypair: the client's until the ServerHello arrives, the
+    # server's from the ClientHello until `server_derive_keys`
     dh_keypair: Optional[DhKeyPair] = None
+    # server side: the checked client DH public, from the ClientHello until
+    # `server_derive_keys`; set means a key derivation is pending
+    client_public: Optional[int] = None
     # server side: the path the client asked for, checked in phase 2
     space_path: Optional[str] = None
 
     def close(self) -> None:
-        """Drop to CLOSED and discard all key material."""
+        """Drop to CLOSED and discard everything the session learned."""
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, None)
         self.phase = Phase.CLOSED
-        self.keys = None
-        self.schedules = None
-        self.server_nonce = None
-        self.customer_id = None
-        self.dh_keypair = None
 
     def set_keys(self, keys: SessionKeys) -> None:
         """Hold the derived sub-keys, each expanded once for the session."""
@@ -306,14 +318,11 @@ class ServerContext:
 
 
 def server_hello(
-    state: SessionState,
-    client_payload: bytes,
-    keypair: DhKeyPair,
-    nonce: bytes,
-    group: DhGroup,
+    state: SessionState, client_payload: bytes, nonce: bytes, group: DhGroup
 ) -> Frame:
-    """Answer a ClientHello: validate version and client public, derive the
-    session keys, emit the server public and nonce."""
+    """Answer a ClientHello: check the version and the client public, then
+    draw the server keypair and emit its public and the nonce. The keypair
+    and the client public are kept for `server_derive_keys`."""
     step = _step(state, MessageType.CLIENT_HELLO)
     if len(nonce) != 16:
         raise ValueError("server nonce must be exactly 16 bytes")
@@ -323,11 +332,23 @@ def server_hello(
         raise VersionMismatch(f"unsupported protocol version 0x{version:02x}")
     client_public = r.mpint()
     r.expect_end()
-    shared = dh_shared(keypair, client_public, group)
-    state.set_keys(derive_keys(shared))
+    check_public(client_public, group)
+    state.dh_keypair = dh_generate(group)
+    state.client_public = client_public
     state.server_nonce = nonce
     state.phase = step.next_phase
-    return Frame(MessageType.SERVER_HELLO, encode_mpint(keypair.public) + nonce)
+    return Frame(MessageType.SERVER_HELLO, encode_mpint(state.dh_keypair.public) + nonce)
+
+
+def server_derive_keys(state: SessionState, group: DhGroup) -> None:
+    """Derive the session keys of a hello that `server_hello` answered, then
+    drop the keypair and the client public; does nothing when no derivation
+    is pending."""
+    if state.client_public is None:
+        return
+    state.set_keys(derive_keys(dh_shared(state.dh_keypair, state.client_public, group)))
+    state.dh_keypair = None
+    state.client_public = None
 
 
 def _open_credentials(
@@ -365,7 +386,7 @@ def _answer_auth(
 
 
 def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
-    frame = server_hello(state, payload, dh_generate(ctx.group), ctx.rand(16), ctx.group)
+    frame = server_hello(state, payload, ctx.rand(16), ctx.group)
     ctx.audit("hello", None)
     return [frame]
 
@@ -526,6 +547,7 @@ def server_handle_frame(
     yields a single Error frame and a closed session; frames arriving after
     close are dropped silently.
     """
+    server_derive_keys(state, ctx.group)
     if state.phase is Phase.CLOSED:
         return []
     if msg_type is MessageType.DISCONNECT:

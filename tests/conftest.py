@@ -203,13 +203,17 @@ class ScriptedClient:
     def recv(self) -> tuple[MessageType, bytes]:
         return decode_frame(self.stream)
 
-    def hello(self, keypair=None) -> None:
+    def hello(self, keypair=None, on_server_hello=None) -> None:
+        """`on_server_hello` is called once the ServerHello has been read,
+        before this side derives its keys."""
         from csg.keyx import dh_generate
 
         keypair = keypair or dh_generate(self.group)
         self.send(protocol.client_connect(self.state, keypair))
         msg_type, payload = self.recv()
         assert msg_type is MessageType.SERVER_HELLO, msg_type
+        if on_server_hello is not None:
+            on_server_hello()
         protocol.client_handle_server_hello(self.state, payload, self.group)
 
     def phase1(self, user: str, password: str) -> tuple[bool, str]:

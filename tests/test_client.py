@@ -15,7 +15,7 @@ import pytest
 from csg import aes
 from csg import protocol as P
 from csg.client import ClientSession, CommandRefused, ProtocolFailure
-from csg.keyx import TEST_SMALL, dh_generate
+from csg.keyx import TEST_SMALL
 from csg.wire import MAX_PAYLOAD_LEN, Frame, MessageType, decode_frame, encode_str
 
 from conftest import audit_events, open_session, provision_customer
@@ -44,8 +44,9 @@ def _truncated_frame(conn, stream):
 def _garbage_phase1_result(conn, stream):
     state = P.SessionState()
     _, hello = decode_frame(stream)
-    reply = P.server_hello(state, hello, dh_generate(TEST_SMALL), os.urandom(16), TEST_SMALL)
+    reply = P.server_hello(state, hello, os.urandom(16), TEST_SMALL)
     conn.sendall(reply.encode())
+    P.server_derive_keys(state, TEST_SMALL)
     decode_frame(stream)  # the Phase1Auth
     # an IV equal to the block's decryption makes the plaintext all zeros,
     # and a padding byte of 0x00 is never valid

@@ -18,14 +18,20 @@ import time
 
 import pytest
 
-from csg import keyx
+from csg import keyx, protocol
 from csg.client import ClientSession, ProtocolFailure
 from csg.gateway import AuditLog, ConfigError, GatewayConfig, load_config, parse_audit_line
 from csg.keyx import TEST_SMALL
 from csg.vault import Registry, save_registry
 from csg.wire import MessageType, encode_frame
 
-from conftest import audit_events, open_session, provision_customer, write_cbc_object
+from conftest import (
+    ScriptedClient,
+    audit_events,
+    open_session,
+    provision_customer,
+    write_cbc_object,
+)
 
 
 # --- configuration ----------------------------------------------------------
@@ -503,6 +509,43 @@ def test_audit_event_sequence(gateway_factory):
     assert any(e.startswith("get name='f'") for e in events)
     assert any(e.startswith("list count=") for e in events)
     assert "disconnect customer=acme" in events
+
+
+def test_gateway_derives_its_keys_after_sending_the_server_hello(gateway_factory, monkeypatch):
+    """Each side's DH `pow` can run while the other computes its own: the
+    gateway's `dh_shared` is held until the client has read the ServerHello,
+    and the session still completes login, put and get."""
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    hello_read = threading.Event()
+    waits = []
+    real_dh_shared = protocol.dh_shared
+
+    def held_dh_shared(*args):
+        waits.append(hello_read.wait(timeout=5.0))  # False: the wait timed out
+        return real_dh_shared(*args)
+
+    monkeypatch.setattr(protocol, "dh_shared", held_dh_shared)
+    client = ScriptedClient(handle.host, handle.port, group=TEST_SMALL)
+    try:
+        client.hello(on_server_hello=hello_read.set)
+        assert client.phase1(acme.tunnel_user, acme.tunnel_pass) == (True, "")
+        client.send(protocol.service_request(client.state, acme.space_path))
+        client.send(protocol.auth(client.state, acme.service_user, acme.service_pass))
+        msg_type, payload = client.recv()
+        assert msg_type is MessageType.PHASE2_RESULT
+        assert protocol.handle_auth_result(client.state, payload) == (True, "")
+        client.send(protocol.build_put(client.state, "f", b"overlap"))
+        msg_type, payload = client.recv()
+        assert protocol.parse_put_result(client.state, payload) == protocol.STATUS_OK
+        client.send(protocol.build_get(client.state, "f"))
+        msg_type, payload = client.recv()
+        assert protocol.parse_get_result(client.state, payload) == (
+            protocol.STATUS_OK, b"overlap"
+        )
+    finally:
+        client.close()
+    assert waits == [True, True]  # one call on each side, neither timed out
 
 
 def test_startup_scan_counts_are_audited(gateway_factory, tmp_path):

@@ -4,6 +4,7 @@ full phase x type grid, and the data-session framing."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import shutil
@@ -97,16 +98,16 @@ def test_both_sides_derive_identical_keys(ctx):
     hello = P.client_connect(client, dh_generate(TEST_SMALL))
     reply = P.server_handle_frame(server, hello.msg_type, hello.payload, ctx)
     P.client_handle_server_hello(client, reply[0].payload, TEST_SMALL)
+    P.server_derive_keys(server, TEST_SMALL)
     assert client.keys == server.keys
     assert client.server_nonce == server.server_nonce
 
 
 def test_server_hello_version_mismatch(ctx):
     server = P.SessionState()
-    keypair = dh_generate(TEST_SMALL)
     payload = bytes([0x02]) + b"\x00\x01\x08"
     with pytest.raises(P.VersionMismatch):
-        P.server_hello(server, payload, keypair, os.urandom(16), TEST_SMALL)
+        P.server_hello(server, payload, os.urandom(16), TEST_SMALL)
 
 
 def test_server_hello_rejects_degenerate_public(ctx):
@@ -115,7 +116,44 @@ def test_server_hello_rejects_degenerate_public(ctx):
 
     payload = bytes([0x01]) + b"\x00\x01\x01"  # client public = 1
     with pytest.raises(InvalidPublicKey):
-        P.server_hello(server, payload, dh_generate(TEST_SMALL), os.urandom(16), TEST_SMALL)
+        P.server_hello(server, payload, os.urandom(16), TEST_SMALL)
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [(bytes([0x02]) + encode_mpint(8), "version mismatch")]
+    + [
+        (bytes([0x01]) + encode_mpint(public), "invalid public key")
+        for public in (0, 1, TEST_SMALL.p - 1, TEST_SMALL.p)
+    ],
+    ids=["version-0x02", "public-0", "public-1", "public-p-minus-1", "public-p"],
+)
+def test_refused_hello_costs_no_dh_work(ctx, monkeypatch, payload, reason):
+    calls = []
+    for name in ("dh_generate", "dh_shared"):
+        real = getattr(P, name)
+        monkeypatch.setattr(
+            P, name, lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw)
+        )
+    server = P.SessionState()
+    frames = P.server_handle_frame(server, MessageType.CLIENT_HELLO, payload, ctx)
+    assert [f.msg_type for f in frames] == [MessageType.ERROR]
+    assert PayloadReader(frames[0].payload).string() == reason
+    assert calls == []
+
+
+def test_close_drops_everything_the_session_learned(wire, acme):
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme)[0]
+    state = wire.server
+    for field in dataclasses.fields(state):
+        if getattr(state, field.name) is None:  # a field this flow leaves unset
+            setattr(state, field.name, object())
+    state.close()
+    assert state.phase is P.Phase.CLOSED
+    left = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+    del left["phase"]
+    assert left == dict.fromkeys(left)
 
 
 def test_dispatcher_turns_bad_hello_into_error_frame(ctx):
@@ -159,8 +197,9 @@ def test_phase1_server_recovers_exact_credentials(acme):
     client, server = P.SessionState(), P.SessionState()
     keypair = dh_generate(TEST_SMALL)
     hello = P.client_connect(client, keypair)
-    frame = P.server_hello(server, hello.payload, dh_generate(TEST_SMALL), os.urandom(16), TEST_SMALL)
+    frame = P.server_hello(server, hello.payload, os.urandom(16), TEST_SMALL)
     P.client_handle_server_hello(client, frame.payload, TEST_SMALL)
+    P.server_derive_keys(server, TEST_SMALL)
     auth = P.auth(client, "usér", "pässword")
     user, password = P._open_credentials(server, MessageType.PHASE1_AUTH, auth.payload)
     assert (user, password) == ("usér", "pässword")
