@@ -5,6 +5,11 @@ Each config key takes its value from its flag, else CSG_<KEY>, else the
 JSON config file, else its default, and `_PARSERS` checks it. Exit codes: 0
 after SIGINT/SIGTERM, 1 for a startup failure (registry, store, audit log,
 bind), 2 for a config error.
+
+Session threads share one interpreter lock. The gateway process (`run`, not
+the `Gateway` class, which leaves it to an embedder) hands it over every
+0.5 ms, so a small request is not held behind another session's cipher, at
+some cost to that session's throughput.
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ from .wire import (
 
 _ENV_PREFIX = "CSG_"
 DRAIN_SECONDS = 5.0
+# A thread back from a blocking call (recv, a file write, sendall) waits for
+# the interpreter lock until the thread holding it, say one running another
+# session's pure-Python cipher, has held it for the switch interval: the GIL
+# "convoy effect" (bpo-7946). CPython's default is 5 ms.
+SWITCH_INTERVAL_SECONDS = 0.0005
 
 
 class ConfigError(Exception):
@@ -388,6 +398,7 @@ class Gateway:
 
 def run(config: GatewayConfig) -> int:
     """Run the gateway until SIGINT/SIGTERM; returns the process exit code."""
+    sys.setswitchinterval(SWITCH_INTERVAL_SECONDS)
     try:
         gateway = Gateway(config)
     except (ParseError, DuplicateUser, OSError, ValueError) as exc:

@@ -62,7 +62,8 @@ class InvalidName(ValueError):
 
 
 class QuotaExceeded(Exception):
-    pass
+    """A put would take the customer's object files past its quota, which
+    bounds their bytes on disk: header, ciphertext and tag."""
 
 
 class NoSuchObject(Exception):
@@ -352,10 +353,10 @@ def validate_object_name(name: str) -> None:
         raise InvalidName(f"object name prefix {_TMP_PREFIX!r} is reserved")
 
 
-def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int]:
+def _parse_header(header: bytes, file_size: int) -> bytes:
     """Check an object header against the size of its file.
 
-    Returns (counter, plaintext length). Raises CorruptObject.
+    Returns the initial counter. Raises CorruptObject.
     """
     if len(header) < OBJECT_HEADER_LEN:
         raise CorruptObject("object file shorter than its header")
@@ -367,7 +368,7 @@ def _parse_header(header: bytes, file_size: int) -> tuple[bytes, int]:
     (size,) = struct.unpack(">Q", header[21:29])
     if file_size != OBJECT_HEADER_LEN + size + OBJECT_TAG_LEN:
         raise CorruptObject("ciphertext length does not match the header")
-    return header[5:21], size
+    return header[5:21]
 
 
 def _validate_customer_id(customer_id: str) -> None:
@@ -386,11 +387,12 @@ class ObjectStore:
     storage key from a fresh random counter, and tagged with HMAC-SHA256
     under a second derived key. Each file's header carries the exact
     plaintext length, so the object file is the only record of its size:
-    there is no index beside it, and quota totals are rebuilt from the
-    headers at startup, which checks no tag. Only version 0x03 is read: a
-    file of any other version is a CorruptObject, and the scan skips it, so
-    it is neither listed nor counted toward the quota; `scan_skipped` counts
-    such files.
+    there is no index beside it. The quota charges each object its file
+    size, header and tag included, and its totals are rebuilt from the
+    checked headers at startup, which reads no tag. Only version 0x03 is
+    read: a file of any other version is a CorruptObject, and the scan skips
+    it, so it is neither listed nor counted toward the quota; `scan_skipped`
+    counts such files.
 
     Writes go through a temp file + atomic rename, which commits content and
     size together, and are serialized by one coarse store-wide lock. A failed
@@ -402,7 +404,7 @@ class ObjectStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._sizes: dict[str, dict[str, int]] = {}
+        self._sizes: dict[str, dict[str, int]] = {}  # object file sizes
         self._used: dict[str, int] = {}  # per customer, the sum of its sizes
         self.scan_skipped = 0  # object files the startup scan could not read
         self.scan_removed = 0  # temp files of cut-off writes it removed
@@ -414,9 +416,9 @@ class ObjectStore:
         return self.root / customer_id
 
     def _scan(self) -> None:
-        """Rebuild the size table from object headers. Unreadable or corrupt
-        files are skipped, and `.tmp-*` files, left by a write cut off before
-        its rename, are removed; both are counted."""
+        """Rebuild the file-size table from checked object headers.
+        Unreadable or corrupt files are skipped, and `.tmp-*` files, left by
+        a write cut off before its rename, are removed; both are counted."""
         with os.scandir(self.root) as entries:
             customers = [entry for entry in entries if entry.is_dir()]
         for customer in customers:
@@ -432,7 +434,8 @@ class ObjectStore:
                     with open(f, "rb") as fh:
                         header = fh.read(OBJECT_HEADER_LEN)
                         file_size = os.fstat(fh.fileno()).st_size
-                    sizes[f.name] = _parse_header(header, file_size)[1]
+                    _parse_header(header, file_size)
+                    sizes[f.name] = file_size
                 except (OSError, CorruptObject):
                     self.scan_skipped += 1
             if sizes:
@@ -450,7 +453,9 @@ class ObjectStore:
         quota_bytes: int,
     ) -> None:
         """Encrypt and store one object atomically; overwrites a same-named
-        object; refuses when cumulative plaintext would exceed the quota."""
+        object. Raises QuotaExceeded when the customer's object files,
+        counted at their size on disk, would exceed `quota_bytes`: an empty
+        object still costs its 61-byte header and tag."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
@@ -460,12 +465,13 @@ class ObjectStore:
         )
         ciphertext = aes.ctr_crypt(plaintext, schedule, counter)
         tag = _object_tag(master_key, customer_id, name, header, ciphertext)
+        file_size = OBJECT_HEADER_LEN + len(ciphertext) + OBJECT_TAG_LEN
         with self._lock:
             sizes = self._sizes.setdefault(customer_id, {})
             used = self._used.get(customer_id, 0) - sizes.get(name, 0)
-            if used + len(plaintext) > quota_bytes:
+            if used + file_size > quota_bytes:
                 raise QuotaExceeded(
-                    f"storing {len(plaintext)} bytes would exceed the "
+                    f"storing a {file_size}-byte object file would exceed the "
                     f"{quota_bytes}-byte quota"
                 )
             directory = self._dir(customer_id)
@@ -481,8 +487,8 @@ class ObjectStore:
             except BaseException:
                 Path(tmp).unlink(missing_ok=True)
                 raise
-            sizes[name] = len(plaintext)
-            self._used[customer_id] = used + len(plaintext)
+            sizes[name] = file_size
+            self._used[customer_id] = used + file_size
 
     def get_object(self, customer_id: str, name: str, master_key: bytes) -> bytes:
         """Read, verify and decrypt one object; byte-exact inverse of
@@ -495,7 +501,7 @@ class ObjectStore:
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
         header = blob[:OBJECT_HEADER_LEN]
-        counter, _size = _parse_header(header, len(blob))
+        counter = _parse_header(header, len(blob))
         ciphertext = memoryview(blob)[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
         tag = _object_tag(master_key, customer_id, name, header, ciphertext)
         if not hmac.compare_digest(tag, blob[-OBJECT_TAG_LEN:]):

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from csg import keyx, protocol
+from csg import gateway, keyx, protocol
 from csg.client import ClientSession, ProtocolFailure
 from csg.gateway import AuditLog, ConfigError, GatewayConfig, load_config, parse_audit_line
 from csg.keyx import TEST_SMALL
@@ -624,6 +624,36 @@ def test_cli_startup_and_sigterm(tmp_path):
             proc.wait()
         proc.stdout.close()
         proc.stderr.close()
+
+
+def test_gateway_process_sets_the_switch_interval(tmp_path, monkeypatch):
+    built = []
+
+    class NotServing:  # stands in for Gateway: the entry stops before it serves
+        def __init__(self, config):
+            built.append(config)
+
+        def start(self):
+            raise OSError("not serving")
+
+    monkeypatch.setattr(gateway, "Gateway", NotServing)
+    before = sys.getswitchinterval()
+    try:
+        assert gateway.main(["--config", str(write_config(tmp_path))]) == 1
+        assert sys.getswitchinterval() == gateway.SWITCH_INTERVAL_SECONDS
+    finally:
+        sys.setswitchinterval(before)
+    assert [config.listen_addr for config in built] == ["127.0.0.1:0"]
+
+
+def test_gateway_in_process_leaves_the_switch_interval(gateway_factory):
+    # the setting belongs to the gateway process, not to an embedder's
+    before = sys.getswitchinterval()
+    acme = provision_customer("acme")
+    session = open_session(gateway_factory([acme]), acme)
+    session.put("a", b"x")
+    session.close()
+    assert sys.getswitchinterval() == before
 
 
 def test_cli_bad_master_key_exits_nonzero(tmp_path):

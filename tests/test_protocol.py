@@ -493,7 +493,7 @@ def test_list_storage_failure_sends_error_frame(tmp_path, acme):
 @pytest.mark.parametrize(
     "names",
     [
-        # empty objects use no quota: 65,300 names of 255 bytes make a
+        # the store's listing is stubbed: 65,300 names of 255 bytes make a
         # 16,782,128-byte listing, past the frame cap
         pytest.param(lambda: [f"{i:0255d}" for i in range(65_300)], id="frame-cap"),
         pytest.param(lambda: [str(i) for i in range(0x10000)], id="u16-count"),

@@ -289,6 +289,8 @@ def test_certificate_precedence_exhaustive():
 
 MASTER = bytes.fromhex("77" * 16)
 QUOTA = 64 * 1024 * 1024
+# what an object file holds beyond its ciphertext, and the quota charges
+OVERHEAD = vault.OBJECT_HEADER_LEN + vault.OBJECT_TAG_LEN
 
 
 @pytest.fixture
@@ -361,7 +363,7 @@ def test_quota_enforced(store):
         store.put_object("acme", "b", bytes(500), MASTER, 1000)
     # overwriting frees the old size first
     store.put_object("acme", "a", bytes(900), MASTER, 1000)
-    assert store.used_bytes("acme") == 900
+    assert store.used_bytes("acme") == 900 + OVERHEAD
     with pytest.raises(QuotaExceeded):
         store.put_object("acme", "a", bytes(1001), MASTER, 1000)
 
@@ -486,7 +488,7 @@ def test_index_rebuild_after_restart(tmp_path):
     second = ObjectStore(root)
     assert second.list_objects("acme") == ["kept"]
     assert second.get_object("acme", "kept", MASTER) == data
-    assert second.used_bytes("acme") == 500  # exact size from the header
+    assert second.used_bytes("acme") == 500 + OVERHEAD  # size checked against the header
 
 
 def test_quota_enforced_after_rebuild(tmp_path):
@@ -496,6 +498,16 @@ def test_quota_enforced_after_rebuild(tmp_path):
     second = ObjectStore(root)
     with pytest.raises(QuotaExceeded):
         second.put_object("acme", "b", bytes(500), MASTER, 1000)
+
+
+def test_zero_quota_refuses_an_empty_put(store, tmp_path):
+    with pytest.raises(QuotaExceeded):
+        store.put_object("acme", "empty", b"", MASTER, 0)
+    store.put_object("acme", "empty", b"", MASTER, OVERHEAD)  # exactly fits
+    with pytest.raises(QuotaExceeded):
+        store.put_object("acme", "second", b"", MASTER, OVERHEAD)
+    assert store.used_bytes("acme") == OVERHEAD
+    assert os.listdir(tmp_path / "objects" / "acme") == ["empty"]
 
 
 def test_stray_tmp_files_ignored_on_scan(tmp_path):
@@ -518,7 +530,7 @@ def test_scan_counts_skipped_files_and_removes_temp_files(tmp_path):
     assert (second.scan_skipped, second.scan_removed) == (1, 1)
     assert sorted(os.listdir(root / "acme")) == ["old", "real"]
     assert second.list_objects("acme") == ["real"]
-    assert second.used_bytes("acme") == 4
+    assert second.used_bytes("acme") == 4 + OVERHEAD
     third = ObjectStore(root)  # the temp file is gone, the v2 file is not
     assert (third.scan_skipped, third.scan_removed) == (1, 0)
 
@@ -532,7 +544,8 @@ def test_exact_used_bytes_after_restart(tmp_path, size):
     for index in root.glob("*.index.json"):  # as written by older versions
         index.unlink()
     second = ObjectStore(root)
-    assert second.used_bytes("acme") == size + 7
+    on_disk = sum(path.stat().st_size for path in (root / "acme").iterdir())
+    assert second.used_bytes("acme") == on_disk == size + 7 + 2 * OVERHEAD
     assert second.get_object("acme", "a", MASTER) == bytes(size)
 
 
@@ -555,7 +568,7 @@ def test_failed_write_cannot_exceed_quota_after_restart(tmp_path, monkeypatch):
     (root / "acme.index.json").write_text(json.dumps({"a": 100}))
 
     second = ObjectStore(root)
-    assert second.used_bytes("acme") == 900
+    assert second.used_bytes("acme") == 900 + OVERHEAD
     with pytest.raises(QuotaExceeded):
         second.put_object("acme", "b", bytes(750), MASTER, 1000)
     assert (root / "acme.index.json").read_text() == json.dumps({"a": 100})
@@ -611,7 +624,7 @@ def test_failed_rename_leaves_no_temp_file(store, tmp_path, monkeypatch):
     monkeypatch.undo()
     assert os.listdir(tmp_path / "objects" / "acme") == ["kept"]
     assert store.get_object("acme", "kept", MASTER) == b"old"
-    assert store.used_bytes("acme") == 3
+    assert store.used_bytes("acme") == 3 + OVERHEAD
 
 
 @pytest.mark.parametrize("version", [0x01, 0x02], ids=["v1", "v2"])
@@ -627,12 +640,12 @@ def test_pre_v3_object_is_never_returned(tmp_path, version):
         with pytest.raises(CorruptObject, match="unsupported object version"):
             store.get_object("acme", name, MASTER)
     assert store.list_objects("acme") == ["kept"]
-    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 4
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 4 + OVERHEAD
     store.put_object("acme", "old", data, MASTER, QUOTA)  # rewritten as v3
     assert (root / "acme" / "old").read_bytes()[4] == 0x03
     assert store.get_object("acme", "old", MASTER) == data
     assert store.list_objects("acme") == ["kept", "old"]
-    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 104
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 104 + 2 * OVERHEAD
 
 
 @pytest.mark.parametrize(
@@ -653,12 +666,13 @@ def test_altered_length_field_is_corrupt(tmp_path, new_length):
     # the scan reads headers only, and a v3 file's size fixes its length
     rescanned = ObjectStore(root)
     assert rescanned.list_objects("acme") == ["other"]
-    assert rescanned.used_bytes("acme") == 1
+    assert rescanned.used_bytes("acme") == 1 + OVERHEAD
 
 
 def _listed_bytes(store: ObjectStore, customer_id: str) -> int:
+    """The file sizes of the listed objects, each read back whole."""
     return sum(
-        len(store.get_object(customer_id, name, MASTER))
+        len(store.get_object(customer_id, name, MASTER)) + OVERHEAD
         for name in store.list_objects(customer_id)
     )
 
@@ -669,12 +683,12 @@ def test_used_bytes_is_the_sum_of_listed_sizes(tmp_path, monkeypatch):
     store.put_object("acme", "a", bytes(300), MASTER, 1000)
     store.put_object("acme", "b", bytes(200), MASTER, 1000)
     store.put_object("bravo", "a", bytes(7), MASTER, 1000)
-    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 500
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 500 + 2 * OVERHEAD
     store.put_object("acme", "a", bytes(100), MASTER, 1000)  # overwrite
-    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300 + 2 * OVERHEAD
     with pytest.raises(QuotaExceeded):
         store.put_object("acme", "c", bytes(701), MASTER, 1000)
-    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300 + 2 * OVERHEAD
 
     def refuse(src, dst):
         raise OSError("rename refused")
@@ -683,10 +697,10 @@ def test_used_bytes_is_the_sum_of_listed_sizes(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         store.put_object("acme", "b", bytes(600), MASTER, 1000)
     monkeypatch.undo()
-    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300
+    assert store.used_bytes("acme") == _listed_bytes(store, "acme") == 300 + 2 * OVERHEAD
     restarted = ObjectStore(root)
-    assert restarted.used_bytes("acme") == _listed_bytes(restarted, "acme") == 300
-    assert restarted.used_bytes("bravo") == _listed_bytes(restarted, "bravo") == 7
+    assert restarted.used_bytes("acme") == _listed_bytes(restarted, "acme") == 300 + 2 * OVERHEAD
+    assert restarted.used_bytes("bravo") == _listed_bytes(restarted, "bravo") == 7 + OVERHEAD
 
 
 def test_store_root_holds_only_customer_directories(tmp_path):
