@@ -25,7 +25,7 @@ import os
 import struct
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -205,31 +205,12 @@ class Registry:
         return record.customer_id
 
 
-def _cert_to_json(cert: Certificate) -> dict:
-    return {
-        "customer_id": cert.customer_id,
-        "issued_at": cert.issued_at,
-        "last_update": cert.last_update,
-        "expiry_date": cert.expiry_date,
-        "rights": list(cert.rights),
-        "revoked": cert.revoked,
-    }
-
-
 def _record_to_json(record: CustomerRecord) -> dict:
-    return {
-        "kdf": PASSWORD_KDF,
-        "customer_id": record.customer_id,
-        "tunnel_user": record.tunnel_user,
-        "tunnel_salt": record.tunnel_salt.hex(),
-        "tunnel_hash": record.tunnel_hash.hex(),
-        "service_user": record.service_user,
-        "service_salt": record.service_salt.hex(),
-        "service_hash": record.service_hash.hex(),
-        "space_path": record.space_path,
-        "certificate": _cert_to_json(record.certificate),
-        "quota_bytes": record.quota_bytes,
-    }
+    obj = asdict(record)
+    for key in ("tunnel_salt", "tunnel_hash", "service_salt", "service_hash"):
+        obj[key] = obj[key].hex()
+    obj["kdf"] = PASSWORD_KDF
+    return obj
 
 
 def _typed(obj: dict, key: str, kind: type):
@@ -398,6 +379,11 @@ class ObjectStore:
     size together, and are serialized by one coarse store-wide lock. A failed
     write or rename removes its temp file and counts nothing to the quota;
     one left by a crash is removed by the next startup scan (`scan_removed`).
+
+    The store is the only writer of its directories, so the size table is
+    also the listing: `list_objects` reads no directory. A file deleted by
+    hand while the store runs stays listed and charged until the next
+    startup scan; a get of it is a NoSuchObject.
     """
 
     def __init__(self, root: str | Path):
@@ -510,17 +496,13 @@ class ObjectStore:
         return aes.ctr_crypt(ciphertext, schedule, counter)
 
     def list_objects(self, customer_id: str) -> list[str]:
-        """Object names in lexicographic byte order; empty for a customer
-        that has never stored anything."""
+        """Object names in lexicographic byte order, read from the size
+        table; empty for a customer that has never stored anything."""
         _validate_customer_id(customer_id)
+        if not self.root.is_dir():
+            raise FileNotFoundError(f"object store root missing: {self.root}")
         with self._lock:
-            known = self._sizes.get(customer_id)
-            if not known:
-                if not self.root.is_dir():
-                    raise FileNotFoundError(f"object store root missing: {self.root}")
-                return []
-            on_disk = os.listdir(self._dir(customer_id))  # OSError if deleted
-            return sorted(name for name in on_disk if name in known)
+            return sorted(self._sizes.get(customer_id, ()))
 
     def used_bytes(self, customer_id: str) -> int:
         with self._lock:

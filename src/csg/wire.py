@@ -84,38 +84,34 @@ def encode_frame(msg_type: MessageType, payload: bytes) -> bytes:
     return struct.pack(">IB", 1 + len(payload), int(msg_type)) + payload
 
 
-def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = stream.read(n - len(buf))
-        if not chunk:
-            raise TruncatedFrame(f"stream ended while reading {what}")
-        buf += chunk
-    return buf
-
-
 def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytes]:
     """Read exactly one frame, leaving the stream at the next one.
 
+    `stream` is buffered (`socket.makefile("rb")`, `io.BytesIO`): its
+    `read(n)` returns fewer than n bytes only at the end of the stream.
     Raises TruncatedFrame (StreamEnded when no byte of the frame arrives),
     UnknownType or FrameTooLarge; never anything else, whatever the input
     bytes.
     """
-    head = stream.read(4)
+    head = stream.read(5)
     if not head:
-        raise StreamEnded("stream ended while reading frame length")
-    head += _read_exact(stream, 4 - len(head), "frame length")
-    (length,) = struct.unpack(">I", head)
-    if length > MAX_FRAME_LEN:
-        raise FrameTooLarge(f"declared frame length {length} exceeds the cap")
+        raise StreamEnded("stream ended while reading frame header")
+    # the declared length alone is enough to refuse an oversized frame
+    if len(head) >= 4 and struct.unpack(">I", head[:4])[0] > MAX_FRAME_LEN:
+        raise FrameTooLarge("declared frame length exceeds the cap")
+    if len(head) < 5:
+        raise TruncatedFrame("stream ended while reading frame header")
+    length, type_code = struct.unpack(">IB", head)
     if length < 1:
         raise TruncatedFrame("declared frame length leaves no room for the type byte")
-    body = _read_exact(stream, length, "frame body")
+    payload = stream.read(length - 1)
+    if len(payload) < length - 1:
+        raise TruncatedFrame("stream ended while reading frame payload")
     try:
-        msg_type = MessageType(body[0])
+        msg_type = MessageType(type_code)
     except ValueError:
-        raise UnknownType(f"unassigned message type 0x{body[0]:02x}") from None
-    return msg_type, body[1:]
+        raise UnknownType(f"unassigned message type 0x{type_code:02x}") from None
+    return msg_type, payload
 
 
 def encode_str(s: str) -> bytes:

@@ -63,6 +63,39 @@ def test_registry_round_trip(tmp_path):
     assert loaded.get("bravo") == b
 
 
+def test_registry_line_is_pinned(tmp_path):
+    cert = Certificate("acme", 100, 200, 300, ("storage", "audit"), revoked=False)
+    record = vault.CustomerRecord(
+        customer_id="acme",
+        tunnel_user="acme-tunnel",
+        tunnel_salt=bytes(range(16)),
+        tunnel_hash=bytes(range(32)),
+        service_user="acme-svc",
+        service_salt=bytes(range(16, 32)),
+        service_hash=bytes(range(32, 64)),
+        space_path="/space/acme",
+        certificate=cert,
+        quota_bytes=4096,
+    )
+    path = tmp_path / "registry.jsonl"
+    save_registry(Registry([record]), path)
+    assert path.read_bytes() == (
+        b'{"certificate": {"customer_id": "acme", "expiry_date": 300, '
+        b'"issued_at": 100, "last_update": 200, "revoked": false, '
+        b'"rights": ["storage", "audit"]}, "customer_id": "acme", '
+        b'"kdf": "pbkdf2-hmac-sha256/10000", "quota_bytes": 4096, '
+        b'"service_hash": '
+        b'"202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f", '
+        b'"service_salt": "101112131415161718191a1b1c1d1e1f", '
+        b'"service_user": "acme-svc", "space_path": "/space/acme", '
+        b'"tunnel_hash": '
+        b'"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f", '
+        b'"tunnel_salt": "000102030405060708090a0b0c0d0e0f", '
+        b'"tunnel_user": "acme-tunnel"}\n'
+    )
+    assert load_registry(path).get("acme") == record
+
+
 def test_duplicate_tunnel_user_rejected(tmp_path):
     a = provision_customer("acme").record
     from dataclasses import replace
@@ -463,6 +496,29 @@ def test_list_after_store_root_deleted(store, tmp_path):
         store.list_objects("acme")
     with pytest.raises(OSError):
         store.list_objects("bravo")  # never stored anything
+
+
+def test_list_reads_no_directory(store, monkeypatch):
+    for name in ("b", "a", "\u00e9", "Z"):
+        store.put_object("acme", name, b"x", MASTER, QUOTA)
+
+    def no_directory_reads(*_args, **_kwargs):
+        raise AssertionError("list_objects read a directory")
+
+    monkeypatch.setattr(vault.os, "listdir", no_directory_reads)
+    monkeypatch.setattr(vault.os, "scandir", no_directory_reads)
+    assert store.list_objects("acme") == ["Z", "a", "b", "\u00e9"]
+    assert store.list_objects("fresh") == []
+
+
+def test_list_is_what_the_quota_charges_after_a_hand_deletion(store, tmp_path):
+    store.put_object("acme", "kept", b"1", MASTER, QUOTA)
+    store.put_object("acme", "gone", b"22", MASTER, QUOTA)
+    (tmp_path / "objects" / "acme" / "gone").unlink()  # behind the store's back
+    assert store.list_objects("acme") == ["gone", "kept"]
+    assert store.used_bytes("acme") == 3 + 2 * OVERHEAD
+    with pytest.raises(NoSuchObject):
+        store.get_object("acme", "gone", MASTER)
 
 
 def test_customer_isolation(store):
