@@ -139,7 +139,7 @@ class KeySchedule:
         return (
             rks[NUM_ROUNDS],
             *(
-                _mix_columns(rk, _INVERSE.mix, _BLOCK_MASKS).to_bytes(BLOCK_SIZE, "little")
+                _mix_columns(rk, _INVERSE.mix).to_bytes(BLOCK_SIZE, "little")
                 for rk in rks[NUM_ROUNDS - 1 : 0 : -1]
             ),
             rks[0],
@@ -297,6 +297,15 @@ def unpad(data: bytes) -> bytes:
 # Forward, the factors are (2, 3, 1, 1); inverse, (14, 11, 13, 9). Since
 # InvMixColumns is linear, AddRoundKey moves after it when the round key
 # goes through InvMixColumns too (KeySchedule.inverse_round_keys).
+#
+# Per call, only the 11 round keys are widened to the chunk size, in at most
+# two _ChunkCiphers. The tables, the CTR counter patterns and the six lane
+# masks are module constants. The masks are one chunk wide and serve every
+# state _mix_columns sees, a full chunk, a short last chunk or a 16-byte
+# round key, because each is a multiple of 4 bytes and at most one chunk
+# long: an & with a wider mask keeps only the state's bytes, and the bytes
+# a left shift pushes past the state's top land on lane rows that the wrap
+# masks clear.
 
 _CHUNK_BYTES = 16 * 1024  # bounds the scratch buffers of one CBC or CTR call
 _SHIFT_ROWS = (0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
@@ -320,26 +329,21 @@ def _widen(pattern: bytes, size: int) -> int:
     return int.from_bytes(pattern * (size // len(pattern)), "little")
 
 
-def _lane_masks(size: int) -> tuple[int, ...]:
-    """For lane rotations by 1, 2 and 3 bytes: the mask of the bytes that
-    move down a row and the mask of those that wrap to the top rows."""
-    return tuple(
-        _widen(pattern, size)
-        for pattern in (
-            b"\xff\xff\xff\x00", b"\x00\x00\x00\xff",
-            b"\xff\xff\x00\x00", b"\x00\x00\xff\xff",
-            b"\xff\x00\x00\x00", b"\x00\xff\xff\xff",
-        )
+# for lane rotations by 1, 2 and 3 bytes: the mask of the bytes that move
+# down a row and the mask of those that wrap to the top rows
+_DOWN1, _WRAP1, _DOWN2, _WRAP2, _DOWN3, _WRAP3 = (
+    _widen(pattern, _CHUNK_BYTES)
+    for pattern in (
+        b"\xff\xff\xff\x00", b"\x00\x00\x00\xff",
+        b"\xff\xff\x00\x00", b"\x00\x00\xff\xff",
+        b"\xff\x00\x00\x00", b"\x00\xff\xff\xff",
     )
+)
 
 
-_BLOCK_MASKS = _lane_masks(BLOCK_SIZE)
-
-
-def _mix_columns(state: bytes, mix: tuple[Optional[bytes], ...], masks: tuple[int, ...]) -> int:
+def _mix_columns(state: bytes, mix: tuple[Optional[bytes], ...]) -> int:
     """MixColumns of every column of state under the factor tables mix (row
     j gets the XOR of mix[k][a[j + k]]), as a little-endian integer."""
-    down1, wrap1, down2, wrap2, down3, wrap3 = masks
     # the factor-1 terms share one conversion of the untranslated state
     plain = int.from_bytes(state, "little") if None in mix else 0
     x0, x1, x2, x3 = (
@@ -348,9 +352,9 @@ def _mix_columns(state: bytes, mix: tuple[Optional[bytes], ...], masks: tuple[in
     )
     return (
         x0
-        ^ ((x1 >> 8) & down1) ^ ((x1 << 24) & wrap1)
-        ^ ((x2 >> 16) & down2) ^ ((x2 << 16) & wrap2)
-        ^ ((x3 >> 24) & down3) ^ ((x3 << 8) & wrap3)
+        ^ ((x1 >> 8) & _DOWN1) ^ ((x1 << 24) & _WRAP1)
+        ^ ((x2 >> 16) & _DOWN2) ^ ((x2 << 16) & _WRAP2)
+        ^ ((x3 >> 24) & _DOWN3) ^ ((x3 << 8) & _WRAP3)
     )
 
 
@@ -359,14 +363,14 @@ class _ChunkCipher:
     buffer at once: encrypt_block with (schedule.round_keys, _FORWARD),
     decrypt_block with (schedule.inverse_round_keys, _INVERSE).
 
-    Holds the 11 keys, in the order they are applied, and the lane masks
-    widened to size bytes, so one instance serves every chunk of that size.
+    Holds only the 11 keys, in the order they are applied, widened to size
+    bytes, so one instance serves every chunk of that size. The lane masks
+    are module constants, one chunk wide, that serve every size.
     """
 
     def __init__(self, keys: tuple[bytes, ...], direction: _Direction, size: int) -> None:
         self.size = size
         self._direction = direction
-        self._masks = _lane_masks(size)
         self._first_key, *round_keys, self._last_key = (_widen(k, size) for k in keys)
         self._round_keys = tuple(round_keys)
 
@@ -374,14 +378,13 @@ class _ChunkCipher:
         """Run size bytes of whole blocks through the cipher and XOR the
         result with text, which may be shorter than size."""
         size = self.size
-        masks = self._masks
         sbox, shift_rows, mix = self._direction
         state = (int.from_bytes(blocks, "little") ^ self._first_key).to_bytes(size, "little")
         shifted = bytearray(size)
         for rk in self._round_keys:
             for i, j in enumerate(shift_rows):
                 shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
-            mixed = _mix_columns(shifted.translate(sbox), mix, masks)
+            mixed = _mix_columns(shifted.translate(sbox), mix)
             state = (mixed ^ rk).to_bytes(size, "little")
         for i, j in enumerate(shift_rows):
             shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]

@@ -30,12 +30,12 @@ every frame before any handler runs belongs in that function.
 
 The server answers a ClientHello before it derives the session keys.
 `server_hello` checks the version and the client public, draws the server
-keypair and returns the ServerHello; the keypair and the client public wait
-on the SessionState until `server_derive_keys` runs the server's DH `pow`.
-The gateway calls it right after sending the ServerHello, so that `pow` runs
-while the client computes its own; `server_handle_frame` calls it first, so
-an in-process caller finds the keys on the next frame. A refused hello
-costs no DH work.
+keypair together with its nonce and returns the ServerHello; the keypair and
+the client public wait on the SessionState until `server_derive_keys` runs
+the server's DH `pow`. The gateway calls it right after sending the
+ServerHello, so that `pow` runs while the client computes its own;
+`server_handle_frame` calls it first, so an in-process caller finds the keys
+on the next frame. A refused hello costs no DH work.
 """
 
 from __future__ import annotations
@@ -314,18 +314,14 @@ class ServerContext:
     group: DhGroup
     now: Callable[[], float] = time.time
     audit: Callable[[str, Optional[str]], None] = _noop_audit
-    rand: Callable[[int], bytes] = os.urandom
 
 
-def server_hello(
-    state: SessionState, client_payload: bytes, nonce: bytes, group: DhGroup
-) -> Frame:
+def server_hello(state: SessionState, client_payload: bytes, group: DhGroup) -> Frame:
     """Answer a ClientHello: check the version and the client public, then
-    draw the server keypair and emit its public and the nonce. The keypair
-    and the client public are kept for `server_derive_keys`."""
+    draw the server keypair and a fresh 16-byte nonce and emit the public
+    and the nonce. The keypair and the client public are kept for
+    `server_derive_keys`."""
     step = _step(state, MessageType.CLIENT_HELLO)
-    if len(nonce) != 16:
-        raise ValueError("server nonce must be exactly 16 bytes")
     r = PayloadReader(client_payload)
     version = r.u8()
     if version != PROTOCOL_VERSION:
@@ -333,7 +329,7 @@ def server_hello(
     client_public = r.mpint()
     r.expect_end()
     check_public(client_public, group)
-    state.dh_keypair = dh_generate(group)
+    state.dh_keypair, nonce = dh_generate(group), os.urandom(16)
     state.client_public = client_public
     state.server_nonce = nonce
     state.phase = step.next_phase
@@ -386,7 +382,7 @@ def _answer_auth(
 
 
 def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
-    frame = server_hello(state, payload, ctx.rand(16), ctx.group)
+    frame = server_hello(state, payload, ctx.group)
     ctx.audit("hello", None)
     return [frame]
 

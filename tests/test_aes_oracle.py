@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-pytest.importorskip("cryptography", exc_type=ImportError)
+pytest.importorskip("cryptography.hazmat.primitives.ciphers", exc_type=ImportError)
 from cryptography.hazmat.primitives import padding  # noqa: E402
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes  # noqa: E402
 

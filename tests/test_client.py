@@ -44,7 +44,7 @@ def _truncated_frame(conn, stream):
 def _garbage_phase1_result(conn, stream):
     state = P.SessionState()
     _, hello = decode_frame(stream)
-    reply = P.server_hello(state, hello, os.urandom(16), TEST_SMALL)
+    reply = P.server_hello(state, hello, TEST_SMALL)
     conn.sendall(reply.encode())
     P.server_derive_keys(state, TEST_SMALL)
     decode_frame(stream)  # the Phase1Auth

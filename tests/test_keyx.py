@@ -272,7 +272,7 @@ def test_hash_password_frozen_value():
 @pytest.mark.parametrize("iterations", [1, 2, 1000, 10_000])
 def test_hash_password_matches_cryptography_pbkdf2(iterations):
     # the `cryptography` package (OpenSSL) is a test-only oracle
-    pytest.importorskip("cryptography", exc_type=ImportError)
+    pytest.importorskip("cryptography.hazmat.primitives.kdf.pbkdf2", exc_type=ImportError)
     from cryptography.hazmat.primitives import hashes
     from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
 

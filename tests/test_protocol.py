@@ -107,7 +107,7 @@ def test_server_hello_version_mismatch(ctx):
     server = P.SessionState()
     payload = bytes([0x02]) + b"\x00\x01\x08"
     with pytest.raises(P.VersionMismatch):
-        P.server_hello(server, payload, os.urandom(16), TEST_SMALL)
+        P.server_hello(server, payload, TEST_SMALL)
 
 
 def test_server_hello_rejects_degenerate_public(ctx):
@@ -116,7 +116,7 @@ def test_server_hello_rejects_degenerate_public(ctx):
 
     payload = bytes([0x01]) + b"\x00\x01\x01"  # client public = 1
     with pytest.raises(InvalidPublicKey):
-        P.server_hello(server, payload, os.urandom(16), TEST_SMALL)
+        P.server_hello(server, payload, TEST_SMALL)
 
 
 @pytest.mark.parametrize(
@@ -197,7 +197,7 @@ def test_phase1_server_recovers_exact_credentials(acme):
     client, server = P.SessionState(), P.SessionState()
     keypair = dh_generate(TEST_SMALL)
     hello = P.client_connect(client, keypair)
-    frame = P.server_hello(server, hello.payload, os.urandom(16), TEST_SMALL)
+    frame = P.server_hello(server, hello.payload, TEST_SMALL)
     P.client_handle_server_hello(client, frame.payload, TEST_SMALL)
     P.server_derive_keys(server, TEST_SMALL)
     auth = P.auth(client, "usér", "pässword")
