@@ -4,7 +4,8 @@ server driving one protocol session per connection.
 Each config key takes its value from its flag, else CSG_<KEY>, else the
 JSON config file, else its default, and `_PARSERS` checks it. Exit codes: 0
 after SIGINT/SIGTERM, 1 for a startup failure (registry, store, audit log,
-bind), 2 for a config error.
+bind), 2 for a config error. A built gateway exits through `shutdown`,
+failed bind included, which closes the audit log and reports dropped lines.
 
 Session threads share one interpreter lock. The gateway process (`run`, not
 the `Gateway` class, which leaves it to an embedder) hands it over every
@@ -35,7 +36,7 @@ from .protocol import (
     server_derive_keys,
     server_handle_frame,
 )
-from .vault import DuplicateUser, ObjectStore, ParseError, load_registry
+from .vault import ObjectStore, load_registry
 from .wire import (
     FrameError,
     Frame,
@@ -260,13 +261,8 @@ class Gateway:
 
     def start(self) -> tuple[str, int]:
         """Bind, print the readiness line, and start accepting."""
-        host, port = self.config.host_port()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(64)
-        self._listener = listener
-        self.bound_addr = listener.getsockname()[:2]
+        self._listener = socket.create_server(self.config.host_port(), backlog=64)
+        self.bound_addr = self._listener.getsockname()[:2]
         print(f"gateway listening on {self.bound_addr[0]}:{self.bound_addr[1]}", flush=True)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="gateway-accept", daemon=True
@@ -401,13 +397,14 @@ def run(config: GatewayConfig) -> int:
     sys.setswitchinterval(SWITCH_INTERVAL_SECONDS)
     try:
         gateway = Gateway(config)
-    except (ParseError, DuplicateUser, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError, DuplicateUser included
         print(f"gateway: startup failed: {exc}", file=sys.stderr)
         return 1
     try:
         gateway.start()
     except OSError as exc:
         print(f"gateway: cannot listen on {config.listen_addr}: {exc}", file=sys.stderr)
+        gateway.shutdown(0)
         return 1
     stop = threading.Event()
 

@@ -1,10 +1,11 @@
 """Establishment of the symmetric session keys and credential hashing.
 
 Finite-field Diffie-Hellman produces a shared secret; the three session
-sub-keys (phase-1 auth, phase-2 auth, data) are derived from it with
-domain-separated SHA-256. A generated public value comes from a fixed-base
-table per group, built on the first draw. Stored passwords use
-PBKDF2-HMAC-SHA256 (RFC 8018 section 5.2) at PASSWORD_HASH_ITERATIONS.
+sub-keys (phase-1 auth, phase-2 auth, data) are derived from it by
+`sub_key`, domain-separated SHA-256, which also makes the vault's storage
+keys. A generated public value comes from a fixed-base table per group,
+built on the first draw. Stored passwords use PBKDF2-HMAC-SHA256 (RFC 8018
+section 5.2) at PASSWORD_HASH_ITERATIONS.
 """
 
 from __future__ import annotations
@@ -177,19 +178,20 @@ class SessionKeys:
     k_data: bytes
 
 
+def sub_key(secret: bytes, label: bytes, size: int = 16) -> bytes:
+    """The first `size` bytes of SHA-256(secret || label)."""
+    return hashlib.sha256(secret + label).digest()[:size]
+
+
 def derive_keys(shared: bytes) -> SessionKeys:
     """Derive the three pairwise-distinct 16-byte sub-keys from the shared
-    secret: first 16 bytes of SHA-256(shared || context)."""
+    secret: sub_key(shared, context) for each context."""
     if not shared:
         raise ValueError("shared secret must be non-empty")
-
-    def sub_key(context: bytes) -> bytes:
-        return hashlib.sha256(shared + context).digest()[:16]
-
     return SessionKeys(
-        k_phase1=sub_key(b"phase1"),
-        k_phase2=sub_key(b"phase2"),
-        k_data=sub_key(b"data"),
+        k_phase1=sub_key(shared, b"phase1"),
+        k_phase2=sub_key(shared, b"phase2"),
+        k_data=sub_key(shared, b"data"),
     )
 
 

@@ -19,14 +19,15 @@ handshake: a ciphertext captured in one session never verifies in another.
 `_STEPS`, at the end of the module, is the protocol as one table: for each
 client request, its legal phase, the sub-key sealing it and its reply, the
 reply type, the next phase and the server handler. `_seal`/`_open` are the
-only code that encrypts or decrypts a payload, and they refuse a type
-outside its row's phase; `_open` makes a payload that does not decrypt a
-MalformedPayload. `auth` and `handle_auth_result` serve both credential
-steps, picked by phase from the auth rows. The server side has one entry
-point, `server_handle_frame`, which serves a request only in its row's
-phase; every other (phase, type) pair, and every handler failure, becomes
-an Error frame that closes the session. A check or timer that must see
-every frame before any handler runs belongs in that function.
+only code that encrypts or decrypts a payload, under the schedule of its
+row's sub-key; they refuse a type outside its row's phase, and `_open`
+makes a payload that does not decrypt a MalformedPayload. `auth` and
+`handle_auth_result` serve both credential steps, picked by phase from the
+auth rows. The server side has one entry point, `server_handle_frame`,
+which serves a request only in its row's phase; every other (phase, type)
+pair, and every handler failure, becomes an Error frame that closes the
+session. A check or timer that must see every frame before any handler
+runs belongs in that function.
 
 The server answers a ClientHello before it derives the session keys.
 `server_hello` checks the version and the client public, draws the server
@@ -123,8 +124,8 @@ class VersionMismatch(Exception):
 class SessionState:
     phase: Phase = Phase.INIT
     keys: Optional[SessionKeys] = None
-    # the expanded sub-key for each encrypted message type
-    schedules: Optional[dict[MessageType, aes.KeySchedule]] = None
+    # each sub-key expanded once, by its SessionKeys field name
+    schedules: Optional[dict[str, aes.KeySchedule]] = None
     server_nonce: Optional[bytes] = None
     customer_id: Optional[str] = None
     # own ephemeral keypair: the client's until the ServerHello arrives, the
@@ -145,9 +146,7 @@ class SessionState:
     def set_keys(self, keys: SessionKeys) -> None:
         """Hold the derived sub-keys, each expanded once for the session."""
         self.keys = keys
-        fields = dict.fromkeys(step.key for step in _STEPS.values() if step.key)
-        expanded = {field: aes.key_expansion(getattr(keys, field)) for field in fields}
-        self.schedules = {t: expanded[s.key] for t, s in _STEP_OF.items() if s.key}
+        self.schedules = {name: aes.key_expansion(key) for name, key in vars(keys).items()}
 
 
 def _step(state: SessionState, msg_type: MessageType) -> _Step:
@@ -162,21 +161,22 @@ def _seal(state: SessionState, msg_type: MessageType, inner: bytes) -> Frame:
     """Encrypt `inner` under the sub-key of `msg_type`, behind a fresh IV.
     Raises FrameTooLarge, before any encryption, when the payload would not
     fit in one frame."""
-    _step(state, msg_type)
+    schedule = state.schedules[_step(state, msg_type).key]
     payload_len = aes.BLOCK_SIZE + aes.padded_len(len(inner))  # IV + ciphertext
     if payload_len > MAX_PAYLOAD_LEN:
         raise FrameTooLarge(f"payload of {payload_len} bytes exceeds the frame cap")
     iv = os.urandom(16)
-    return Frame(msg_type, iv + aes.cbc_encrypt(inner, state.schedules[msg_type], iv))
+    return Frame(msg_type, iv + aes.cbc_encrypt(inner, schedule, iv))
 
 
 def _open(state: SessionState, msg_type: MessageType, payload: bytes) -> PayloadReader:
     """Decrypt a payload sealed by `_seal` for `msg_type`, or raise MalformedPayload."""
-    _step(state, msg_type)
+    schedule = state.schedules[_step(state, msg_type).key]
     if len(payload) < 32:
         raise MalformedPayload("encrypted payload shorter than IV plus one block")
     try:
-        inner = aes.cbc_decrypt(payload[16:], state.schedules[msg_type], payload[:16])
+        # a view, so the ciphertext is not copied out of the payload
+        inner = aes.cbc_decrypt(memoryview(payload)[16:], schedule, payload[:16])
     except aes.PaddingError as exc:
         raise MalformedPayload(f"payload does not decrypt: {exc}") from None
     return PayloadReader(inner)

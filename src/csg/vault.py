@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import aes
-from .keyx import PASSWORD_HASH_ITERATIONS, PASSWORD_KDF, hash_password
+from .keyx import PASSWORD_KDF, hash_password, sub_key
 
 STORAGE_RIGHT = "storage"
 
@@ -198,7 +198,7 @@ class Registry:
             expected = record.service_hash if record else self._dummy_hash
         else:
             raise ValueError(f"unknown credential kind {kind!r}")
-        digest = hash_password(password, salt, PASSWORD_HASH_ITERATIONS)
+        digest = hash_password(password, salt)
         ok = hmac.compare_digest(digest, expected)
         if record is None or not ok:
             raise AuthFailed("auth failed")
@@ -292,18 +292,14 @@ def save_registry(registry: Registry, path: str | Path) -> None:
 def storage_key(master_key: bytes, customer_id: str) -> bytes:
     """Per-customer at-rest key: first 16 bytes of
     SHA-256(master_key || customer_id || "storage")."""
-    return hashlib.sha256(
-        master_key + customer_id.encode("utf-8") + b"storage"
-    ).digest()[:16]
+    return sub_key(master_key + customer_id.encode("utf-8"), b"storage")
 
 
 def storage_mac_key(master_key: bytes, customer_id: str) -> bytes:
     """Per-customer key of the object tag: SHA-256(master_key || customer_id
     || "storage-mac"). Its label ends in another byte than storage_key's, so
     the two hash inputs never coincide."""
-    return hashlib.sha256(
-        master_key + customer_id.encode("utf-8") + b"storage-mac"
-    ).digest()
+    return sub_key(master_key + customer_id.encode("utf-8"), b"storage-mac", 32)
 
 
 def _object_tag(

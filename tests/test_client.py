@@ -51,7 +51,7 @@ def _garbage_phase1_result(conn, stream):
     # an IV equal to the block's decryption makes the plaintext all zeros,
     # and a padding byte of 0x00 is never valid
     block = os.urandom(16)
-    iv = aes.decrypt_block(block, state.schedules[MessageType.PHASE1_RESULT])
+    iv = aes.decrypt_block(block, state.schedules["k_phase1"])
     conn.sendall(Frame(MessageType.PHASE1_RESULT, iv + block).encode())
 
 

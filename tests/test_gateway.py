@@ -5,6 +5,7 @@ shutdown, CLI startup)."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -636,6 +638,9 @@ def test_gateway_process_sets_the_switch_interval(tmp_path, monkeypatch):
         def start(self):
             raise OSError("not serving")
 
+        def shutdown(self, drain_seconds):
+            pass
+
     monkeypatch.setattr(gateway, "Gateway", NotServing)
     before = sys.getswitchinterval()
     try:
@@ -644,6 +649,53 @@ def test_gateway_process_sets_the_switch_interval(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(before)
     assert [config.listen_addr for config in built] == ["127.0.0.1:0"]
+
+
+def test_failed_start_leaks_no_socket(tmp_path):
+    registry_path = tmp_path / "registry.jsonl"
+    save_registry(Registry([]), registry_path)
+    # a listening socket holds the port: no other socket can bind it
+    held = socket.create_server(("127.0.0.1", 0))
+    with held, warnings.catch_warnings(record=True) as caught:
+        # recorded, not raised: the plain tier-1 run sees a leak too
+        warnings.simplefilter("always")
+        gw = gateway.Gateway(
+            GatewayConfig(
+                listen_addr=f"127.0.0.1:{held.getsockname()[1]}",
+                registry_path=str(registry_path),
+                objects_dir=str(tmp_path / "objects"),
+                master_key_hex="00" * 16,
+                audit_log=str(tmp_path / "audit.log"),
+            )
+        )
+        with pytest.raises(OSError):
+            gw.start()
+        gw.shutdown(0)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_cli_failed_bind_exits_1_with_one_line(tmp_path):
+    registry_path = tmp_path / "registry.jsonl"
+    save_registry(Registry([]), registry_path)
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        config_path = write_config(
+            tmp_path,
+            listen_addr=f"127.0.0.1:{held.getsockname()[1]}",
+            registry_path=str(registry_path),
+            audit_log=str(tmp_path / "audit.log"),
+        )
+        # -X dev: an unclosed socket or audit log adds a ResourceWarning line
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "csg.gateway", "--config", str(config_path)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("gateway: cannot listen on "), proc.stderr
 
 
 def test_gateway_in_process_leaves_the_switch_interval(gateway_factory):

@@ -8,6 +8,7 @@ import dataclasses
 import os
 import random
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -716,10 +717,32 @@ def test_open_reports_a_payload_that_does_not_decrypt_as_malformed():
     block = os.urandom(16)
     # an IV equal to the block's decryption makes the plaintext all zeros,
     # and a padding byte of 0x00 is never valid
-    iv = P.aes.decrypt_block(block, state.schedules[MessageType.PUT])
+    iv = P.aes.decrypt_block(block, state.schedules["k_data"])
     for payload in (iv + block, iv + block + b"x"):  # bad padding, bad length
         with pytest.raises(MalformedPayload, match="^payload does not decrypt: "):
             P._open(state, MessageType.PUT, payload)
+
+
+def test_open_peak_memory_is_bounded():
+    state = _state_in(P.Phase.SESSION_ACTIVE, derive_keys(os.urandom(32)), os.urandom(16))
+    schedule = P.aes.key_expansion(state.keys.k_data)
+    # IV and 1 MiB of ciphertext whose last block decrypts to a full padding
+    # block: c[n-2] is chosen as D(c[n-1]) ^ pad, so no slow encryption is needed
+    rng = random.Random(37)
+    body, last = rng.randbytes((1 << 20) - 16), rng.randbytes(16)
+    chain = bytes(a ^ 16 for a in P.aes.decrypt_block(last, schedule))
+    payload = body + chain + last
+    tracemalloc.start()
+    try:
+        reader = P._open(state, MessageType.PUT, payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reader.take(len(payload) - 32)) == len(payload) - 32
+    reader.expect_end()
+    # cbc_decrypt's output and unpadded plaintext, plus its chunk-sized
+    # scratch; no copy of the ciphertext
+    assert peak <= 2 * len(payload) + 16 * P.aes._CHUNK_BYTES
 
 
 def test_malformed_encrypted_payload_closes_session(wire, acme):

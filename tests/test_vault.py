@@ -368,6 +368,21 @@ def test_storage_mac_key_is_its_own_key():
     assert mac_key != storage_mac_key(MASTER, "bravo")
 
 
+def test_storage_keys_frozen_value():
+    # every stored object is sealed under these bytes: a changed derivation
+    # would leave each existing store unreadable
+    assert storage_key(MASTER, "acme") == bytes.fromhex("6e6bfe95ee8b0045ecb6e1311ee6745e")
+    assert storage_key(MASTER, "acme") == hashlib.sha256(
+        MASTER + b"acme" + b"storage"
+    ).digest()[:16]
+    assert storage_mac_key(MASTER, "acme") == bytes.fromhex(
+        "d938e12083897e200c2d4a90e137a30a92f0d8fc811af3351d743b3634931573"
+    )
+    assert storage_mac_key(MASTER, "acme") == hashlib.sha256(
+        MASTER + b"acme" + b"storage-mac"
+    ).digest()
+
+
 def test_plaintext_absent_from_disk(store, tmp_path):
     marker = os.urandom(32)
     store.put_object("acme", "secret", b"prefix" + marker + b"suffix", MASTER, QUOTA)

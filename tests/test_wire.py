@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import io
 import random
+import socket
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -97,6 +99,28 @@ def test_decode_leaves_stream_at_next_frame():
     stream = io.BytesIO(raw)
     assert decode_frame(stream)[0] is MessageType.LIST
     assert decode_frame(stream)[0] is MessageType.DISCONNECT
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="one read of the declared length: BufferedReader allocates all of "
+    "it before any payload byte arrives",
+)
+def test_decode_memory_follows_the_bytes_that_arrive():
+    # a peer declares the largest frame, sends 5 payload bytes and stops
+    sender, receiver = socket.socketpair()
+    with sender, receiver, receiver.makefile("rb") as stream:
+        sender.sendall(struct.pack(">IB", wire.MAX_FRAME_LEN, MessageType.PUT) + bytes(5))
+        sender.shutdown(socket.SHUT_WR)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFrame):
+                decode_frame(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @given(
