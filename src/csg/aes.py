@@ -22,6 +22,13 @@
 # open, by its length or its padding, raises the one PaddingError; only
 # protocol._open names it. CTR has no failure of its own: the object store
 # authenticates before it decrypts.
+#
+# Buffers: cbc_encrypt and ctr_crypt write their result over their data
+# argument, a writable buffer (a bytearray or a writable memoryview of one)
+# that the caller allocates once per message, with cbc_encrypt's padding
+# already in it. cbc_decrypt writes into one new buffer and returns a
+# memoryview of the plaintext. No call writes a buffer it was handed to
+# read: a key, an IV, a counter, or cbc_decrypt's ciphertext.
 
 from __future__ import annotations
 
@@ -260,10 +267,11 @@ def padded_len(plaintext_len: int) -> int:
     return plaintext_len - plaintext_len % BLOCK_SIZE + BLOCK_SIZE
 
 
-def pad(data: bytes) -> bytes:
-    """Append n copies of byte n so the length becomes padded_len(len(data))."""
-    n = padded_len(len(data)) - len(data)
-    return data + bytes([n]) * n
+def padding(plaintext_len: int) -> bytes:
+    """The PKCS#7 padding of a plaintext of that length: n copies of byte n,
+    which take it to padded_len(plaintext_len)."""
+    n = padded_len(plaintext_len) - plaintext_len
+    return bytes([n]) * n
 
 
 def unpad(data: bytes) -> bytes:
@@ -412,47 +420,50 @@ def _chunk_ciphers(
 
 # --------- CBC mode ---------
 
-def cbc_encrypt(plaintext: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
-    """CBC-encrypt pad(plaintext): c[i] = E(p[i] ^ c[i-1]) with c[-1] = iv.
+def cbc_encrypt(data: bytearray | memoryview, schedule: KeySchedule, iv: bytes) -> None:
+    """CBC-encrypt data in place: c[i] = E(p[i] ^ c[i-1]) with c[-1] = iv.
 
-    The IV must be 16 fresh random bytes from the caller; it is not included
-    in the returned ciphertext. Block-serial, since each block chains on the
-    one before.
+    data is a writable buffer that already holds the plaintext and its
+    padding (padding(plaintext_len)), so its length is a positive multiple
+    of 16. The IV must be 16 fresh random bytes from the caller; it is not
+    written into data. Block-serial, since each block chains on the one
+    before.
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("iv must be exactly 16 bytes")
-    padded = pad(plaintext)
-    out = bytearray()
+    view = memoryview(data)
+    if not view or len(view) % BLOCK_SIZE != 0:
+        raise ValueError("padded plaintext must be a positive multiple of 16 bytes")
     prev = iv
-    for i in range(0, len(padded), BLOCK_SIZE):
-        x = int.from_bytes(padded[i : i + BLOCK_SIZE], "big") ^ int.from_bytes(prev, "big")
+    for i in range(0, len(view), BLOCK_SIZE):
+        x = int.from_bytes(view[i : i + BLOCK_SIZE], "big") ^ int.from_bytes(prev, "big")
         prev = encrypt_block(x.to_bytes(BLOCK_SIZE, "big"), schedule)
-        out += prev
-    return bytes(out)
+        view[i : i + BLOCK_SIZE] = prev
 
 
-def cbc_decrypt(ciphertext: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
+def cbc_decrypt(ciphertext: bytes, schedule: KeySchedule, iv: bytes) -> memoryview:
     """Invert cbc_encrypt and strip the padding.
 
-    p[i] = D(c[i]) ^ c[i-1] needs no earlier plaintext, so whole chunks of
-    _CHUNK_BYTES are decrypted at once. Raises PaddingError when the
-    ciphertext length is not a positive multiple of 16 or the recovered
-    padding is invalid (tampering or a wrong key).
+    Returns a memoryview of the plaintext in one new buffer; the ciphertext
+    is only read. p[i] = D(c[i]) ^ c[i-1] needs no earlier plaintext, so
+    whole chunks of _CHUNK_BYTES are decrypted at once. Raises PaddingError
+    when the ciphertext length is not a positive multiple of 16 or the
+    recovered padding is invalid (tampering or a wrong key).
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("iv must be exactly 16 bytes")
+    ciphertext = memoryview(ciphertext)
     if not ciphertext or len(ciphertext) % BLOCK_SIZE != 0:
         raise PaddingError("ciphertext length must be a positive multiple of 16")
-    out = bytearray(len(ciphertext))
-    for start, cipher in _chunk_ciphers(schedule.inverse_round_keys, _INVERSE, len(ciphertext)):
+    out = memoryview(bytearray(len(ciphertext)))
+    for start, cipher in _chunk_ciphers(schedule.inverse_round_keys, _INVERSE, len(out)):
         end = start + cipher.size
         if start:
             chain = ciphertext[start - BLOCK_SIZE : end - BLOCK_SIZE]
         else:
-            chain = iv + ciphertext[: end - BLOCK_SIZE]
+            chain = b"".join((iv, ciphertext[: end - BLOCK_SIZE]))
         out[start:end] = cipher(ciphertext[start:end], chain)
-    # a view, so stripping the padding copies the plaintext only once
-    return unpad(memoryview(out)).tobytes()
+    return unpad(out)
 
 
 # --------- CTR mode ---------
@@ -470,20 +481,22 @@ _RAMP = int.from_bytes(
 )
 
 
-def ctr_crypt(data: bytes, schedule: KeySchedule, counter: bytes) -> bytes:
-    """XOR data with the key stream E(counter), E(counter + 1), ... (NIST SP
-    800-38A 6.5), so the same call encrypts and decrypts.
+def ctr_crypt(data: bytearray | memoryview, schedule: KeySchedule, counter: bytes) -> None:
+    """XOR the key stream E(counter), E(counter + 1), ... (NIST SP 800-38A
+    6.5) into data, a writable buffer, in place; the same call encrypts and
+    decrypts.
 
     The counter is the whole 16-byte block, a big-endian integer incremented
     mod 2^128. It must never repeat under one key: the caller draws 16 fresh
-    random bytes per message. No padding: the output is as long as data.
-    Whole chunks of _CHUNK_BYTES are encrypted at once.
+    random bytes per message. No padding: data keeps its length. Whole
+    chunks of _CHUNK_BYTES are encrypted at once.
     """
     if len(counter) != BLOCK_SIZE:
         raise ValueError("counter must be exactly 16 bytes")
     start = int.from_bytes(counter, "big")
-    out = bytearray(len(data) + -len(data) % BLOCK_SIZE)
-    for pos, cipher in _chunk_ciphers(schedule.round_keys, _FORWARD, len(out)):
+    view = memoryview(data)
+    length = len(view)
+    for pos, cipher in _chunk_ciphers(schedule.round_keys, _FORWARD, length + -length % BLOCK_SIZE):
         size = cipher.size
         blocks = size // BLOCK_SIZE
         first = (start + pos // BLOCK_SIZE) % _COUNTER_MOD
@@ -493,6 +506,7 @@ def ctr_crypt(data: bytes, schedule: KeySchedule, counter: bytes) -> bytes:
         if wrapped > 0:
             # the last `wrapped` blocks passed 2^128: take 2^128 off each
             counters -= (_ONES >> (128 * (_CHUNK_BLOCKS - wrapped))) << 128
-        out[pos : pos + size] = cipher(counters.to_bytes(size, "big"), data[pos : pos + size])
-    # a view, so dropping the key stream past the data copies it only once
-    return memoryview(out)[: len(data)].tobytes()
+        end = min(pos + size, length)
+        # the last chunk's key stream runs past the data to a whole block
+        out = cipher(counters.to_bytes(size, "big"), view[pos:end])
+        view[pos:end] = memoryview(out)[: end - pos]

@@ -26,7 +26,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import BinaryIO, Callable, Mapping, Optional
 
 from .keyx import select_group
 from .protocol import (
@@ -317,21 +317,9 @@ class Gateway:
         )
         stream = conn.makefile("rb")
         try:
-            while state.phase is not Phase.CLOSED:
-                try:
-                    msg_type, payload = decode_frame(stream)
-                except StreamEnded:
-                    self.audit.append(session_id, "connection closed")
-                    break
-                except TruncatedFrame:
-                    self.audit.append(session_id, "frame error truncated")
-                    break
-                except FrameError as exc:
-                    self.audit.append(session_id, f"frame error {type(exc).__name__}")
-                    self._try_send(conn, Frame(MessageType.ERROR, encode_str("bad frame")))
-                    break
-                for frame in server_handle_frame(state, msg_type, payload, ctx):
-                    conn.sendall(frame.encode())
+            while state.phase is not Phase.CLOSED and self._serve_frame(
+                session_id, conn, stream, state, ctx
+            ):
                 # once the ServerHello is out, this pow runs beside the client's
                 server_derive_keys(state, ctx.group)
         except OSError as exc:  # peer reset, or socket shut down during drain
@@ -347,6 +335,29 @@ class Gateway:
                 pass
             with self._sessions_lock:
                 self._sessions.pop(session_id, None)
+
+    def _serve_frame(
+        self, session_id: int, conn: socket.socket, stream: BinaryIO,
+        state: SessionState, ctx: ServerContext,
+    ) -> bool:
+        """Read one frame and send the replies; False once the stream ends or
+        breaks. The request and its replies die with this call, so a session
+        waiting for its next frame holds neither."""
+        try:
+            msg_type, payload = decode_frame(stream)
+        except StreamEnded:
+            self.audit.append(session_id, "connection closed")
+            return False
+        except TruncatedFrame:
+            self.audit.append(session_id, "frame error truncated")
+            return False
+        except FrameError as exc:
+            self.audit.append(session_id, f"frame error {type(exc).__name__}")
+            self._try_send(conn, Frame(MessageType.ERROR, encode_str("bad frame")))
+            return False
+        for frame in server_handle_frame(state, msg_type, payload, ctx):
+            conn.sendall(frame.encode())
+        return True
 
     @staticmethod
     def _try_send(conn: socket.socket, frame: Frame) -> None:

@@ -157,20 +157,37 @@ def _step(state: SessionState, msg_type: MessageType) -> _Step:
     return step
 
 
-def _seal(state: SessionState, msg_type: MessageType, inner: bytes) -> Frame:
-    """Encrypt `inner` under the sub-key of `msg_type`, behind a fresh IV.
-    Raises FrameTooLarge, before any encryption, when the payload would not
-    fit in one frame."""
+def _seal(state: SessionState, msg_type: MessageType, *parts: bytes) -> Frame:
+    """Encrypt the concatenated `parts` under the sub-key of `msg_type`,
+    behind a fresh IV. The payload is one buffer: the IV, the parts and the
+    padding are written into it and the parts are encrypted there in place,
+    so each part is copied once and none is written. Raises FrameTooLarge,
+    before any encryption, when the payload would not fit in one frame."""
     schedule = state.schedules[_step(state, msg_type).key]
-    payload_len = aes.BLOCK_SIZE + aes.padded_len(len(inner))  # IV + ciphertext
+    inner_len = sum(map(len, parts))
+    payload_len = aes.BLOCK_SIZE + aes.padded_len(inner_len)  # IV + ciphertext
     if payload_len > MAX_PAYLOAD_LEN:
         raise FrameTooLarge(f"payload of {payload_len} bytes exceeds the frame cap")
     iv = os.urandom(16)
-    return Frame(msg_type, iv + aes.cbc_encrypt(inner, schedule, iv))
+    payload = bytearray(payload_len)
+    # through a view: a slice of the bytearray itself would first copy each
+    # part into a temporary bytearray
+    view = memoryview(payload)
+    view[:16] = iv
+    pos = 16
+    for part in parts:
+        view[pos : pos + len(part)] = part
+        pos += len(part)
+    view[pos:] = aes.padding(inner_len)
+    aes.cbc_encrypt(view[16:], schedule, iv)
+    return Frame(msg_type, payload)
 
 
 def _open(state: SessionState, msg_type: MessageType, payload: bytes) -> PayloadReader:
-    """Decrypt a payload sealed by `_seal` for `msg_type`, or raise MalformedPayload."""
+    """Decrypt a payload sealed by `_seal` for `msg_type`, or raise
+    MalformedPayload. The payload is only read; the reader runs over a view
+    of the one buffer the plaintext is decrypted into, and its fields are
+    views of that buffer."""
     schedule = state.schedules[_step(state, msg_type).key]
     if len(payload) < 32:
         raise MalformedPayload("encrypted payload shorter than IV plus one block")
@@ -210,7 +227,7 @@ def client_handle_server_hello(
         raise ProtocolOrderError("ServerHello before ClientHello was sent")
     r = PayloadReader(payload)
     server_public = r.mpint()
-    nonce = r.take(16)
+    nonce = bytes(r.take(16))
     r.expect_end()
     shared = dh_shared(state.dh_keypair, server_public, group)
     state.set_keys(derive_keys(shared))
@@ -231,8 +248,7 @@ def auth(state: SessionState, user: str, password: str) -> Frame:
     """Credentials plus the server nonce: the tunnel pair after the hello
     (phase 1), the service pair after the service request (phase 2)."""
     auth_type = _auth_type(state, "auth")
-    inner = encode_str(user) + encode_str(password) + state.server_nonce
-    return _seal(state, auth_type, inner)
+    return _seal(state, auth_type, encode_str(user), encode_str(password), state.server_nonce)
 
 
 def handle_auth_result(state: SessionState, payload: bytes) -> tuple[bool, str]:
@@ -259,8 +275,7 @@ def service_request(state: SessionState, url_path: str) -> Frame:
 def build_put(state: SessionState, name: str, data: bytes) -> Frame:
     """Raises FrameTooLarge, before any encryption, when the encrypted
     payload would not fit in one frame."""
-    inner = encode_str(name) + struct.pack(">I", len(data)) + data
-    return _seal(state, MessageType.PUT, inner)
+    return _seal(state, MessageType.PUT, encode_str(name), struct.pack(">I", len(data)), data)
 
 
 def parse_put_result(state: SessionState, payload: bytes) -> int:
@@ -279,11 +294,11 @@ def parse_get_result(state: SessionState, payload: bytes) -> tuple[int, bytes]:
     status = r.u8()
     data = r.take(r.u32())
     r.expect_end()
-    return status, data
+    return status, bytes(data)
 
 
 def build_list(state: SessionState) -> Frame:
-    return _seal(state, MessageType.LIST, b"")
+    return _seal(state, MessageType.LIST)
 
 
 def parse_list_result(state: SessionState, payload: bytes) -> list[str]:
@@ -375,7 +390,7 @@ def _answer_auth(
         frame = _seal(state, step.reply, bytes([STATUS_OK]))
         state.phase = step.next_phase
     else:
-        frame = _seal(state, step.reply, bytes([STATUS_ERROR]) + encode_str(reason))
+        frame = _seal(state, step.reply, bytes([STATUS_ERROR]), encode_str(reason))
         state.close()
     ctx.audit(event, customer_id)
     return [frame]
@@ -462,8 +477,9 @@ def _serve_get(state: SessionState, payload: bytes, ctx: ServerContext) -> list[
     except (CorruptObject, OSError):
         data, status = b"", STATUS_ERROR
     ctx.audit(f"get name={name!r} status={status}", state.customer_id)
-    inner = bytes([status]) + struct.pack(">I", len(data)) + data
-    return [_seal(state, MessageType.GET_RESULT, inner)]
+    return [
+        _seal(state, MessageType.GET_RESULT, bytes([status]), struct.pack(">I", len(data)), data)
+    ]
 
 
 def _serve_list(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
@@ -472,8 +488,8 @@ def _serve_list(state: SessionState, payload: bytes, ctx: ServerContext) -> list
     ctx.audit(f"list count={len(names)}", state.customer_id)
     if len(names) > 0xFFFF:
         raise FrameTooLarge(f"{len(names)} objects exceed the u16 listing count")
-    inner = struct.pack(">H", len(names)) + b"".join(encode_str(n) for n in names)
-    return [_seal(state, MessageType.LIST_RESULT, inner)]
+    encoded = b"".join(encode_str(n) for n in names)
+    return [_seal(state, MessageType.LIST_RESULT, struct.pack(">H", len(names)), encoded)]
 
 
 _Handler = Callable[[SessionState, bytes, ServerContext], list[Frame]]

@@ -380,6 +380,11 @@ class ObjectStore:
     also the listing: `list_objects` reads no directory. A file deleted by
     hand while the store runs stays listed and charged until the next
     startup scan; a get of it is a NoSuchObject.
+
+    Each put and get holds one object-sized buffer, the file image, and the
+    cipher runs in place in it: `put_object` copies the plaintext into the
+    image, `get_object` reads the file into it and returns a view of the
+    decrypted plaintext there. Neither writes a buffer it was handed.
     """
 
     def __init__(self, root: str | Path):
@@ -426,6 +431,18 @@ class ObjectStore:
 
     # --- operations ---
 
+    def _check_quota(self, customer_id: str, name: str, file_size: int, quota_bytes: int) -> int:
+        """The customer's bytes on disk without `name`'s file; raises
+        QuotaExceeded when a `file_size`-byte file in its place would exceed
+        `quota_bytes`. The caller holds the lock."""
+        used = self._used.get(customer_id, 0) - self._sizes.get(customer_id, {}).get(name, 0)
+        if used + file_size > quota_bytes:
+            raise QuotaExceeded(
+                f"storing a {file_size}-byte object file would exceed the "
+                f"{quota_bytes}-byte quota"
+            )
+        return used
+
     def put_object(
         self,
         customer_id: str,
@@ -437,59 +454,71 @@ class ObjectStore:
         """Encrypt and store one object atomically; overwrites a same-named
         object. Raises QuotaExceeded when the customer's object files,
         counted at their size on disk, would exceed `quota_bytes`: an empty
-        object still costs its 61-byte header and tag."""
+        object still costs its 61-byte header and tag. A put the quota
+        refuses at its start costs no encryption; the check under the lock,
+        before the rename, is the one that holds.
+
+        The file image (header, ciphertext, tag) is one buffer: the
+        plaintext is copied into it once and encrypted there in place, and
+        it is written with one call. `plaintext` is only read."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
+        file_size = OBJECT_HEADER_LEN + len(plaintext) + OBJECT_TAG_LEN
+        with self._lock:
+            self._check_quota(customer_id, name, file_size, quota_bytes)
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
         counter = os.urandom(aes.BLOCK_SIZE)
-        header = (
+        image = memoryview(bytearray(file_size))
+        header = image[:OBJECT_HEADER_LEN]
+        header[:] = (
             OBJECT_MAGIC + bytes([OBJECT_VERSION]) + counter + struct.pack(">Q", len(plaintext))
         )
-        ciphertext = aes.ctr_crypt(plaintext, schedule, counter)
-        tag = _object_tag(master_key, customer_id, name, header, ciphertext)
-        file_size = OBJECT_HEADER_LEN + len(ciphertext) + OBJECT_TAG_LEN
+        body = image[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
+        body[:] = plaintext
+        aes.ctr_crypt(body, schedule, counter)
+        image[-OBJECT_TAG_LEN:] = _object_tag(master_key, customer_id, name, header, body)
         with self._lock:
-            sizes = self._sizes.setdefault(customer_id, {})
-            used = self._used.get(customer_id, 0) - sizes.get(name, 0)
-            if used + file_size > quota_bytes:
-                raise QuotaExceeded(
-                    f"storing a {file_size}-byte object file would exceed the "
-                    f"{quota_bytes}-byte quota"
-                )
+            used = self._check_quota(customer_id, name, file_size, quota_bytes)
             directory = self._dir(customer_id)
             directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=directory)
             try:
                 # a file object writes every byte or raises, and closes fd
                 with open(fd, "wb") as fh:
-                    fh.write(header)
-                    fh.write(ciphertext)
-                    fh.write(tag)
+                    fh.write(image)
                 os.replace(tmp, directory / name)
             except BaseException:
                 Path(tmp).unlink(missing_ok=True)
                 raise
-            sizes[name] = file_size
+            self._sizes.setdefault(customer_id, {})[name] = file_size
             self._used[customer_id] = used + file_size
 
-    def get_object(self, customer_id: str, name: str, master_key: bytes) -> bytes:
+    def get_object(self, customer_id: str, name: str, master_key: bytes) -> memoryview:
         """Read, verify and decrypt one object; byte-exact inverse of
-        put_object. The tag is checked before anything is decrypted."""
+        put_object. The tag is checked before anything is decrypted.
+
+        The file is read into one buffer and decrypted there in place; the
+        result is a memoryview of the plaintext in that buffer."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
         path = self._dir(customer_id) / name
         try:
-            blob = path.read_bytes()
+            fh = open(path, "rb")
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
+        with fh:
+            blob = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
+            if fh.readinto(blob) != len(blob):
+                raise CorruptObject("object file shorter than its size")
         header = blob[:OBJECT_HEADER_LEN]
         counter = _parse_header(header, len(blob))
-        ciphertext = memoryview(blob)[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
-        tag = _object_tag(master_key, customer_id, name, header, ciphertext)
+        body = blob[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
+        tag = _object_tag(master_key, customer_id, name, header, body)
         if not hmac.compare_digest(tag, blob[-OBJECT_TAG_LEN:]):
             raise CorruptObject("object tag does not verify")
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
-        return aes.ctr_crypt(ciphertext, schedule, counter)
+        aes.ctr_crypt(body, schedule, counter)
+        return body
 
     def list_objects(self, customer_id: str) -> list[str]:
         """Object names in lexicographic byte order, read from the size

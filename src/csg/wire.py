@@ -20,6 +20,7 @@ from typing import BinaryIO
 
 MAX_FRAME_LEN = 16 * 1024 * 1024  # type byte + payload
 MAX_PAYLOAD_LEN = MAX_FRAME_LEN - 1
+_FIRST_READ = 64 * 1024  # the largest payload read before any byte has arrived
 
 
 class FrameError(Exception):
@@ -84,8 +85,9 @@ def encode_frame(msg_type: MessageType, payload: bytes) -> bytes:
     return struct.pack(">IB", 1 + len(payload), int(msg_type)) + payload
 
 
-def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytes]:
-    """Read exactly one frame, leaving the stream at the next one.
+def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytearray]:
+    """Read exactly one frame, leaving the stream at the next one. The
+    payload is returned in the one buffer it was read into.
 
     `stream` is buffered (`socket.makefile("rb")`, `io.BytesIO`): its
     `read(n)` returns fewer than n bytes only at the end of the stream.
@@ -104,9 +106,15 @@ def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytes]:
     length, type_code = struct.unpack(">IB", head)
     if length < 1:
         raise TruncatedFrame("declared frame length leaves no room for the type byte")
-    payload = stream.read(length - 1)
-    if len(payload) < length - 1:
-        raise TruncatedFrame("stream ended while reading frame payload")
+    # a read allocates all it asks for before any byte arrives, so no read
+    # asks for more than has arrived already, or _FIRST_READ: a peer that
+    # declares a large frame and stops holds a buffer sized by what it sent
+    payload = bytearray()
+    while len(payload) < length - 1:
+        piece = stream.read(min(length - 1 - len(payload), max(len(payload), _FIRST_READ)))
+        if not piece:
+            raise TruncatedFrame("stream ended while reading frame payload")
+        payload += piece
     try:
         msg_type = MessageType(type_code)
     except ValueError:
@@ -131,7 +139,11 @@ def encode_mpint(n: int) -> bytes:
 
 
 class PayloadReader:
-    """Cursor over a payload; every misstep raises MalformedPayload."""
+    """Cursor over a payload; every misstep raises MalformedPayload.
+
+    `take` returns slices of the payload, so over a memoryview a field is a
+    view and nothing is copied; a field kept past the payload's life is
+    copied by its reader."""
 
     def __init__(self, data: bytes):
         self._data = data
@@ -158,7 +170,7 @@ class PayloadReader:
     def string(self) -> str:
         raw = self.take(self.u16())
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedPayload(f"invalid UTF-8 in string field: {exc}") from None
 

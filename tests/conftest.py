@@ -1,6 +1,6 @@
 """Shared fixtures: customer provisioning, a loopback gateway factory, a
-scripted low-level client, pre-v3 object files, and the acceptance pass/fail
-summary."""
+scripted low-level client, pre-v3 object files, copying forms of the
+in-place ciphers, a tracemalloc peak, and the acceptance pass/fail summary."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import os
 import socket
 import struct
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -97,6 +98,44 @@ def provision_customer(
     )
 
 
+# The whole-buffer cipher's working set, in chunks of aes._CHUNK_BYTES and
+# whatever the message length: 11 round keys widened to a chunk, plus the
+# state, counter and translated-state temporaries of one chunk, about 25
+# chunks in all.
+ENGINE_CHUNKS = 28
+
+
+def padded(data: bytes) -> bytearray:
+    """data and its PKCS#7 padding in a new buffer, ready for aes.cbc_encrypt."""
+    return bytearray(data) + aes.padding(len(data))
+
+
+def cbc_encrypt_copy(plaintext: bytes, schedule: aes.KeySchedule, iv: bytes) -> bytes:
+    """The CBC ciphertext of plaintext and its padding, as new bytes."""
+    buf = padded(plaintext)
+    aes.cbc_encrypt(buf, schedule, iv)
+    return bytes(buf)
+
+
+def ctr_crypt_copy(data: bytes, schedule: aes.KeySchedule, counter: bytes) -> bytes:
+    """aes.ctr_crypt over a copy of data, as new bytes; data is untouched."""
+    buf = bytearray(data)
+    aes.ctr_crypt(buf, schedule, counter)
+    return bytes(buf)
+
+
+def peak_allocated(fn):
+    """(fn(), the peak of the bytes tracemalloc saw allocated while it ran).
+    Only allocations made during the call count."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def write_cbc_object(
     path: Path, version: int, data: bytes, master_key: bytes, customer_id: str
 ) -> None:
@@ -105,7 +144,7 @@ def write_cbc_object(
     the ciphertext length in 0x01 and the plaintext length in 0x02."""
     iv = os.urandom(16)
     schedule = aes.key_expansion(storage_key(master_key, customer_id))
-    ciphertext = aes.cbc_encrypt(data, schedule, iv)
+    ciphertext = cbc_encrypt_copy(data, schedule, iv)
     length = len(ciphertext) if version == 0x01 else len(data)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(b"CSG1" + bytes([version]) + iv + struct.pack(">Q", length) + ciphertext)

@@ -8,13 +8,13 @@ from __future__ import annotations
 import functools
 import operator
 import random
-import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import ENGINE_CHUNKS, cbc_encrypt_copy, ctr_crypt_copy, padded, peak_allocated
 from csg import aes
 
 VECTORS_DIR = Path(__file__).parent / "vectors"
@@ -199,13 +199,13 @@ def test_block_reference_is_independent_of_the_engine(monkeypatch, direction):
         blocks = b"".join(
             aes.encrypt_block((first + i).to_bytes(16, "big"), schedule) for i in range(4)
         )
-        assert aes.ctr_crypt(bytes(64), schedule, counter) != blocks
+        assert ctr_crypt_copy(bytes(64), schedule, counter) != blocks
     else:
         for key, plaintext, ciphertext in load_vectors():
             assert aes.decrypt_block(ciphertext, aes.key_expansion(key)) == plaintext
         iv, plaintext = bytes(16), b"engine under test" * 4
         try:
-            opened = aes.cbc_decrypt(aes.cbc_encrypt(plaintext, schedule, iv), schedule, iv)
+            opened = aes.cbc_decrypt(cbc_encrypt_copy(plaintext, schedule, iv), schedule, iv)
         except aes.PaddingError:
             opened = None
         assert opened != plaintext
@@ -222,9 +222,9 @@ def test_block_rejects_bad_lengths():
 # --- padding ----------------------------------------------------------------
 
 def test_pad_forced_cases():
-    assert aes.pad(b"") == bytes([0x10]) * 16
-    assert aes.pad(b"a" * 15) == b"a" * 15 + b"\x01"
-    assert aes.pad(b"b" * 16) == b"b" * 16 + bytes([0x10]) * 16
+    assert aes.padding(0) == bytes([0x10]) * 16
+    assert aes.padding(15) == b"\x01"
+    assert aes.padding(16) == bytes([0x10]) * 16
 
 
 def test_unpad_forced_cases():
@@ -248,20 +248,21 @@ def test_pad_unpad_bijective_on_all_lengths():
     rng = random.Random(7)
     for n in range(1025):
         data = rng.randbytes(n)
-        padded = aes.pad(data)
-        assert len(padded) % 16 == 0 and len(padded) > len(data)
-        assert aes.unpad(padded) == data
+        padded_data = padded(data)
+        assert len(padded_data) % 16 == 0 and len(padded_data) > len(data)
+        assert len(padded_data) == aes.padded_len(len(data))
+        assert aes.unpad(padded_data) == data
 
 
 @given(st.binary(max_size=300))
 def test_pad_unpad_property(data):
-    assert aes.unpad(aes.pad(data)) == data
+    assert aes.unpad(padded(data)) == data
 
 
 # --- CBC --------------------------------------------------------------------
 
 def test_cbc_empty_plaintext_frozen_vector():
-    assert aes.cbc_encrypt(b"", aes.key_expansion(bytes(16)), bytes(16)) == CBC_EMPTY_ZERO
+    assert cbc_encrypt_copy(b"", aes.key_expansion(bytes(16)), bytes(16)) == CBC_EMPTY_ZERO
     assert aes.cbc_decrypt(CBC_EMPTY_ZERO, aes.key_expansion(bytes(16)), bytes(16)) == b""
 
 
@@ -283,7 +284,7 @@ def test_cbc_chaining_standard_vector():
         "3ff1caa1681fac09120eca307586e1a7"
     )
     padded_tail = bytes.fromhex("8cb82807230e1321d3fae00d18cc2012")
-    ciphertext = aes.cbc_encrypt(plaintext, aes.key_expansion(key), iv)
+    ciphertext = cbc_encrypt_copy(plaintext, aes.key_expansion(key), iv)
     assert ciphertext == expected_blocks + padded_tail
     assert aes.cbc_decrypt(ciphertext, aes.key_expansion(key), iv) == plaintext
 
@@ -291,16 +292,16 @@ def test_cbc_chaining_standard_vector():
 def test_cbc_empty_equals_block_of_padding():
     # pad("") is one full block of 0x10; a zero IV leaves it unchanged
     schedule = aes.key_expansion(bytes(16))
-    assert aes.cbc_encrypt(b"", schedule, bytes(16)) == aes.encrypt_block(
+    assert cbc_encrypt_copy(b"", schedule, bytes(16)) == aes.encrypt_block(
         bytes([0x10]) * 16, schedule
     )
 
 
 def test_cbc_output_lengths():
     key, iv = b"k" * 16, b"i" * 16
-    assert len(aes.cbc_encrypt(b"x", aes.key_expansion(key), iv)) == 16
-    assert len(aes.cbc_encrypt(b"x" * 16, aes.key_expansion(key), iv)) == 32
-    assert len(aes.cbc_encrypt(b"x" * 17, aes.key_expansion(key), iv)) == 32
+    assert len(cbc_encrypt_copy(b"x", aes.key_expansion(key), iv)) == 16
+    assert len(cbc_encrypt_copy(b"x" * 16, aes.key_expansion(key), iv)) == 32
+    assert len(cbc_encrypt_copy(b"x" * 17, aes.key_expansion(key), iv)) == 32
 
 
 def test_padded_len_is_the_cbc_ciphertext_length():
@@ -308,7 +309,7 @@ def test_padded_len_is_the_cbc_ciphertext_length():
     for n in range(50):
         expected = 16 * (n // 16 + 1)
         assert aes.padded_len(n) == expected
-        assert len(aes.cbc_encrypt(bytes(n), schedule, iv)) == expected
+        assert len(cbc_encrypt_copy(bytes(n), schedule, iv)) == expected
 
 
 def test_cbc_round_trip_random_lengths():
@@ -319,7 +320,17 @@ def test_cbc_round_trip_random_lengths():
         data = rng.randbytes(n)
         key, iv = rng.randbytes(16), rng.randbytes(16)
         schedule = aes.key_expansion(key)
-        assert aes.cbc_decrypt(aes.cbc_encrypt(data, schedule, iv), schedule, iv) == data
+        ciphertext = bytearray(cbc_encrypt_copy(data, schedule, iv))
+        assert aes.cbc_decrypt(ciphertext, schedule, iv) == data
+        # the ciphertext is only read
+        assert ciphertext == cbc_encrypt_copy(data, schedule, iv)
+
+
+def test_cbc_encrypt_rejects_unpadded_lengths():
+    schedule, iv = aes.key_expansion(b"k" * 16), b"i" * 16
+    for n in (0, 15, 17):
+        with pytest.raises(ValueError):
+            aes.cbc_encrypt(bytearray(n), schedule, iv)
 
 
 def test_cbc_decrypt_rejects_bad_lengths():
@@ -334,7 +345,7 @@ def test_cbc_tamper_never_returns_original():
     for _ in range(50):
         data = rng.randbytes(100)
         key, iv = rng.randbytes(16), rng.randbytes(16)
-        ct = bytearray(aes.cbc_encrypt(data, aes.key_expansion(key), iv))
+        ct = bytearray(cbc_encrypt_copy(data, aes.key_expansion(key), iv))
         ct[-1] ^= 0x01
         try:
             recovered = aes.cbc_decrypt(bytes(ct), aes.key_expansion(key), iv)
@@ -439,32 +450,29 @@ def test_ctr_round_trip_and_lengths():
     for length in (0, 1, 15, 16, 17, 1000, aes._CHUNK_BYTES + 5):
         schedule, counter = aes.key_expansion(rng.randbytes(16)), rng.randbytes(16)
         data = rng.randbytes(length)
-        ciphertext = aes.ctr_crypt(data, schedule, counter)
+        ciphertext = ctr_crypt_copy(data, schedule, counter)
         assert len(ciphertext) == length
-        assert aes.ctr_crypt(ciphertext, schedule, counter) == data
-        assert aes.ctr_crypt(memoryview(ciphertext), schedule, counter) == data
+        assert ctr_crypt_copy(ciphertext, schedule, counter) == data
+        # in place, through a view of part of a larger buffer
+        buffer = bytearray(b"<" + ciphertext + b">")
+        aes.ctr_crypt(memoryview(buffer)[1:-1], schedule, counter)
+        assert buffer == b"<" + data + b">"
 
 
 def test_ctr_rejects_bad_counter_lengths():
     schedule = aes.key_expansion(bytes(16))
     for n in (0, 15, 17):
         with pytest.raises(ValueError):
-            aes.ctr_crypt(b"data", schedule, bytes(n))
+            aes.ctr_crypt(bytearray(b"data"), schedule, bytes(n))
 
 
 def test_ctr_peak_memory_is_bounded():
-    # the output and its copy, plus chunk-sized scratch whatever the length:
-    # 11 widened round keys and a few state buffers
+    # in place: the scratch of one chunk, and nothing the size of the data
     rng = random.Random(43)
     schedule, counter = aes.key_expansion(rng.randbytes(16)), rng.randbytes(16)
-    data = rng.randbytes(1 << 20)
-    tracemalloc.start()
-    try:
-        aes.ctr_crypt(data, schedule, counter)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * len(data) + 16 * aes._CHUNK_BYTES
+    data = bytearray(rng.randbytes(1 << 20))
+    _, peak = peak_allocated(lambda: aes.ctr_crypt(data, schedule, counter))
+    assert peak <= ENGINE_CHUNKS * aes._CHUNK_BYTES
 
 
 def test_cbc_decrypt_peak_memory_is_bounded():
@@ -475,16 +483,11 @@ def test_cbc_decrypt_peak_memory_is_bounded():
     body, last = rng.randbytes((1 << 20) - 32), rng.randbytes(16)
     chain = bytes(a ^ 16 for a in aes.decrypt_block(last, schedule))
     ciphertext = body + chain + last
-    tracemalloc.start()
-    try:
-        plaintext = aes.cbc_decrypt(ciphertext, schedule, rng.randbytes(16))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    iv = rng.randbytes(16)
+    plaintext, peak = peak_allocated(lambda: aes.cbc_decrypt(ciphertext, schedule, iv))
     assert len(plaintext) == len(ciphertext) - 16
-    # the output and the unpadded plaintext, plus the same chunk-sized
-    # scratch as ctr_crypt's
-    assert peak <= 2 * len(ciphertext) + 16 * aes._CHUNK_BYTES
+    # one output buffer, whose view strips the padding, plus the engine
+    assert peak <= len(ciphertext) + ENGINE_CHUNKS * aes._CHUNK_BYTES
 
 
 def test_sbox_tables_are_mutual_inverses():

@@ -8,16 +8,24 @@ import dataclasses
 import os
 import random
 import shutil
-import tracemalloc
+import struct
 
 import pytest
 
 from csg import protocol as P
 from csg.keyx import TEST_SMALL, derive_keys, dh_generate
 from csg.vault import ObjectStore, Registry
-from csg.wire import Frame, MalformedPayload, MessageType, PayloadReader, encode_mpint
+from csg.wire import (
+    Frame, MalformedPayload, MessageType, PayloadReader, encode_mpint, encode_str,
+)
 
-from conftest import make_certificate, provision_customer, write_cbc_object
+from conftest import (
+    ENGINE_CHUNKS,
+    make_certificate,
+    peak_allocated,
+    provision_customer,
+    write_cbc_object,
+)
 
 
 @pytest.fixture
@@ -723,26 +731,65 @@ def test_open_reports_a_payload_that_does_not_decrypt_as_malformed():
             P._open(state, MessageType.PUT, payload)
 
 
+def _sealed_without_encryption(
+    schedule, first_block: bytes, size: int, rng: random.Random
+) -> bytes:
+    """An IV and `size` bytes of CBC ciphertext that open to first_block,
+    random blocks, then a full padding block, built from two block
+    decryptions: the IV is chosen as D(c[0]) ^ first_block, and c[n-2] as
+    D(c[n-1]) ^ pad. Serial CBC encryption of a large payload is slow, and
+    far slower under tracemalloc."""
+    ciphertext = bytearray(rng.randbytes(size))
+    last = bytes(ciphertext[-16:])
+    ciphertext[-32:-16] = bytes(a ^ 16 for a in P.aes.decrypt_block(last, schedule))
+    first = P.aes.decrypt_block(bytes(ciphertext[:16]), schedule)
+    iv = bytes(a ^ b for a, b in zip(first, first_block))
+    return iv + bytes(ciphertext)
+
+
 def test_open_peak_memory_is_bounded():
     state = _state_in(P.Phase.SESSION_ACTIVE, derive_keys(os.urandom(32)), os.urandom(16))
-    schedule = P.aes.key_expansion(state.keys.k_data)
-    # IV and 1 MiB of ciphertext whose last block decrypts to a full padding
-    # block: c[n-2] is chosen as D(c[n-1]) ^ pad, so no slow encryption is needed
-    rng = random.Random(37)
-    body, last = rng.randbytes((1 << 20) - 16), rng.randbytes(16)
-    chain = bytes(a ^ 16 for a in P.aes.decrypt_block(last, schedule))
-    payload = body + chain + last
-    tracemalloc.start()
-    try:
-        reader = P._open(state, MessageType.PUT, payload)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    schedule = state.schedules["k_data"]
+    payload = _sealed_without_encryption(schedule, bytes(16), 1 << 20, random.Random(37))
+    reader, peak = peak_allocated(lambda: P._open(state, MessageType.PUT, payload))
     assert len(reader.take(len(payload) - 32)) == len(payload) - 32
     reader.expect_end()
-    # cbc_decrypt's output and unpadded plaintext, plus its chunk-sized
-    # scratch; no copy of the ciphertext
-    assert peak <= 2 * len(payload) + 16 * P.aes._CHUNK_BYTES
+    # cbc_decrypt's one output buffer, whose view strips the padding, plus
+    # its engine's chunk-sized scratch; no copy of the ciphertext
+    assert peak <= len(payload) + ENGINE_CHUNKS * P.aes._CHUNK_BYTES
+
+
+def test_put_of_one_mib_peaks_under_two_and_a_half_times_the_object(wire, acme):
+    """A PUT allocates the decrypted request and the stored file image, one
+    object each, beyond the payload that arrived, and no third copy."""
+    assert wire.handshake(acme)[0] and wire.login(acme)[0]
+    name = "big"
+    size = 1 << 20
+    data_len = size - 16 - 2 - len(name) - 4  # less the padding block and the fields
+    first_block = encode_str(name) + struct.pack(">I", data_len)
+    first_block += bytes(16 - len(first_block))
+    schedule = wire.client.schedules["k_data"]
+    payload = _sealed_without_encryption(schedule, first_block, size, random.Random(53))
+
+    def serve():
+        frames = P.server_handle_frame(wire.server, MessageType.PUT, payload, wire.ctx)
+        return [frame.encode() for frame in frames], frames
+
+    (_, frames), peak = peak_allocated(serve)
+    assert P.parse_put_result(wire.client, frames[0].payload) == P.STATUS_OK
+    assert wire.ctx.store.list_objects("acme") == [name]
+    assert peak <= 2.5 * data_len
+
+
+def test_seal_peak_is_its_payload():
+    """_seal writes IV, parts and padding into one buffer and encrypts it in
+    place: a 16 KiB reply costs its payload and a few blocks."""
+    state = _state_in(P.Phase.SESSION_ACTIVE, derive_keys(os.urandom(32)), os.urandom(16))
+    data = os.urandom(16 * 1024)
+    parts = (bytes([P.STATUS_OK]), struct.pack(">I", len(data)), data)
+    frame, peak = peak_allocated(lambda: P._seal(state, MessageType.GET_RESULT, *parts))
+    assert P.parse_get_result(state, frame.payload) == (P.STATUS_OK, data)
+    assert peak <= len(frame.payload) + 2 * P.aes._CHUNK_BYTES
 
 
 def test_malformed_encrypted_payload_closes_session(wire, acme):

@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,7 +42,14 @@ from csg.vault import (
     storage_mac_key,
 )
 
-from conftest import make_certificate, provision_customer, write_cbc_object
+from conftest import (
+    ENGINE_CHUNKS,
+    ctr_crypt_copy,
+    make_certificate,
+    peak_allocated,
+    provision_customer,
+    write_cbc_object,
+)
 
 
 # --- registry ---------------------------------------------------------------
@@ -351,7 +359,7 @@ def test_on_disk_layout(store, tmp_path):
     assert len(blob) == 29 + len(data) + 32
     ciphertext = blob[29:-32]
     schedule = aes.key_expansion(storage_key(MASTER, "acme"))
-    assert ciphertext == aes.ctr_crypt(data, schedule, counter)
+    assert ciphertext == ctr_crypt_copy(data, schedule, counter)
     expected_tag = hmac.new(
         storage_mac_key(MASTER, "acme"),
         b"\x00\x04acme" + b"\x00\x04blob" + blob[:29] + ciphertext,
@@ -403,6 +411,44 @@ def test_overwrite_replaces_content(store):
 def test_invalid_names(store, name):
     with pytest.raises(InvalidName):
         store.put_object("acme", name, b"x", MASTER, QUOTA)
+
+
+def test_over_quota_put_is_refused_before_encryption(store, monkeypatch):
+    encrypted: list[int] = []
+    real_ctr_crypt = aes.ctr_crypt
+
+    def counting_ctr_crypt(data, schedule, counter):
+        encrypted.append(len(data))
+        return real_ctr_crypt(data, schedule, counter)
+
+    monkeypatch.setattr(aes, "ctr_crypt", counting_ctr_crypt)
+    store.put_object("acme", "a", bytes(600), MASTER, 1000)
+    assert encrypted == [600]
+    with pytest.raises(QuotaExceeded):
+        store.put_object("acme", "b", bytes(500), MASTER, 1000)
+    assert encrypted == [600]
+    assert store.list_objects("acme") == ["a"]
+
+
+def test_object_file_shorter_than_its_size_is_corrupt(store, monkeypatch):
+    # the file loses bytes between the size check and the read
+    store.put_object("acme", "blob", b"data", MASTER, QUOTA)
+    real_fstat = os.fstat
+    monkeypatch.setattr(vault.os, "fstat", lambda fd: SimpleNamespace(
+        st_size=real_fstat(fd).st_size + 8
+    ))
+    with pytest.raises(CorruptObject, match="shorter than its size"):
+        store.get_object("acme", "blob", MASTER)
+
+
+def test_get_object_peak_is_one_object(store):
+    # the file is read into one buffer and decrypted there in place: the
+    # file image plus the cipher engine's scratch
+    data = random.Random(59).randbytes(1 << 20)
+    store.put_object("acme", "big", data, MASTER, QUOTA)
+    got, peak = peak_allocated(lambda: store.get_object("acme", "big", MASTER))
+    assert got == data
+    assert peak <= len(data) + 61 + ENGINE_CHUNKS * aes._CHUNK_BYTES
 
 
 def test_quota_enforced(store):

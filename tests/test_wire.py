@@ -7,12 +7,12 @@ import io
 import random
 import socket
 import struct
-import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import peak_allocated
 from csg import wire
 from csg.wire import (
     FrameError,
@@ -75,6 +75,9 @@ def test_decode_truncations():
         decode_bytes(b"\x00\x00\x00\x05\x01\x41")  # body cut short
     with pytest.raises(TruncatedFrame):
         decode_bytes(b"\x00\x00\x00\x00")  # zero length leaves no type byte
+    with pytest.raises(TruncatedFrame):
+        # cut short after the payload's first reads
+        decode_bytes(encode_frame(MessageType.PUT, bytes(300_000))[:-1])
 
 
 def test_only_an_end_before_the_frame_is_stream_ended():
@@ -93,33 +96,33 @@ def test_decode_rejects_over_cap_before_reading_body():
 
 
 def test_decode_leaves_stream_at_next_frame():
-    raw = encode_frame(MessageType.LIST, b"") + encode_frame(
-        MessageType.DISCONNECT, b""
+    # the middle payload takes several reads
+    raw = b"".join(
+        encode_frame(msg_type, payload)
+        for msg_type, payload in (
+            (MessageType.LIST, b""),
+            (MessageType.PUT, bytes(200_000)),
+            (MessageType.DISCONNECT, b""),
+        )
     )
     stream = io.BytesIO(raw)
     assert decode_frame(stream)[0] is MessageType.LIST
+    assert decode_frame(stream) == (MessageType.PUT, bytes(200_000))
     assert decode_frame(stream)[0] is MessageType.DISCONNECT
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="one read of the declared length: BufferedReader allocates all of "
-    "it before any payload byte arrives",
-)
 def test_decode_memory_follows_the_bytes_that_arrive():
     # a peer declares the largest frame, sends 5 payload bytes and stops
     sender, receiver = socket.socketpair()
     with sender, receiver, receiver.makefile("rb") as stream:
         sender.sendall(struct.pack(">IB", wire.MAX_FRAME_LEN, MessageType.PUT) + bytes(5))
         sender.shutdown(socket.SHUT_WR)
-        tracemalloc.start()
-        try:
+
+        def decode_truncated():
             with pytest.raises(TruncatedFrame):
                 decode_frame(stream)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = peak_allocated(decode_truncated)
     assert peak < 1 << 20
 
 
