@@ -54,6 +54,9 @@ DRAIN_SECONDS = 5.0
 # session's pure-Python cipher, has held it for the switch interval: the GIL
 # "convoy effect" (bpo-7946). CPython's default is 5 ms.
 SWITCH_INTERVAL_SECONDS = 0.0005
+# Pause after a failed accept() (EMFILE, ENOBUFS, ...) before the next try,
+# so a lasting failure neither spins nor floods the audit log.
+ACCEPT_RETRY_SECONDS = 0.1
 
 
 class ConfigError(Exception):
@@ -254,6 +257,7 @@ class Gateway:
             )
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
+        self._stopping = threading.Event()
         self._sessions: dict[int, tuple[threading.Thread, socket.socket]] = {}
         self._sessions_lock = threading.Lock()
         self._next_session_id = 0
@@ -274,8 +278,12 @@ class Gateway:
         while True:
             try:
                 conn, _addr = self._listener.accept()
-            except OSError:
-                break  # listener closed during shutdown
+            except OSError as exc:
+                if self._stopping.is_set():
+                    break  # listener closed by shutdown()
+                self.audit.append(0, f"accept failed {type(exc).__name__}")
+                self._stopping.wait(ACCEPT_RETRY_SECONDS)
+                continue
             with self._sessions_lock:
                 self._next_session_id += 1
                 session_id = self._next_session_id
@@ -370,6 +378,7 @@ class Gateway:
         """Stop accepting, give active sessions `drain_seconds` to finish,
         then force-close the stragglers. Reports the count of audit lines
         that could not be written, if any, on stderr."""
+        self._stopping.set()
         if self._listener is not None:
             # shutdown() unblocks a thread sitting in accept() and tears the
             # listen queue down; close() alone leaves both in place

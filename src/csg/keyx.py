@@ -91,27 +91,17 @@ class DhKeyPair:
 
 
 def dh_generate(
-    group: DhGroup,
-    *,
-    private: Optional[int] = None,
-    randbelow: Optional[Callable[[int], int]] = None,
+    group: DhGroup, *, randbelow: Optional[Callable[[int], int]] = None
 ) -> DhKeyPair:
     """Generate a keypair with private uniform in [2, min(p-2, 2^256 + 1)]:
     a 256-bit exponent on group 14, and all of [2, p-2] on a smaller group.
-    The public value of a sampled private comes from the group's fixed-base
-    table (`_fixed_base_pow`), built on the first draw and then cached.
+    The public value comes from the group's fixed-base table
+    (`_fixed_base_pow`), built on the first draw and then cached.
 
     Privates whose public value is degenerate (1 or p-1) are resampled so
     that peers applying the degenerate-public rejection always interoperate.
-    `private` is a test hook that skips sampling (and resampling); it
-    accepts all of [2, p-2], so a peer's full-size key is reproducible, and
-    computes its public with `pow`, the reference the table is checked
-    against.
+    `randbelow` replaces `secrets.randbelow` as the random source.
     """
-    if private is not None:
-        if not 2 <= private <= group.p - 2:
-            raise ValueError("private key must lie in [2, p-2]")
-        return DhKeyPair(private, pow(group.g, private, group.p))
     draw = randbelow if randbelow is not None else secrets.randbelow
     bound = min(group.p - 3, 1 << _PRIVATE_BITS)
     for _ in range(128):
@@ -195,15 +185,14 @@ def derive_keys(shared: bytes) -> SessionKeys:
     )
 
 
-def hash_password(
-    password: str, salt: bytes, iterations: int = PASSWORD_HASH_ITERATIONS
-) -> bytes:
+def hash_password(password: str, salt: bytes) -> bytes:
     """PBKDF2-HMAC-SHA256 (RFC 8018 section 5.2) of the UTF-8 password
-    under a 16-byte salt for stored credentials; returns 32 bytes. Each
-    iteration costs two SHA-256 compressions, in OpenSSL's loop.
+    under a 16-byte salt for stored credentials; returns 32 bytes. It runs
+    PASSWORD_HASH_ITERATIONS, the count the registry's PASSWORD_KDF tag
+    names. Each iteration costs two SHA-256 compressions, in OpenSSL's loop.
     """
     if len(salt) != 16:
         raise ValueError("salt must be exactly 16 bytes")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    return hashlib.pbkdf2_hmac("sha256", password.encode("utf-8"), salt, iterations)
+    return hashlib.pbkdf2_hmac(
+        "sha256", password.encode("utf-8"), salt, PASSWORD_HASH_ITERATIONS
+    )

@@ -112,10 +112,6 @@ class ProtocolOrderError(Exception):
     """Operation invoked outside its legal phase."""
 
 
-class ReplayDetected(Exception):
-    """Embedded nonce does not match this session's nonce."""
-
-
 class VersionMismatch(Exception):
     pass
 
@@ -362,21 +358,25 @@ def server_derive_keys(state: SessionState, group: DhGroup) -> None:
     state.client_public = None
 
 
-def _open_credentials(
-    state: SessionState, msg_type: MessageType, payload: bytes
-) -> tuple[str, str]:
-    """Decrypt a credential blob and enforce the nonce binding."""
-    r = _open(state, msg_type, payload)
-    user = r.string()
-    password = r.string()
-    nonce = r.take(16)
-    r.expect_end()
-    if nonce != state.server_nonce:
-        raise ReplayDetected("credential blob bound to a different handshake")
-    return user, password
-
-
-_CREDENTIAL_FAILURES = (MalformedPayload, ReplayDetected, AuthFailed)
+def _credential_owner(
+    state: SessionState, msg_type: MessageType, kind: str, payload: bytes,
+    ctx: ServerContext,
+) -> Optional[str]:
+    """The customer whose `kind` credentials the blob holds, or None for
+    every failure: a blob that does not open, a nonce from another
+    handshake (checked before any password is hashed), an unknown user or
+    a wrong password."""
+    try:
+        r = _open(state, msg_type, payload)
+        user = r.string()
+        password = r.string()
+        nonce = r.take(16)
+        r.expect_end()
+        if nonce != state.server_nonce:
+            return None
+        return ctx.registry.check_credentials(kind, user, password)
+    except (MalformedPayload, AuthFailed):
+        return None
 
 
 def _answer_auth(
@@ -405,10 +405,8 @@ def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> lis
 def _serve_phase1(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
     """Check the tunnel credentials; all failures (bad decrypt, replay,
     unknown user, bad password) get the same generic result."""
-    try:
-        user, password = _open_credentials(state, MessageType.PHASE1_AUTH, payload)
-        customer_id = ctx.registry.check_credentials("tunnel", user, password)
-    except _CREDENTIAL_FAILURES:
+    customer_id = _credential_owner(state, MessageType.PHASE1_AUTH, "tunnel", payload, ctx)
+    if customer_id is None:
         return _answer_auth(state, ctx, "phase1 fail", reason=REASON_AUTH_FAILED)
     return _answer_auth(state, ctx, "phase1 ok", customer_id)
 
@@ -430,10 +428,8 @@ def _serve_phase2(state: SessionState, payload: bytes, ctx: ServerContext) -> li
     """Check service credentials, then the requested path, then the
     contract. Credential failures stay generic; certificate verdicts are
     reported specifically so the customer learns their contract lapsed."""
-    try:
-        user, password = _open_credentials(state, MessageType.PHASE2_AUTH, payload)
-        customer_id = ctx.registry.check_credentials("service", user, password)
-    except _CREDENTIAL_FAILURES:
+    customer_id = _credential_owner(state, MessageType.PHASE2_AUTH, "service", payload, ctx)
+    if customer_id is None:
         return _answer_auth(state, ctx, "phase2 fail", reason=REASON_AUTH_FAILED)
     record = ctx.registry.get(customer_id)
     if state.space_path != record.space_path:

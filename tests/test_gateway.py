@@ -5,6 +5,7 @@ shutdown, CLI startup)."""
 from __future__ import annotations
 
 import dataclasses
+import errno
 import gc
 import json
 import os
@@ -59,6 +60,9 @@ def test_config_file_alone(tmp_path):
     assert config.dh_group == "rfc3526-14"
     assert config.max_sessions == 256
     assert config.audit_log == "gateway-audit.log"
+    # ASCII digits load from the file as they do from the environment
+    path = write_config(tmp_path, max_sessions="8")
+    assert load_config(["--config", str(path)], env={}).max_sessions == 8
 
 
 def test_flag_overrides_env_overrides_file(tmp_path):
@@ -364,6 +368,44 @@ def test_failed_session_thread_start_is_refused_and_audited(gateway_factory, mon
     session.close()
     events = audit_events(handle, 7)
     assert events[0] == "refused thread start"
+    assert events[1:3] == ["hello", "phase1 ok customer=acme"]
+    assert events[-1] == "disconnect customer=acme"
+
+
+class _ListenerFailingFirstAccept:
+    """A listener whose first `accept` fails as it does when the process is
+    out of descriptors; all else is passed on."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.failed = False
+
+    def accept(self):
+        if not self.failed:
+            self.failed = True
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return self._sock.accept()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_failed_accept_is_audited_and_accepting_goes_on(gateway_factory, monkeypatch):
+    acme = provision_customer("acme")
+    create_server = socket.create_server
+    monkeypatch.setattr(
+        gateway.socket, "create_server",
+        lambda *args, **kwargs: _ListenerFailingFirstAccept(create_server(*args, **kwargs)),
+    )
+    handle = gateway_factory([acme])
+    assert audit_events(handle, 1) == ["accept failed OSError"]
+    assert handle.gateway._accept_thread.is_alive()
+    session = open_session(handle, acme)
+    session.put("after", b"emfile")
+    assert session.get("after") == b"emfile"
+    session.close()
+    events = audit_events(handle, 7)
+    assert events[0] == "accept failed OSError"
     assert events[1:3] == ["hello", "phase1 ok customer=acme"]
     assert events[-1] == "disconnect customer=acme"
 

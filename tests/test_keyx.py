@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from csg import keyx
 from csg.keyx import (
+    DhKeyPair,
     EntropyError,
     InvalidPublicKey,
     RFC3526_GROUP14,
@@ -67,11 +68,6 @@ def test_group_invariants_enforced():
 
 # --- key generation ---------------------------------------------------------
 
-def test_forced_private_examples():
-    assert dh_generate(TEST_SMALL, private=6).public == 8
-    assert dh_generate(TEST_SMALL, private=15).public == 19
-
-
 def test_generated_public_in_range():
     for _ in range(200):
         pair = dh_generate(TEST_SMALL)
@@ -85,13 +81,6 @@ def test_generated_public_never_degenerate():
     for _ in range(500):
         pair = dh_generate(TEST_SMALL)
         assert pair.public not in (0, 1, TEST_SMALL.p - 1)
-
-
-def test_forced_private_out_of_range():
-    with pytest.raises(ValueError):
-        dh_generate(TEST_SMALL, private=1)
-    with pytest.raises(ValueError):
-        dh_generate(TEST_SMALL, private=TEST_SMALL.p - 1)
 
 
 def test_entropy_failure_is_typed():
@@ -195,27 +184,27 @@ def test_draw_bound(group, bound):
 
 def test_full_size_private_still_accepted():
     # an older peer draws from all of [2, p-2]; its key must agree with ours
-    old = dh_generate(RFC3526_GROUP14, private=RFC3526_GROUP14.p - 2)
-    assert old.public == pow(2, RFC3526_GROUP14.p - 2, RFC3526_GROUP14.p)
-    full_size = random.Random(3).randrange(2**2047, RFC3526_GROUP14.p - 1)
-    full = dh_generate(RFC3526_GROUP14, private=full_size)
+    p = RFC3526_GROUP14.p
+    full_size = random.Random(3).randrange(2**2047, p - 1)
     short = dh_generate(RFC3526_GROUP14)
-    assert dh_shared(full, short.public, RFC3526_GROUP14) == dh_shared(
-        short, full.public, RFC3526_GROUP14
-    )
+    for private in (p - 2, full_size):
+        full = DhKeyPair(private, pow(2, private, p))
+        assert dh_shared(full, short.public, RFC3526_GROUP14) == dh_shared(
+            short, full.public, RFC3526_GROUP14
+        )
 
 
 # --- shared secret ----------------------------------------------------------
 
 def test_shared_secret_examples():
-    a = dh_generate(TEST_SMALL, private=6)
-    b = dh_generate(TEST_SMALL, private=15)
+    a = DhKeyPair(6, 8)  # 5^6 mod 23 = 8
+    b = DhKeyPair(15, 19)  # 5^15 mod 23 = 19
     assert dh_shared(a, b.public, TEST_SMALL) == b"\x02"  # 19^6 mod 23 = 2
     assert dh_shared(b, a.public, TEST_SMALL) == b"\x02"  # 8^15 mod 23 = 2
 
 
 def test_degenerate_peer_publics_rejected():
-    own = dh_generate(TEST_SMALL, private=6)
+    own = DhKeyPair(6, 8)
     for bad in (0, 1, TEST_SMALL.p - 1, TEST_SMALL.p, -3):
         with pytest.raises(InvalidPublicKey):
             dh_shared(own, bad, TEST_SMALL)
@@ -269,7 +258,8 @@ def test_hash_password_frozen_value():
     assert hash_password("a", bytes(16)) == HASH_A_ZERO_SALT_10K
 
 
-@pytest.mark.parametrize("iterations", [1, 2, 1000, 10_000])
+# the one count hash_password runs; the test id names it
+@pytest.mark.parametrize("iterations", [keyx.PASSWORD_HASH_ITERATIONS])
 def test_hash_password_matches_cryptography_pbkdf2(iterations):
     # the `cryptography` package (OpenSSL) is a test-only oracle
     pytest.importorskip("cryptography.hazmat.primitives.kdf.pbkdf2", exc_type=ImportError)
@@ -286,7 +276,7 @@ def test_hash_password_matches_cryptography_pbkdf2(iterations):
         oracle = PBKDF2HMAC(
             algorithm=hashes.SHA256(), length=32, salt=salt, iterations=iterations
         )
-        assert hash_password(password, salt, iterations) == oracle.derive(
+        assert hash_password(password, salt) == oracle.derive(
             password.encode("utf-8")
         )
 
@@ -305,9 +295,9 @@ def test_hash_password_one_bit_salt_change_flips_many_bits():
     for _ in range(100):
         salt = bytearray(rng.randbytes(16))
         password = rng.randbytes(12).hex()
-        before = hash_password(password, bytes(salt), iterations=50)
+        before = hash_password(password, bytes(salt))
         salt[rng.randrange(16)] ^= 1 << rng.randrange(8)
-        after = hash_password(password, bytes(salt), iterations=50)
+        after = hash_password(password, bytes(salt))
         differing = sum(
             bin(x ^ y).count("1") for x, y in zip(before, after)
         )
@@ -318,5 +308,3 @@ def test_hash_password_one_bit_salt_change_flips_many_bits():
 def test_hash_password_validations():
     with pytest.raises(ValueError):
         hash_password("x", b"short")
-    with pytest.raises(ValueError):
-        hash_password("x", bytes(16), iterations=0)

@@ -13,8 +13,8 @@ import struct
 import pytest
 
 from csg import protocol as P
-from csg.keyx import TEST_SMALL, derive_keys, dh_generate
-from csg.vault import ObjectStore, Registry
+from csg.keyx import TEST_SMALL, DhKeyPair, derive_keys, dh_generate
+from csg.vault import AuthFailed, ObjectStore, Registry
 from csg.wire import (
     Frame, MalformedPayload, MessageType, PayloadReader, encode_mpint, encode_str,
 )
@@ -77,12 +77,12 @@ def wire(ctx):
 
 def test_client_hello_layout():
     state = P.SessionState()
-    keypair = dh_generate(TEST_SMALL, private=6)
+    keypair = DhKeyPair(6, 8)  # 5^6 mod 23 = 8 in the test group
     frame = P.client_connect(state, keypair)
     assert frame.msg_type is MessageType.CLIENT_HELLO
     r = PayloadReader(frame.payload)
     assert r.u8() == 0x01  # version byte first
-    assert r.mpint() == 8  # public of private 6 in the test group
+    assert r.mpint() == 8
     r.expect_end()
     assert state.phase is P.Phase.INIT  # unchanged until ServerHello
 
@@ -99,7 +99,7 @@ def test_hello_exchange_agrees_on_keys(wire, acme):
     assert ok
     assert wire.client.keys is not None
     # the server's keys survive into the established phase
-    assert wire.server.keys == wire.client.keys or wire.server.keys is not None
+    assert wire.server.keys == wire.client.keys
 
 
 def test_both_sides_derive_identical_keys(ctx):
@@ -201,17 +201,44 @@ def test_phase1_unknown_user_same_reason(wire, acme):
     assert (ok, reason) == (False, "auth failed")
 
 
-def test_phase1_server_recovers_exact_credentials(acme):
-    # white-box: decrypt on the server side and compare the triple
+class _RecordingRegistry:
+    """A registry stand-in that records each check and answers `owner`, or
+    raises AuthFailed when `owner` is None."""
+
+    def __init__(self, owner):
+        self.owner = owner
+        self.calls = []
+
+    def check_credentials(self, kind, user, password):
+        self.calls.append((kind, user, password))
+        if self.owner is None:
+            raise AuthFailed("auth failed")
+        return self.owner
+
+
+def test_phase1_server_recovers_exact_credentials(ctx):
+    # white-box: the server decrypts the exact pair and asks the registry once
     client, server = P.SessionState(), P.SessionState()
-    keypair = dh_generate(TEST_SMALL)
-    hello = P.client_connect(client, keypair)
+    hello = P.client_connect(client, dh_generate(TEST_SMALL))
     frame = P.server_hello(server, hello.payload, TEST_SMALL)
     P.client_handle_server_hello(client, frame.payload, TEST_SMALL)
     P.server_derive_keys(server, TEST_SMALL)
     auth = P.auth(client, "usér", "pässword")
-    user, password = P._open_credentials(server, MessageType.PHASE1_AUTH, auth.payload)
-    assert (user, password) == ("usér", "pässword")
+
+    def owner(answer, nonce=server.server_nonce, payload=auth.payload):
+        registry = _RecordingRegistry(answer)
+        state = dataclasses.replace(server, server_nonce=nonce)
+        stub_ctx = dataclasses.replace(ctx, registry=registry)
+        found = P._credential_owner(state, MessageType.PHASE1_AUTH, "tunnel", payload, stub_ctx)
+        return found, registry.calls
+
+    asked = [("tunnel", "usér", "pässword")]
+    assert owner("acme") == ("acme", asked)
+    assert owner(None) == (None, asked)  # unknown user or wrong password
+    # a nonce from another handshake fails before any password is hashed
+    assert owner("acme", nonce=os.urandom(16)) == (None, [])
+    # a blob that does not open
+    assert owner("acme", payload=auth.payload[:-16]) == (None, [])
 
 
 def test_phase1_stale_nonce_rejected(wire, acme):
