@@ -55,7 +55,8 @@ DRAIN_SECONDS = 5.0
 # "convoy effect" (bpo-7946). CPython's default is 5 ms.
 SWITCH_INTERVAL_SECONDS = 0.0005
 # Pause after a failed accept() (EMFILE, ENOBUFS, ...) before the next try,
-# so a lasting failure neither spins nor floods the audit log.
+# so a lasting failure does not spin. Its first failure is audited at once,
+# the rest as one count when an accept next succeeds or the gateway stops.
 ACCEPT_RETRY_SECONDS = 0.1
 
 
@@ -275,15 +276,24 @@ class Gateway:
         return self.bound_addr
 
     def _accept_loop(self) -> None:
+        failing, repeats = None, 0  # the failure being counted, if any
         while True:
             try:
                 conn, _addr = self._listener.accept()
             except OSError as exc:
                 if self._stopping.is_set():
                     break  # listener closed by shutdown()
-                self.audit.append(0, f"accept failed {type(exc).__name__}")
+                name = type(exc).__name__
+                if name == failing:
+                    repeats += 1
+                else:
+                    self._audit_repeats(failing, repeats)
+                    self.audit.append(0, f"accept failed {name}")
+                    failing, repeats = name, 0
                 self._stopping.wait(ACCEPT_RETRY_SECONDS)
                 continue
+            self._audit_repeats(failing, repeats)
+            failing, repeats = None, 0
             with self._sessions_lock:
                 self._next_session_id += 1
                 session_id = self._next_session_id
@@ -311,6 +321,11 @@ class Gateway:
                 conn.close()
             except OSError:
                 pass
+        self._audit_repeats(failing, repeats)
+
+    def _audit_repeats(self, failing: Optional[str], repeats: int) -> None:
+        if repeats:
+            self.audit.append(0, f"accept failed {failing} repeated {repeats}")
 
     def _run_session(self, session_id: int, conn: socket.socket) -> None:
         state = SessionState()

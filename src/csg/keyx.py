@@ -3,9 +3,9 @@
 Finite-field Diffie-Hellman produces a shared secret; the three session
 sub-keys (phase-1 auth, phase-2 auth, data) are derived from it by
 `sub_key`, domain-separated SHA-256, which also makes the vault's storage
-keys. A generated public value comes from a fixed-base table per group,
-built on the first draw. Stored passwords use PBKDF2-HMAC-SHA256 (RFC 8018
-section 5.2) at PASSWORD_HASH_ITERATIONS.
+keys. A generated public value comes from one fixed-base comb table per
+group (Lim-Lee), built on the first draw. Stored passwords use
+PBKDF2-HMAC-SHA256 (RFC 8018 section 5.2) at PASSWORD_HASH_ITERATIONS.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ PASSWORD_KDF = f"pbkdf2-hmac-sha256/{PASSWORD_HASH_ITERATIONS}"
 # that draw full-size exponents still agree with this one.
 _PRIVATE_BITS = 256
 
-# Digit width of the fixed-base table: 4-bit digits, 16 entries per row.
-_WINDOW_BITS = 4
-_DIGIT_MASK = (1 << _WINDOW_BITS) - 1
+# Rows of the fixed-base comb: an exponent is read as 8 rows of w bits, and
+# the one table holds 2^8 entries.
+_COMB_ROWS = 8
 
 
 class EntropyError(Exception):
@@ -95,8 +95,10 @@ def dh_generate(
 ) -> DhKeyPair:
     """Generate a keypair with private uniform in [2, min(p-2, 2^256 + 1)]:
     a 256-bit exponent on group 14, and all of [2, p-2] on a smaller group.
-    The public value comes from the group's fixed-base table
-    (`_fixed_base_pow`), built on the first draw and then cached.
+    The public value comes from the group's fixed-base comb
+    (`_fixed_base_pow`): one 256-entry table, built on the first draw and
+    then cached, and w squarings and w table products per draw (w = 33 on
+    group 14).
 
     Privates whose public value is degenerate (1 or p-1) are resampled so
     that peers applying the degenerate-public rejection always interoperate.
@@ -118,32 +120,44 @@ def dh_generate(
 
 
 @functools.cache
-def _fixed_base_table(group: DhGroup) -> tuple[tuple[int, ...], ...]:
-    """Row i holds g^(d * 16^i) mod p for d = 0..15, with enough rows for
-    every private `dh_generate` draws: 65 rows (about 290 KiB) on group 14.
-    Fixed-base windowing, Brickell, Gordon, McCurley and Wilson, EUROCRYPT
-    '92; HAC Algorithm 14.109."""
+def _fixed_base_table(group: DhGroup) -> tuple[int, tuple[int, ...]]:
+    """The comb width w and the comb's 256 entries: entry j is the product
+    of g^(2^(w*i)) mod p over the set bits i of j, where w = ceil(b/8) for
+    the b bits of the largest private `dh_generate` draws. On group 14 that
+    is w = 33 and about 77 KiB. Fixed-base comb, Lim and Lee, CRYPTO '94;
+    HAC Algorithm 14.117."""
     top = min(group.p - 2, (1 << _PRIVATE_BITS) + 1)
-    rows = []
-    base = group.g  # g^(16^i)
-    for _ in range(-(-top.bit_length() // _WINDOW_BITS)):
-        row = [1]
-        for _ in range(_DIGIT_MASK):
-            row.append(row[-1] * base % group.p)
-        rows.append(tuple(row))
-        base = row[-1] * base % group.p
-    return tuple(rows)
+    width = -(-top.bit_length() // _COMB_ROWS)
+    bases = [group.g]  # row i's base g^(2^(w*i))
+    while len(bases) < _COMB_ROWS:
+        bases.append(pow(bases[-1], 1 << width, group.p))
+    table = [1]
+    for base in bases:
+        table += [entry * base % group.p for entry in table]
+    return width, tuple(table)
 
 
 def _fixed_base_pow(group: DhGroup, exponent: int) -> int:
-    """g^exponent mod p as one table product per 4-bit digit of the
-    exponent; equals pow(g, exponent, p) for 0 <= exponent < 16^rows."""
-    result = 1
-    for row in _fixed_base_table(group):
-        result = result * row[exponent & _DIGIT_MASK] % group.p
-        exponent >>= _WINDOW_BITS
-    if exponent:
+    """g^exponent mod p as one squaring and one table product per column of
+    the comb, highest column first; equals pow(g, exponent, p) for
+    0 <= exponent < 2^(8w)."""
+    width, table = _fixed_base_table(group)
+    if exponent >> (_COMB_ROWS * width):
         raise ValueError("exponent exceeds the fixed-base table")
+    mask = (1 << width) - 1
+    ones = int.from_bytes(b"\x01" * width, "big")
+    # the bytes of `spread` are the columns' table indices, highest column
+    # first; bit i of an index is the column's bit of row i. A row's binary
+    # digits are the ASCII codes 0x30 and 0x31, which end in the bit they
+    # stand for, so `& ones` keeps one bit per column
+    spread = 0
+    for i in range(_COMB_ROWS):
+        row = format(exponent >> (width * i) & mask, f"0{width}b").encode()
+        spread |= (int.from_bytes(row, "big") & ones) << i
+    p = group.p
+    result = 1
+    for index in spread.to_bytes(width, "big"):
+        result = result * result % p * table[index] % p
     return result
 
 

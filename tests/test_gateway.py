@@ -373,16 +373,17 @@ def test_failed_session_thread_start_is_refused_and_audited(gateway_factory, mon
 
 
 class _ListenerFailingFirstAccept:
-    """A listener whose first `accept` fails as it does when the process is
-    out of descriptors; all else is passed on."""
+    """A listener whose first `failures` accepts fail as they do when the
+    process is out of descriptors; all else is passed on."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, failures: int = 1):
         self._sock = sock
-        self.failed = False
+        self.failures = failures
+        self.failed = 0
 
     def accept(self):
-        if not self.failed:
-            self.failed = True
+        if self.failed < self.failures:
+            self.failed += 1
             raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
         return self._sock.accept()
 
@@ -408,6 +409,52 @@ def test_failed_accept_is_audited_and_accepting_goes_on(gateway_factory, monkeyp
     assert events[0] == "accept failed OSError"
     assert events[1:3] == ["hello", "phase1 ok customer=acme"]
     assert events[-1] == "disconnect customer=acme"
+
+
+def _fail_accepts(monkeypatch, failures: int) -> list:
+    """Make the next gateway's listener fail its first `failures` accepts;
+    the returned list receives that listener."""
+    listeners = []
+    create_server = socket.create_server
+
+    def failing(*args, **kwargs):
+        listeners.append(_ListenerFailingFirstAccept(create_server(*args, **kwargs), failures))
+        return listeners[-1]
+
+    monkeypatch.setattr(gateway.socket, "create_server", failing)
+    return listeners
+
+
+def test_repeated_accept_failures_are_audited_as_one_count(gateway_factory, monkeypatch):
+    acme = provision_customer("acme")
+    listeners = _fail_accepts(monkeypatch, 5)
+    handle = gateway_factory([acme])
+    session = open_session(handle, acme)
+    session.close()
+    assert listeners[0].failed == 5
+    events = audit_events(handle, 6)
+    assert events[:3] == [
+        "accept failed OSError",
+        "accept failed OSError repeated 4",
+        "hello",
+    ]
+    assert sum(event.startswith("accept failed") for event in events) == 2
+
+
+def test_accept_failures_still_failing_are_counted_at_shutdown(gateway_factory, monkeypatch):
+    listeners = _fail_accepts(monkeypatch, 10**9)
+    handle = gateway_factory([provision_customer("acme")])
+    deadline = time.monotonic() + 5.0
+    while listeners[0].failed < 5 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert audit_events(handle, 1) == ["accept failed OSError"]
+    handle.gateway.shutdown(drain_seconds=0.0)
+    events = audit_events(handle, 2)
+    assert events[0] == "accept failed OSError"
+    first, _, repeats = events[1].rpartition(" repeated ")
+    assert first == "accept failed OSError"
+    assert int(repeats) >= 3  # the fifth failure may race the stop
+    assert len(events) == 2
 
 
 def test_chaos_50_fuzz_clients_do_not_disturb_5_honest_clients(gateway_factory):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -106,14 +107,29 @@ def test_group14_privates_are_256_bit():
         assert pair.public == pow(2, pair.private, p)
 
 
-# --- fixed-base table -------------------------------------------------------
+# --- fixed-base comb --------------------------------------------------------
 
 def test_fixed_base_table_shape():
-    # 257-bit privates take 65 four-bit digits
-    table = keyx._fixed_base_table(RFC3526_GROUP14)
-    assert len(table) == 65
-    assert all(len(row) == 16 for row in table)
-    assert len(keyx._fixed_base_table(TEST_SMALL)) == 2  # 21 has 5 bits
+    # 257-bit privates take 8 rows of 33 bits; on the small group 21 has 5
+    # bits, so 8 rows of 1 bit
+    width, table = keyx._fixed_base_table(RFC3526_GROUP14)
+    assert width == 33
+    assert len(table) == 256
+    width, table = keyx._fixed_base_table(TEST_SMALL)
+    assert width == 1
+    assert len(table) == 256
+
+
+def test_fixed_base_table_stays_under_100_kib():
+    # 256 entries of 2048 bits take about 77 KiB
+    keyx._fixed_base_table.cache_clear()
+    tracemalloc.start()
+    try:
+        keyx._fixed_base_table(RFC3526_GROUP14)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 100 * 1024
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,8 +138,8 @@ def test_fixed_base_table_shape():
 @example(1)
 @example(2**256)
 @example(2**256 + 1)
-@example(2**256 - 1)  # every digit 0xF
-@example(2**260 - 1)  # every digit 0xF in every row of the table
+@example(2**256 - 1)
+@example(2**264 - 1)  # every bit of every row of the comb set
 def test_fixed_base_pow_matches_pow(exponent):
     p = RFC3526_GROUP14.p
     assert keyx._fixed_base_pow(RFC3526_GROUP14, exponent) == pow(2, exponent, p)
@@ -138,7 +154,7 @@ def test_fixed_base_pow_covers_the_small_group():
 
 def test_fixed_base_pow_refuses_an_exponent_past_the_table():
     with pytest.raises(ValueError):
-        keyx._fixed_base_pow(RFC3526_GROUP14, 2**260)
+        keyx._fixed_base_pow(RFC3526_GROUP14, 2**264)  # 8 rows of 33 bits
 
 
 def test_concurrent_first_draws_agree_with_pow():

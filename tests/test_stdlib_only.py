@@ -22,9 +22,11 @@ print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
 
 def test_every_csg_module_imports_only_the_standard_library():
     # -I ignores PYTHONPATH and the user site; -S skips site-packages and the
-    # .pth hooks that would preload third-party modules before the probe runs
+    # .pth hooks that would preload third-party modules before the probe runs;
+    # -B writes no bytecode into src, which -I would otherwise let it do
+    # whatever PYTHONDONTWRITEBYTECODE says
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", PROBE, str(SRC)],
+        [sys.executable, "-I", "-S", "-B", "-c", PROBE, str(SRC)],
         capture_output=True,
         text=True,
         timeout=60,
