@@ -23,12 +23,12 @@
 # protocol._open names it. CTR has no failure of its own: the object store
 # authenticates before it decrypts.
 #
-# Buffers: cbc_encrypt and ctr_crypt write their result over their data
-# argument, a writable buffer (a bytearray or a writable memoryview of one)
-# that the caller allocates once per message, with cbc_encrypt's padding
-# already in it. cbc_decrypt writes into one new buffer and returns a
-# memoryview of the plaintext. No call writes a buffer it was handed to
-# read: a key, an IV, a counter, or cbc_decrypt's ciphertext.
+# Buffers: every mode call writes its result over its data argument, a
+# writable buffer (a bytearray or a writable memoryview of one) that the
+# caller allocates once per message: cbc_encrypt's with the padding already
+# in it, cbc_decrypt's holding the ciphertext, whose plaintext it returns as
+# a memoryview of that buffer. No call writes a buffer it was handed to
+# read: a key, an IV or a counter.
 
 from __future__ import annotations
 
@@ -441,29 +441,29 @@ def cbc_encrypt(data: bytearray | memoryview, schedule: KeySchedule, iv: bytes) 
         view[i : i + BLOCK_SIZE] = prev
 
 
-def cbc_decrypt(ciphertext: bytes, schedule: KeySchedule, iv: bytes) -> memoryview:
-    """Invert cbc_encrypt and strip the padding.
+def cbc_decrypt(data: bytearray | memoryview, schedule: KeySchedule, iv: bytes) -> memoryview:
+    """Invert cbc_encrypt in place and strip the padding.
 
-    Returns a memoryview of the plaintext in one new buffer; the ciphertext
-    is only read. p[i] = D(c[i]) ^ c[i-1] needs no earlier plaintext, so
-    whole chunks of _CHUNK_BYTES are decrypted at once. Raises PaddingError
-    when the ciphertext length is not a positive multiple of 16 or the
-    recovered padding is invalid (tampering or a wrong key).
+    data is a writable buffer holding the ciphertext; it is decrypted where
+    it lies, and the result is a memoryview of the plaintext in it.
+    p[i] = D(c[i]) ^ c[i-1] needs no earlier plaintext, so whole chunks of
+    _CHUNK_BYTES are decrypted at once; each chunk's last ciphertext block
+    is kept before the chunk is overwritten, to chain the next one. Raises
+    PaddingError when the ciphertext length is not a positive multiple of 16
+    or the recovered padding is invalid (tampering or a wrong key).
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("iv must be exactly 16 bytes")
-    ciphertext = memoryview(ciphertext)
-    if not ciphertext or len(ciphertext) % BLOCK_SIZE != 0:
+    view = memoryview(data)
+    if not view or len(view) % BLOCK_SIZE != 0:
         raise PaddingError("ciphertext length must be a positive multiple of 16")
-    out = memoryview(bytearray(len(ciphertext)))
-    for start, cipher in _chunk_ciphers(schedule.inverse_round_keys, _INVERSE, len(out)):
+    prev = iv
+    for start, cipher in _chunk_ciphers(schedule.inverse_round_keys, _INVERSE, len(view)):
         end = start + cipher.size
-        if start:
-            chain = ciphertext[start - BLOCK_SIZE : end - BLOCK_SIZE]
-        else:
-            chain = b"".join((iv, ciphertext[: end - BLOCK_SIZE]))
-        out[start:end] = cipher(ciphertext[start:end], chain)
-    return unpad(out)
+        chain = b"".join((prev, view[start : end - BLOCK_SIZE]))
+        prev = bytes(view[end - BLOCK_SIZE : end])
+        view[start:end] = cipher(view[start:end], chain)
+    return unpad(view)
 
 
 # --------- CTR mode ---------

@@ -231,12 +231,6 @@ class AuditLog:
                 self.dropped += 1
 
 
-def parse_audit_line(line: str) -> tuple[str, int, str]:
-    """Split an audit line back into (timestamp, session id, event text)."""
-    stamp, session_id, event = line.rstrip("\n").split(" ", 2)
-    return stamp, int(session_id), event
-
-
 class Gateway:
     """Accepts connections and runs one server-side protocol session per
     connection; sessions share only the registry, the store, and the audit

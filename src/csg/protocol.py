@@ -20,14 +20,14 @@ handshake: a ciphertext captured in one session never verifies in another.
 client request, its legal phase, the sub-key sealing it and its reply, the
 reply type, the next phase and the server handler. `_seal`/`_open` are the
 only code that encrypts or decrypts a payload, under the schedule of its
-row's sub-key; they refuse a type outside its row's phase, and `_open`
-makes a payload that does not decrypt a MalformedPayload. `auth` and
-`handle_auth_result` serve both credential steps, picked by phase from the
-auth rows. The server side has one entry point, `server_handle_frame`,
-which serves a request only in its row's phase; every other (phase, type)
-pair, and every handler failure, becomes an Error frame that closes the
-session. A check or timer that must see every frame before any handler
-runs belongs in that function.
+row's sub-key; they refuse a type outside its row's phase. `_open`
+decrypts the received payload in place, and makes one that does not
+decrypt a MalformedPayload. `auth` and `handle_auth_result` serve both
+credential steps, picked by phase from the auth rows. The server side has
+one entry point, `server_handle_frame`, which serves a request only in its
+row's phase; every other (phase, type) pair, and every handler failure,
+becomes an Error frame that closes the session. A check or timer that must
+see every frame before any handler runs belongs in that function.
 
 The server answers a ClientHello before it derives the session keys.
 `server_hello` checks the version and the client public, draws the server
@@ -179,17 +179,17 @@ def _seal(state: SessionState, msg_type: MessageType, *parts: bytes) -> Frame:
     return Frame(msg_type, payload)
 
 
-def _open(state: SessionState, msg_type: MessageType, payload: bytes) -> PayloadReader:
-    """Decrypt a payload sealed by `_seal` for `msg_type`, or raise
-    MalformedPayload. The payload is only read; the reader runs over a view
-    of the one buffer the plaintext is decrypted into, and its fields are
-    views of that buffer."""
+def _open(state: SessionState, msg_type: MessageType, payload: bytearray) -> PayloadReader:
+    """Decrypt a payload sealed by `_seal` for `msg_type` in place, or raise
+    MalformedPayload. The payload is a writable buffer, as `decode_frame`
+    returns it; the reader runs over a view of the plaintext decrypted
+    there, and its fields are views of that buffer."""
     schedule = state.schedules[_step(state, msg_type).key]
     if len(payload) < 32:
         raise MalformedPayload("encrypted payload shorter than IV plus one block")
+    view = memoryview(payload)
     try:
-        # a view, so the ciphertext is not copied out of the payload
-        inner = aes.cbc_decrypt(memoryview(payload)[16:], schedule, payload[:16])
+        inner = aes.cbc_decrypt(view[16:], schedule, view[:16])
     except aes.PaddingError as exc:
         raise MalformedPayload(f"payload does not decrypt: {exc}") from None
     return PayloadReader(inner)
@@ -247,7 +247,7 @@ def auth(state: SessionState, user: str, password: str) -> Frame:
     return _seal(state, auth_type, encode_str(user), encode_str(password), state.server_nonce)
 
 
-def handle_auth_result(state: SessionState, payload: bytes) -> tuple[bool, str]:
+def handle_auth_result(state: SessionState, payload: bytearray) -> tuple[bool, str]:
     """Read the server's verdict on `auth`; anything but ok closes the session."""
     step = _STEPS[_auth_type(state, "handle_auth_result")]
     r = _open(state, step.reply, payload)
@@ -274,7 +274,7 @@ def build_put(state: SessionState, name: str, data: bytes) -> Frame:
     return _seal(state, MessageType.PUT, encode_str(name), struct.pack(">I", len(data)), data)
 
 
-def parse_put_result(state: SessionState, payload: bytes) -> int:
+def parse_put_result(state: SessionState, payload: bytearray) -> int:
     r = _open(state, MessageType.PUT_RESULT, payload)
     status = r.u8()
     r.expect_end()
@@ -285,7 +285,7 @@ def build_get(state: SessionState, name: str) -> Frame:
     return _seal(state, MessageType.GET, encode_str(name))
 
 
-def parse_get_result(state: SessionState, payload: bytes) -> tuple[int, bytes]:
+def parse_get_result(state: SessionState, payload: bytearray) -> tuple[int, bytes]:
     r = _open(state, MessageType.GET_RESULT, payload)
     status = r.u8()
     data = r.take(r.u32())
@@ -297,7 +297,7 @@ def build_list(state: SessionState) -> Frame:
     return _seal(state, MessageType.LIST)
 
 
-def parse_list_result(state: SessionState, payload: bytes) -> list[str]:
+def parse_list_result(state: SessionState, payload: bytearray) -> list[str]:
     r = _open(state, MessageType.LIST_RESULT, payload)
     names = [r.string() for _ in range(r.u16())]
     r.expect_end()
@@ -359,7 +359,7 @@ def server_derive_keys(state: SessionState, group: DhGroup) -> None:
 
 
 def _credential_owner(
-    state: SessionState, msg_type: MessageType, kind: str, payload: bytes,
+    state: SessionState, msg_type: MessageType, kind: str, payload: bytearray,
     ctx: ServerContext,
 ) -> Optional[str]:
     """The customer whose `kind` credentials the blob holds, or None for
@@ -402,7 +402,7 @@ def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> lis
     return [frame]
 
 
-def _serve_phase1(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+def _serve_phase1(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
     """Check the tunnel credentials; all failures (bad decrypt, replay,
     unknown user, bad password) get the same generic result."""
     customer_id = _credential_owner(state, MessageType.PHASE1_AUTH, "tunnel", payload, ctx)
@@ -412,7 +412,7 @@ def _serve_phase1(state: SessionState, payload: bytes, ctx: ServerContext) -> li
 
 
 def _serve_service_request(
-    state: SessionState, payload: bytes, ctx: ServerContext
+    state: SessionState, payload: bytearray, ctx: ServerContext
 ) -> list[Frame]:
     """Record the requested path; it is checked once phase 2 proves who is
     asking. There is no direct response."""
@@ -424,7 +424,7 @@ def _serve_service_request(
     return []
 
 
-def _serve_phase2(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+def _serve_phase2(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
     """Check service credentials, then the requested path, then the
     contract. Credential failures stay generic; certificate verdicts are
     reported specifically so the customer learns their contract lapsed."""
@@ -442,7 +442,7 @@ def _serve_phase2(state: SessionState, payload: bytes, ctx: ServerContext) -> li
     return _answer_auth(state, ctx, "phase2 ok cert=valid", customer_id)
 
 
-def _serve_put(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+def _serve_put(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
     r = _open(state, MessageType.PUT, payload)
     name = r.string()
     data = r.take(r.u32())
@@ -461,7 +461,7 @@ def _serve_put(state: SessionState, payload: bytes, ctx: ServerContext) -> list[
     return [_seal(state, MessageType.PUT_RESULT, bytes([status]))]
 
 
-def _serve_get(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+def _serve_get(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
     r = _open(state, MessageType.GET, payload)
     name = r.string()
     r.expect_end()
@@ -478,7 +478,7 @@ def _serve_get(state: SessionState, payload: bytes, ctx: ServerContext) -> list[
     ]
 
 
-def _serve_list(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+def _serve_list(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
     _open(state, MessageType.LIST, payload).expect_end()
     names = ctx.store.list_objects(state.customer_id)
     ctx.audit(f"list count={len(names)}", state.customer_id)
@@ -488,7 +488,7 @@ def _serve_list(state: SessionState, payload: bytes, ctx: ServerContext) -> list
     return [_seal(state, MessageType.LIST_RESULT, struct.pack(">H", len(names)), encoded)]
 
 
-_Handler = Callable[[SessionState, bytes, ServerContext], list[Frame]]
+_Handler = Callable[[SessionState, bytearray, ServerContext], list[Frame]]
 
 
 class _Step(NamedTuple):
@@ -545,15 +545,16 @@ def reply_to(msg_type: MessageType) -> Optional[MessageType]:
 def server_handle_frame(
     state: SessionState,
     msg_type: MessageType,
-    payload: bytes,
+    payload: bytearray,
     ctx: ServerContext,
 ) -> list[Frame]:
     """Drive the server state machine for one incoming frame.
 
-    Returns the frames to send back (possibly none). Any illegal
-    (phase, type) pair, malformed payload or reply too large for one frame
-    yields a single Error frame and a closed session; frames arriving after
-    close are dropped silently.
+    The payload is a writable buffer, as `decode_frame` returns it, and a
+    sealed one is decrypted there in place. Returns the frames to send back
+    (possibly none). Any illegal (phase, type) pair, malformed payload or
+    reply too large for one frame yields a single Error frame and a closed
+    session; frames arriving after close are dropped silently.
     """
     server_derive_keys(state, ctx.group)
     if state.phase is Phase.CLOSED:

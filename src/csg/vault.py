@@ -39,6 +39,12 @@ OBJECT_VERSION = 0x03
 OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + counter(16) + length(8)
 OBJECT_TAG_LEN = 32  # HMAC-SHA256, after the ciphertext
 
+# A put encrypts, tags and writes its object in slices of this many bytes
+# through one scratch buffer; a whole number of the cipher's 16 KiB chunks,
+# so that each call but the last runs on full chunks.
+_PUT_SLICE_BYTES = 64 * 1024
+_COUNTER_MOD = 1 << 128  # the CTR counter block is incremented mod 2^128
+
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
 
 SALT_LEN = 16  # as hash_password requires
@@ -302,19 +308,17 @@ def storage_mac_key(master_key: bytes, customer_id: str) -> bytes:
     return sub_key(master_key + customer_id.encode("utf-8"), b"storage-mac", 32)
 
 
-def _object_tag(
-    master_key: bytes, customer_id: str, name: str, header: bytes, ciphertext: bytes
-) -> bytes:
-    """HMAC-SHA256 under storage_mac_key over the customer id and the object
-    name, each UTF-8 with a u16 length prefix, then the fixed-length header
-    and the ciphertext, whose length the header gives."""
+def _object_mac(master_key: bytes, customer_id: str, name: str, header: bytes) -> hmac.HMAC:
+    """The object tag's HMAC-SHA256 under storage_mac_key, fed the customer
+    id and the object name, each UTF-8 with a u16 length prefix, then the
+    fixed-length header. The caller feeds it the ciphertext, whose length
+    the header gives, and its digest is the tag."""
     mac = hmac.new(storage_mac_key(master_key, customer_id), digestmod=hashlib.sha256)
     for field in (customer_id, name):
         raw = field.encode("utf-8")
         mac.update(struct.pack(">H", len(raw)) + raw)
     mac.update(header)
-    mac.update(ciphertext)
-    return mac.digest()
+    return mac
 
 
 def validate_object_name(name: str) -> None:
@@ -372,19 +376,23 @@ class ObjectStore:
     counts such files.
 
     Writes go through a temp file + atomic rename, which commits content and
-    size together, and are serialized by one coarse store-wide lock. A failed
-    write or rename removes its temp file and counts nothing to the quota;
-    one left by a crash is removed by the next startup scan (`scan_removed`).
+    size together. The temp file is written outside the store-wide lock,
+    which covers only the quota checks, the rename and the totals, so a slow
+    write holds up no other put or listing. A failed write or rename removes
+    its temp file and counts nothing to the quota; one left by a crash is
+    removed by the next startup scan (`scan_removed`). No write is synced to
+    disk (`fsync`).
 
     The store is the only writer of its directories, so the size table is
     also the listing: `list_objects` reads no directory. A file deleted by
     hand while the store runs stays listed and charged until the next
     startup scan; a get of it is a NoSuchObject.
 
-    Each put and get holds one object-sized buffer, the file image, and the
-    cipher runs in place in it: `put_object` copies the plaintext into the
-    image, `get_object` reads the file into it and returns a view of the
-    decrypted plaintext there. Neither writes a buffer it was handed.
+    A put holds no object-sized buffer of its own: it streams the plaintext
+    through one 64 KiB scratch buffer, encrypting, tagging and writing it a
+    slice at a time. A get holds one, the file image: it reads the file into
+    it and returns a view of the plaintext decrypted there in place. Neither
+    writes a buffer it was handed.
     """
 
     def __init__(self, root: str | Path):
@@ -458,40 +466,47 @@ class ObjectStore:
         refuses at its start costs no encryption; the check under the lock,
         before the rename, is the one that holds.
 
-        The file image (header, ciphertext, tag) is one buffer: the
-        plaintext is copied into it once and encrypted there in place, and
-        it is written with one call. `plaintext` is only read."""
+        The object streams to its temp file, header first and tag last:
+        each _PUT_SLICE_BYTES slice of the plaintext is copied into one
+        scratch buffer, encrypted there in place at the slice's counter,
+        fed to the tag and written, outside the lock. `plaintext` is only
+        read."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
-        file_size = OBJECT_HEADER_LEN + len(plaintext) + OBJECT_TAG_LEN
+        size = len(plaintext)
+        file_size = OBJECT_HEADER_LEN + size + OBJECT_TAG_LEN
         with self._lock:
             self._check_quota(customer_id, name, file_size, quota_bytes)
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
         counter = os.urandom(aes.BLOCK_SIZE)
-        image = memoryview(bytearray(file_size))
-        header = image[:OBJECT_HEADER_LEN]
-        header[:] = (
-            OBJECT_MAGIC + bytes([OBJECT_VERSION]) + counter + struct.pack(">Q", len(plaintext))
-        )
-        body = image[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
-        body[:] = plaintext
-        aes.ctr_crypt(body, schedule, counter)
-        image[-OBJECT_TAG_LEN:] = _object_tag(master_key, customer_id, name, header, body)
-        with self._lock:
-            used = self._check_quota(customer_id, name, file_size, quota_bytes)
-            directory = self._dir(customer_id)
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=directory)
-            try:
-                # a file object writes every byte or raises, and closes fd
-                with open(fd, "wb") as fh:
-                    fh.write(image)
+        header = OBJECT_MAGIC + bytes([OBJECT_VERSION]) + counter + struct.pack(">Q", size)
+        mac = _object_mac(master_key, customer_id, name, header)
+        first = int.from_bytes(counter, "big")
+        source = memoryview(plaintext)
+        scratch = memoryview(bytearray(min(size, _PUT_SLICE_BYTES)))
+        directory = self._dir(customer_id)
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=directory)
+        try:
+            # a file object writes every byte or raises, and closes fd
+            with open(fd, "wb") as fh:
+                fh.write(header)
+                for pos in range(0, size, _PUT_SLICE_BYTES):
+                    piece = scratch[: min(_PUT_SLICE_BYTES, size - pos)]
+                    piece[:] = source[pos : pos + len(piece)]
+                    at = (first + pos // aes.BLOCK_SIZE) % _COUNTER_MOD
+                    aes.ctr_crypt(piece, schedule, at.to_bytes(aes.BLOCK_SIZE, "big"))
+                    mac.update(piece)
+                    fh.write(piece)
+                fh.write(mac.digest())
+            with self._lock:
+                used = self._check_quota(customer_id, name, file_size, quota_bytes)
                 os.replace(tmp, directory / name)
-            except BaseException:
-                Path(tmp).unlink(missing_ok=True)
-                raise
-            self._sizes.setdefault(customer_id, {})[name] = file_size
-            self._used[customer_id] = used + file_size
+                self._sizes.setdefault(customer_id, {})[name] = file_size
+                self._used[customer_id] = used + file_size
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     def get_object(self, customer_id: str, name: str, master_key: bytes) -> memoryview:
         """Read, verify and decrypt one object; byte-exact inverse of
@@ -513,8 +528,9 @@ class ObjectStore:
         header = blob[:OBJECT_HEADER_LEN]
         counter = _parse_header(header, len(blob))
         body = blob[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
-        tag = _object_tag(master_key, customer_id, name, header, body)
-        if not hmac.compare_digest(tag, blob[-OBJECT_TAG_LEN:]):
+        mac = _object_mac(master_key, customer_id, name, header)
+        mac.update(body)
+        if not hmac.compare_digest(mac.digest(), blob[-OBJECT_TAG_LEN:]):
             raise CorruptObject("object tag does not verify")
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
         aes.ctr_crypt(body, schedule, counter)

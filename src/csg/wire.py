@@ -20,7 +20,7 @@ from typing import BinaryIO
 
 MAX_FRAME_LEN = 16 * 1024 * 1024  # type byte + payload
 MAX_PAYLOAD_LEN = MAX_FRAME_LEN - 1
-_FIRST_READ = 64 * 1024  # the largest payload read before any byte has arrived
+_READ_BYTES = 64 * 1024  # the largest read of a payload
 
 
 class FrameError(Exception):
@@ -87,7 +87,8 @@ def encode_frame(msg_type: MessageType, payload: bytes) -> bytes:
 
 def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytearray]:
     """Read exactly one frame, leaving the stream at the next one. The
-    payload is returned in the one buffer it was read into.
+    payload is returned in the one buffer it was read into, a bytearray
+    that the caller may decrypt in place.
 
     `stream` is buffered (`socket.makefile("rb")`, `io.BytesIO`): its
     `read(n)` returns fewer than n bytes only at the end of the stream.
@@ -107,11 +108,11 @@ def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytearray]:
     if length < 1:
         raise TruncatedFrame("declared frame length leaves no room for the type byte")
     # a read allocates all it asks for before any byte arrives, so no read
-    # asks for more than has arrived already, or _FIRST_READ: a peer that
-    # declares a large frame and stops holds a buffer sized by what it sent
+    # asks for more than _READ_BYTES: a peer that declares a large frame and
+    # stops holds a buffer sized by what it sent
     payload = bytearray()
     while len(payload) < length - 1:
-        piece = stream.read(min(length - 1 - len(payload), max(len(payload), _FIRST_READ)))
+        piece = stream.read(min(length - 1 - len(payload), _READ_BYTES))
         if not piece:
             raise TruncatedFrame("stream ended while reading frame payload")
         payload += piece

@@ -1,10 +1,12 @@
 """Shared fixtures: customer provisioning, a loopback gateway factory, a
-scripted low-level client, pre-v3 object files, copying forms of the
-in-place ciphers, a tracemalloc peak, and the acceptance pass/fail summary."""
+scripted low-level client, an audit-line parser, pre-v3 object files,
+copying forms of the in-place ciphers, sealed payloads built without
+encryption, a tracemalloc peak, and the acceptance pass/fail summary."""
 
 from __future__ import annotations
 
 import os
+import random
 import socket
 import struct
 import time
@@ -17,7 +19,7 @@ import pytest
 
 from csg import aes, protocol
 from csg.client import ClientSession
-from csg.gateway import Gateway, GatewayConfig, parse_audit_line
+from csg.gateway import Gateway, GatewayConfig
 from csg.keyx import TEST_SMALL, DhGroup
 from csg.vault import (
     Certificate,
@@ -124,6 +126,23 @@ def ctr_crypt_copy(data: bytes, schedule: aes.KeySchedule, counter: bytes) -> by
     return bytes(buf)
 
 
+def sealed_without_encryption(
+    schedule: aes.KeySchedule, first_block: bytes, size: int, rng: random.Random
+) -> bytearray:
+    """An IV and `size` bytes of CBC ciphertext that open to first_block,
+    random blocks, then a full padding block, in one new buffer as
+    decode_frame returns a payload. Built from two block decryptions: the IV
+    is chosen as D(c[0]) ^ first_block, and c[n-2] as D(c[n-1]) ^ pad.
+    Serial CBC encryption of a large payload is slow, and far slower under
+    tracemalloc."""
+    ciphertext = bytearray(rng.randbytes(size))
+    last = bytes(ciphertext[-16:])
+    ciphertext[-32:-16] = bytes(a ^ 16 for a in aes.decrypt_block(last, schedule))
+    first = aes.decrypt_block(bytes(ciphertext[:16]), schedule)
+    iv = bytes(a ^ b for a, b in zip(first, first_block))
+    return bytearray(iv) + ciphertext
+
+
 def peak_allocated(fn):
     """(fn(), the peak of the bytes tracemalloc saw allocated while it ran).
     Only allocations made during the call count."""
@@ -205,6 +224,12 @@ def open_session(handle, customer: Provisioned, *, capture=None, login=True) -> 
         session.close()  # a refused handshake must not leak the socket
         raise
     return session
+
+
+def parse_audit_line(line: str) -> tuple[str, int, str]:
+    """Split an audit line back into (timestamp, session id, event text)."""
+    stamp, session_id, event = line.rstrip("\n").split(" ", 2)
+    return stamp, int(session_id), event
 
 
 def audit_events(handle, at_least: int, timeout: float = 5.0) -> list[str]:

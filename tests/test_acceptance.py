@@ -14,7 +14,6 @@ import pytest
 
 from csg import aes, protocol
 from csg.client import AuthRefused, ClientSession
-from csg.gateway import parse_audit_line
 from csg.keyx import (
     InvalidPublicKey,
     RFC3526_GROUP14,
@@ -29,6 +28,7 @@ from conftest import (
     ScriptedClient,
     make_certificate,
     open_session,
+    parse_audit_line,
     provision_customer,
 )
 from test_aes import load_vectors, oracle_expand_words, schedule_words

@@ -205,7 +205,8 @@ def test_block_reference_is_independent_of_the_engine(monkeypatch, direction):
             assert aes.decrypt_block(ciphertext, aes.key_expansion(key)) == plaintext
         iv, plaintext = bytes(16), b"engine under test" * 4
         try:
-            opened = aes.cbc_decrypt(cbc_encrypt_copy(plaintext, schedule, iv), schedule, iv)
+            sealed = bytearray(cbc_encrypt_copy(plaintext, schedule, iv))
+            opened = aes.cbc_decrypt(sealed, schedule, iv)
         except aes.PaddingError:
             opened = None
         assert opened != plaintext
@@ -263,7 +264,7 @@ def test_pad_unpad_property(data):
 
 def test_cbc_empty_plaintext_frozen_vector():
     assert cbc_encrypt_copy(b"", aes.key_expansion(bytes(16)), bytes(16)) == CBC_EMPTY_ZERO
-    assert aes.cbc_decrypt(CBC_EMPTY_ZERO, aes.key_expansion(bytes(16)), bytes(16)) == b""
+    assert aes.cbc_decrypt(bytearray(CBC_EMPTY_ZERO), aes.key_expansion(bytes(16)), bytes(16)) == b""
 
 
 def test_cbc_chaining_standard_vector():
@@ -286,7 +287,7 @@ def test_cbc_chaining_standard_vector():
     padded_tail = bytes.fromhex("8cb82807230e1321d3fae00d18cc2012")
     ciphertext = cbc_encrypt_copy(plaintext, aes.key_expansion(key), iv)
     assert ciphertext == expected_blocks + padded_tail
-    assert aes.cbc_decrypt(ciphertext, aes.key_expansion(key), iv) == plaintext
+    assert aes.cbc_decrypt(bytearray(ciphertext), aes.key_expansion(key), iv) == plaintext
 
 
 def test_cbc_empty_equals_block_of_padding():
@@ -322,8 +323,8 @@ def test_cbc_round_trip_random_lengths():
         schedule = aes.key_expansion(key)
         ciphertext = bytearray(cbc_encrypt_copy(data, schedule, iv))
         assert aes.cbc_decrypt(ciphertext, schedule, iv) == data
-        # the ciphertext is only read
-        assert ciphertext == cbc_encrypt_copy(data, schedule, iv)
+        # decrypted in place: the buffer now holds the plaintext and its padding
+        assert ciphertext == padded(data)
 
 
 def test_cbc_encrypt_rejects_unpadded_lengths():
@@ -348,7 +349,7 @@ def test_cbc_tamper_never_returns_original():
         ct = bytearray(cbc_encrypt_copy(data, aes.key_expansion(key), iv))
         ct[-1] ^= 0x01
         try:
-            recovered = aes.cbc_decrypt(bytes(ct), aes.key_expansion(key), iv)
+            recovered = aes.cbc_decrypt(ct, aes.key_expansion(key), iv)
         except aes.PaddingError:
             continue
         assert recovered != data
@@ -482,12 +483,12 @@ def test_cbc_decrypt_peak_memory_is_bounded():
     schedule = aes.key_expansion(rng.randbytes(16))
     body, last = rng.randbytes((1 << 20) - 32), rng.randbytes(16)
     chain = bytes(a ^ 16 for a in aes.decrypt_block(last, schedule))
-    ciphertext = body + chain + last
+    ciphertext = bytearray(body + chain + last)
     iv = rng.randbytes(16)
     plaintext, peak = peak_allocated(lambda: aes.cbc_decrypt(ciphertext, schedule, iv))
     assert len(plaintext) == len(ciphertext) - 16
-    # one output buffer, whose view strips the padding, plus the engine
-    assert peak <= len(ciphertext) + ENGINE_CHUNKS * aes._CHUNK_BYTES
+    # in place: the engine's scratch, and nothing the size of the data
+    assert peak <= ENGINE_CHUNKS * aes._CHUNK_BYTES
 
 
 def test_sbox_tables_are_mutual_inverses():

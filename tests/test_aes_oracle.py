@@ -37,7 +37,7 @@ def test_cbc_matches_oracle(length):
     schedule = aes.key_expansion(key)
     ciphertext = oracle_encrypt(plaintext, key, iv)
     assert cbc_encrypt_copy(plaintext, schedule, iv) == ciphertext
-    assert aes.cbc_decrypt(ciphertext, schedule, iv) == plaintext
+    assert aes.cbc_decrypt(bytearray(ciphertext), schedule, iv) == plaintext
 
 
 @pytest.mark.parametrize("length", [16, CHUNK, CHUNK + 16, 3 * CHUNK + 48])
@@ -59,7 +59,7 @@ def test_bad_padding_raises_padding_error(length, tail):
     key, iv = rng.randbytes(16), rng.randbytes(16)
     ciphertext = oracle_encrypt(rng.randbytes(length - len(tail)) + tail, key, iv, pad=False)
     with pytest.raises(aes.PaddingError):
-        aes.cbc_decrypt(ciphertext, aes.key_expansion(key), iv)
+        aes.cbc_decrypt(bytearray(ciphertext), aes.key_expansion(key), iv)
 
 
 # around the chunk boundary, and one length past several chunks

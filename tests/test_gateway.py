@@ -19,21 +19,24 @@ import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
 from csg import gateway, keyx, protocol
 from csg.client import ClientSession, ProtocolFailure
-from csg.gateway import AuditLog, ConfigError, GatewayConfig, load_config, parse_audit_line
+from csg.gateway import AuditLog, ConfigError, GatewayConfig, load_config
 from csg.keyx import TEST_SMALL
 from csg.vault import Registry, save_registry
-from csg.wire import MessageType, encode_frame
+from csg.wire import Frame, MessageType, encode_frame, encode_str
 
 from conftest import (
     ScriptedClient,
     audit_events,
     open_session,
+    parse_audit_line,
     provision_customer,
+    sealed_without_encryption,
     write_cbc_object,
 )
 
@@ -735,6 +738,62 @@ def test_cli_startup_and_sigterm(tmp_path):
         session.put("via-cli", b"payload")
         assert session.get("via-cli") == b"payload"
         session.close()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def _peak_rss(pid: int) -> int:
+    """The peak resident set size (VmHWM) of process pid, in bytes."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) * 1024
+    raise AssertionError("no VmHWM line")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM under /proc")
+def test_gateway_process_serves_a_4_mib_put_in_under_twice_its_size(tmp_path):
+    """A real gateway process, on group 14, serves one 4 MiB PUT while its
+    peak resident set rises by at most twice the object: the payload it
+    received, decrypted there in place, plus cipher scratch and the slice
+    the store writes through. The payload is sealed without encryption, so
+    no time goes on serial CBC."""
+    acme = provision_customer("acme")
+    registry_path = tmp_path / "registry.jsonl"
+    save_registry(Registry([acme.record]), registry_path)
+    config_path = write_config(
+        tmp_path, registry_path=str(registry_path), audit_log=str(tmp_path / "audit.log")
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csg.gateway", "--config", str(config_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(proc.stdout.readline().rsplit(":", 1)[1])
+        with ClientSession("127.0.0.1", port) as session:
+            session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)
+            session.login(acme.space_path, acme.service_user, acme.service_pass)
+            name, size = "big", 4 << 20
+            data_len = size - 16 - 2 - len(name) - 4  # less the padding block and the fields
+            first_block = encode_str(name) + struct.pack(">I", data_len)
+            first_block += bytes(16 - len(first_block))
+            payload = sealed_without_encryption(
+                session.state.schedules["k_data"], first_block, size, random.Random(71)
+            )
+            before = _peak_rss(proc.pid)
+            status = session._exchange(
+                [Frame(MessageType.PUT, payload)], protocol.parse_put_result
+            )
+            rise = _peak_rss(proc.pid) - before
+        assert status == protocol.STATUS_OK
+        assert rise <= 2 * data_len, f"peak RSS rose {rise / data_len:.2f}x the object"
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == 0
     finally:

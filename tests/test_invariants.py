@@ -123,7 +123,7 @@ def test_each_sealed_type_opens_only_under_its_readme_key(gateway_factory):
         for key_name in ("k_phase1", "k_phase2", "k_data"):
             schedule = aes.key_expansion(getattr(keys, key_name))
             try:
-                inner = aes.cbc_decrypt(payload[16:], schedule, payload[:16])
+                inner = aes.cbc_decrypt(bytearray(payload[16:]), schedule, payload[:16])
             except aes.PaddingError:
                 continue
             if inner == expected[msg_type]:

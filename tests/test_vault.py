@@ -12,6 +12,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -368,6 +369,52 @@ def test_on_disk_layout(store, tmp_path):
     assert blob[-32:] == expected_tag
 
 
+SLICE = vault._PUT_SLICE_BYTES
+
+
+def test_put_slice_is_whole_cipher_chunks():
+    assert SLICE % aes._CHUNK_BYTES == 0
+
+
+@pytest.mark.parametrize("size", [0, 1, SLICE - 1, SLICE, SLICE + 1, 200 * 1024 + 5])
+@pytest.mark.parametrize(
+    "counter",
+    # random; wrapping past 2^128 inside the first slice; and at its end
+    [None, (1 << 128) - 3, (1 << 128) - SLICE // 16],
+    ids=["random", "wrap-3", "wrap-at-slice"],
+)
+def test_streamed_put_matches_an_independent_computation(
+    store, tmp_path, monkeypatch, size, counter
+):
+    """Each file, put slice by slice, against AES-CTR over the whole body by
+    the `cryptography` package and an HMAC over the fields by `hmac`."""
+    pytest.importorskip("cryptography.hazmat.primitives.ciphers", exc_type=ImportError)
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    if counter is not None:
+        drawn = counter.to_bytes(16, "big")
+        real_urandom = os.urandom
+        monkeypatch.setattr(
+            vault.os, "urandom", lambda n: drawn if n == 16 else real_urandom(n)
+        )
+    data = random.Random(size).randbytes(size)
+    store.put_object("acme", "blob", data, MASTER, QUOTA)
+    monkeypatch.undo()
+    blob = (tmp_path / "objects" / "acme" / "blob").read_bytes()
+    header, ciphertext, tag = blob[:29], blob[29:-32], blob[-32:]
+    counter_bytes = header[5:21]
+    if counter is not None:
+        assert counter_bytes == drawn
+    assert header == b"CSG1\x03" + counter_bytes + struct.pack(">Q", size)
+    encryptor = Cipher(
+        algorithms.AES(storage_key(MASTER, "acme")), modes.CTR(counter_bytes)
+    ).encryptor()
+    assert ciphertext == encryptor.update(data) + encryptor.finalize()
+    fields = b"\x00\x04acme" + b"\x00\x04blob" + header + ciphertext
+    assert tag == hmac.new(storage_mac_key(MASTER, "acme"), fields, hashlib.sha256).digest()
+    assert store.get_object("acme", "blob", MASTER) == data
+
+
 def test_storage_mac_key_is_its_own_key():
     mac_key = storage_mac_key(MASTER, "acme")
     assert len(mac_key) == 32
@@ -449,6 +496,70 @@ def test_get_object_peak_is_one_object(store):
     got, peak = peak_allocated(lambda: store.get_object("acme", "big", MASTER))
     assert got == data
     assert peak <= len(data) + 61 + ENGINE_CHUNKS * aes._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("size", [SLICE + 1, 2 << 20])
+def test_put_object_peak_is_one_slice_whatever_the_size(store, size):
+    # the plaintext streams through one scratch slice: that slice and the
+    # cipher engine's scratch, and nothing the size of the object
+    data = random.Random(size).randbytes(size)
+    _, peak = peak_allocated(lambda: store.put_object("acme", "big", data, MASTER, QUOTA))
+    assert peak <= SLICE + ENGINE_CHUNKS * aes._CHUNK_BYTES
+    assert store.get_object("acme", "big", MASTER) == data
+
+
+def test_a_held_write_holds_up_no_other_put_or_listing(store, monkeypatch):
+    """The temp file is written outside the store lock: while one
+    customer's put is stuck in its write, another customer's put and a
+    listing still finish."""
+    entered, release = threading.Event(), threading.Event()
+    real_open = open
+
+    class HeldFile:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return self._fh.__exit__(*exc_info)
+
+        def write(self, data):
+            entered.set()
+            release.wait(timeout=10)
+            return self._fh.write(data)
+
+    def held_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        return HeldFile(fh) if threading.current_thread().name == "held-put" else fh
+
+    monkeypatch.setattr(vault, "open", held_open, raising=False)
+    held = threading.Thread(
+        target=store.put_object, args=("slow", "a", bytes(1000), MASTER, QUOTA), name="held-put"
+    )
+    served = threading.Event()
+
+    def other_customer():
+        store.put_object("fast", "b", b"data", MASTER, QUOTA)
+        store.list_objects("slow")
+        served.set()
+
+    other = threading.Thread(target=other_customer)
+    held.start()
+    try:
+        assert entered.wait(timeout=10)
+        other.start()
+        assert served.wait(timeout=10)
+        assert store.list_objects("fast") == ["b"]
+        assert store.list_objects("slow") == []  # not yet renamed into place
+    finally:
+        release.set()
+        held.join(timeout=10)
+        if other.ident is not None:  # started
+            other.join(timeout=10)
+    assert store.list_objects("slow") == ["a"]
+    assert store.get_object("slow", "a", MASTER) == bytes(1000)
 
 
 def test_quota_enforced(store):

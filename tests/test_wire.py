@@ -7,6 +7,7 @@ import io
 import random
 import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import given
@@ -124,6 +125,23 @@ def test_decode_memory_follows_the_bytes_that_arrive():
 
         _, peak = peak_allocated(decode_truncated)
     assert peak < 1 << 20
+
+
+def test_decode_peak_over_a_socket_is_the_payload_and_one_read():
+    # reads of at most 64 KiB: the payload buffer with its growth margin,
+    # plus one read, and no read the size of what has already arrived
+    payload = random.Random(5).randbytes(1 << 20)
+    raw = encode_frame(MessageType.PUT, payload)
+    sender, receiver = socket.socketpair()
+    with sender, receiver, receiver.makefile("rb") as stream:
+        feeder = threading.Thread(target=sender.sendall, args=(raw,))
+        feeder.start()
+        try:
+            decoded, peak = peak_allocated(lambda: decode_frame(stream))
+        finally:
+            feeder.join(timeout=10)
+    assert decoded == (MessageType.PUT, payload)
+    assert peak <= 1.25 * len(payload)
 
 
 @given(
