@@ -16,7 +16,7 @@
 # they run each round over a whole chunk of blocks at once, in chunks of a
 # fixed _CHUNK_BYTES that bound their scratch memory. One engine,
 # _ChunkCipher, runs both directions; its _FORWARD and _INVERSE rows differ
-# only in tables. The tests check these paths against the reference and
+# only in tables and a flag. The tests check these paths against the reference and
 # against the `cryptography` package, which is a test-only oracle: this
 # module needs only the standard library. A CBC ciphertext that does not
 # open, by its length or its padding, raises the one PaddingError; only
@@ -33,9 +33,8 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 BLOCK_SIZE = 16
 NUM_ROUNDS = 10
@@ -123,17 +122,13 @@ _MUL14 = _mul_table(0x0E)
 
 # --------- key expansion ---------
 
-@dataclass(frozen=True)
 class KeySchedule:
     """The 11 expanded round keys; round_keys[0] is the cipher key itself."""
 
-    round_keys: tuple[bytes, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.round_keys) != NUM_ROUNDS + 1 or any(
-            len(rk) != BLOCK_SIZE for rk in self.round_keys
-        ):
+    def __init__(self, round_keys: tuple[bytes, ...]) -> None:
+        if len(round_keys) != NUM_ROUNDS + 1 or any(len(rk) != BLOCK_SIZE for rk in round_keys):
             raise ValueError("schedule must hold 11 round keys of 16 bytes")
+        self.round_keys = round_keys
 
     @cached_property
     def inverse_round_keys(self) -> tuple[bytes, ...]:
@@ -146,7 +141,7 @@ class KeySchedule:
         return (
             rks[NUM_ROUNDS],
             *(
-                _mix_columns(rk, _INVERSE.mix).to_bytes(BLOCK_SIZE, "little")
+                _mix_columns(rk, True).to_bytes(BLOCK_SIZE, "little")
                 for rk in rks[NUM_ROUNDS - 1 : 0 : -1]
             ),
             rks[0],
@@ -298,21 +293,25 @@ def unpad(data: bytes) -> bytes:
 #   SubBytes      one bytes.translate with the row's S-box;
 #   ShiftRows     16 strided slice copies (byte i of each block takes byte
 #                 shift_rows[i] of the same block);
-#   MixColumns    row j gets f0*a[j] ^ f1*a[j+1] ^ f2*a[j+2] ^ f3*a[j+3]: one
-#                 translate per factor table, the a[j+k] term rotated k bytes
-#                 inside each lane by shifts and lane masks;
+#   MixColumns    row j gets 2*a[j] ^ 3*a[j+1] ^ a[j+2] ^ a[j+3], that is
+#                 2*u ^ a[j] ^ t for u = a[j] ^ a[j+1] and t the XOR of the
+#                 column (Daemen and Rijmen, The Design of Rijndael, 4.1), on
+#                 the whole integer: a[j+k] is a rotated k bytes inside each
+#                 lane by shifts and lane masks, and 2*u shifts every byte
+#                 left and adds 0x1B where its top bit fell out;
 #   AddRoundKey   one integer XOR with the round key repeated per block.
-# Forward, the factors are (2, 3, 1, 1); inverse, (14, 11, 13, 9). Since
-# InvMixColumns is linear, AddRoundKey moves after it when the round key
+# InvMixColumns is MixColumns after a[j] ^= 4*(a[j] ^ a[j+2]) (4.1.3), where
+# 4*v adds 0x36 and 0x1B for the bits 7 and 6 that the shift by 2 drops.
+# Since InvMixColumns is linear, AddRoundKey moves after it when the round key
 # goes through InvMixColumns too (KeySchedule.inverse_round_keys).
 #
 # Per call, only the 11 round keys are widened to the chunk size, in at most
-# two _ChunkCiphers. The tables, the CTR counter patterns and the six lane
-# masks are module constants. The masks are one chunk wide and serve every
-# state _mix_columns sees, a full chunk, a short last chunk or a 16-byte
-# round key, because each is a multiple of 4 bytes and at most one chunk
-# long: an & with a wider mask keeps only the state's bytes, and the bytes
-# a left shift pushes past the state's top land on lane rows that the wrap
+# two _ChunkCiphers. The tables, the CTR counter patterns and the seven masks
+# are module constants. The masks are one chunk wide and serve every state
+# _mix_columns sees, a full chunk, a short last chunk or a 16-byte round key,
+# because each is a multiple of 4 bytes and at most one chunk long: an &
+# with a wider mask keeps only the state's bytes, and the bits a left shift
+# pushes past the state's top land on lane rows, or byte bits, that the
 # masks clear.
 
 _CHUNK_BYTES = 16 * 1024  # bounds the scratch buffers of one CBC or CTR call
@@ -325,11 +324,11 @@ class _Direction(NamedTuple):
 
     sbox: bytes
     shift_rows: tuple[int, ...]
-    mix: tuple[Optional[bytes], ...]  # factor tables of a[j..j+3]; None is 1
+    mix: bool  # _mix_columns' inverse flag: InvMixColumns when true
 
 
-_FORWARD = _Direction(_SBOX, _SHIFT_ROWS, (_MUL2, _MUL3, None, None))
-_INVERSE = _Direction(_INV_SBOX, _INV_SHIFT_ROWS, (_MUL14, _MUL11, _MUL13, _MUL9))
+_FORWARD = _Direction(_SBOX, _SHIFT_ROWS, False)
+_INVERSE = _Direction(_INV_SBOX, _INV_SHIFT_ROWS, True)
 
 
 def _widen(pattern: bytes, size: int) -> int:
@@ -337,33 +336,30 @@ def _widen(pattern: bytes, size: int) -> int:
     return int.from_bytes(pattern * (size // len(pattern)), "little")
 
 
-# for lane rotations by 1, 2 and 3 bytes: the mask of the bytes that move
-# down a row and the mask of those that wrap to the top rows
-_DOWN1, _WRAP1, _DOWN2, _WRAP2, _DOWN3, _WRAP3 = (
+# for lane rotations by 1 and 2 bytes, the mask of the bytes that move down a
+# row and the mask of those that wrap to the top rows; for products by 2 and
+# 4, the masks of each byte's top 7 and 6 bits after a left shift, and that
+# of each byte's low bit
+_DOWN1, _WRAP1, _DOWN2, _WRAP2, _HIGH7, _HIGH6, _LOW1 = (
     _widen(pattern, _CHUNK_BYTES)
     for pattern in (
         b"\xff\xff\xff\x00", b"\x00\x00\x00\xff",
         b"\xff\xff\x00\x00", b"\x00\x00\xff\xff",
-        b"\xff\x00\x00\x00", b"\x00\xff\xff\xff",
+        b"\xfe", b"\xfc", b"\x01",
     )
 )
 
 
-def _mix_columns(state: bytes, mix: tuple[Optional[bytes], ...]) -> int:
-    """MixColumns of every column of state under the factor tables mix (row
-    j gets the XOR of mix[k][a[j + k]]), as a little-endian integer."""
-    # the factor-1 terms share one conversion of the untranslated state
-    plain = int.from_bytes(state, "little") if None in mix else 0
-    x0, x1, x2, x3 = (
-        plain if table is None else int.from_bytes(state.translate(table), "little")
-        for table in mix
-    )
-    return (
-        x0
-        ^ ((x1 >> 8) & _DOWN1) ^ ((x1 << 24) & _WRAP1)
-        ^ ((x2 >> 16) & _DOWN2) ^ ((x2 << 16) & _WRAP2)
-        ^ ((x3 >> 24) & _DOWN3) ^ ((x3 << 8) & _WRAP3)
-    )
+def _mix_columns(state: bytes, inverse: bool) -> int:
+    """MixColumns of every column of state, InvMixColumns if inverse, as a
+    little-endian integer."""
+    a = int.from_bytes(state, "little")
+    if inverse:
+        v = a ^ ((a >> 16) & _DOWN2) ^ ((a << 16) & _WRAP2)  # a[j] ^ a[j+2]
+        a ^= ((v << 2) & _HIGH6) ^ ((v >> 7) & _LOW1) * 0x36 ^ ((v >> 6) & _LOW1) * 0x1B
+    u = a ^ ((a >> 8) & _DOWN1) ^ ((a << 24) & _WRAP1)  # a[j] ^ a[j+1]
+    column = u ^ ((u >> 16) & _DOWN2) ^ ((u << 16) & _WRAP2)
+    return ((u << 1) & _HIGH7) ^ ((u >> 7) & _LOW1) * 0x1B ^ a ^ column
 
 
 class _ChunkCipher:
@@ -386,13 +382,13 @@ class _ChunkCipher:
         """Run size bytes of whole blocks through the cipher and XOR the
         result with text, which may be shorter than size."""
         size = self.size
-        sbox, shift_rows, mix = self._direction
+        sbox, shift_rows, inverse = self._direction
         state = (int.from_bytes(blocks, "little") ^ self._first_key).to_bytes(size, "little")
         shifted = bytearray(size)
         for rk in self._round_keys:
             for i, j in enumerate(shift_rows):
                 shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]
-            mixed = _mix_columns(shifted.translate(sbox), mix)
+            mixed = _mix_columns(shifted.translate(sbox), inverse)
             state = (mixed ^ rk).to_bytes(size, "little")
         for i, j in enumerate(shift_rows):
             shifted[i::BLOCK_SIZE] = state[j::BLOCK_SIZE]

@@ -160,7 +160,9 @@ class ClientSession:
         if status != protocol.STATUS_OK:
             raise CommandRefused(_STATUS_MESSAGES.get(status, f"status {status}"))
 
-    def get(self, name: str) -> bytes:
+    def get(self, name: str) -> memoryview:
+        """The object, as a view of the one buffer it was received and
+        decrypted in."""
         # an invalid name is left to the gateway, which answers "no such object"
         _refuse_overlong({"object name": name})
         status, data = self._exchange(

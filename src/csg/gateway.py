@@ -16,7 +16,6 @@ some cost to that session's throughput.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import signal
@@ -26,7 +25,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import BinaryIO, Callable, Mapping, Optional
+from typing import BinaryIO, Callable, Mapping, NamedTuple, Optional
 
 from .keyx import select_group
 from .protocol import (
@@ -65,8 +64,7 @@ class ConfigError(Exception):
     the value came from."""
 
 
-@dataclasses.dataclass
-class GatewayConfig:
+class GatewayConfig(NamedTuple):
     registry_path: str
     objects_dir: str
     master_key_hex: str
@@ -161,17 +159,17 @@ def load_config(
     args = parser.parse_args(argv)
     file_values = _read_config_file(args.config) if args.config else {}
 
-    absent = dataclasses.MISSING
+    absent = object()
+    defaults = GatewayConfig._field_defaults
     values = {}
-    for field in dataclasses.fields(GatewayConfig):
-        key = field.name
+    for key in GatewayConfig._fields:
         env_name = _ENV_PREFIX + key.upper()
         flag = getattr(args, key, None)
         for source, raw in (
             ("flag", absent if flag is None else flag),
             (f"env {env_name}", env.get(env_name, absent)),
             ("config file", file_values.get(key, absent)),
-            ("default", field.default),
+            ("default", defaults.get(key, absent)),
         ):
             if raw is not absent:
                 break

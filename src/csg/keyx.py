@@ -13,8 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import secrets
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 PASSWORD_HASH_ITERATIONS = 10_000
 # The registry tag of the stored password hashes: a record without this exact
@@ -41,16 +40,25 @@ class InvalidPublicKey(ValueError):
     """Peer public value outside (1, p-1): 0, 1 and p-1 force a known secret."""
 
 
-@dataclass(frozen=True)
 class DhGroup:
-    p: int
-    g: int
+    """A prime modulus p and a generator g; equal groups share one hash, so
+    the fixed-base table cache finds a group by its value."""
 
-    def __post_init__(self) -> None:
-        if self.p <= 3 or self.p % 2 == 0:
+    def __init__(self, p: int, g: int) -> None:
+        if p <= 3 or p % 2 == 0:
             raise ValueError("modulus must be an odd prime > 3")
-        if not 1 < self.g < self.p:
+        if not 1 < g < p:
             raise ValueError("generator must satisfy 1 < g < p")
+        self.p = p
+        self.g = g
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DhGroup):
+            return NotImplemented
+        return (self.p, self.g) == (other.p, other.g)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.g))
 
     @property
     def byte_len(self) -> int:
@@ -84,8 +92,7 @@ def select_group(name: str) -> DhGroup:
     return GROUPS[name]
 
 
-@dataclass(frozen=True)
-class DhKeyPair:
+class DhKeyPair(NamedTuple):
     private: int
     public: int
 
@@ -175,8 +182,7 @@ def dh_shared(own: DhKeyPair, peer_public: int, group: DhGroup) -> bytes:
     return shared.to_bytes(group.byte_len, "big")
 
 
-@dataclass(frozen=True)
-class SessionKeys:
+class SessionKeys(NamedTuple):
     k_phase1: bytes
     k_phase2: bytes
     k_data: bytes

@@ -41,12 +41,10 @@ on the next frame. A refused hello costs no DH work.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import os
 import struct
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from . import aes
@@ -116,33 +114,35 @@ class VersionMismatch(Exception):
     pass
 
 
-@dataclass
 class SessionState:
-    phase: Phase = Phase.INIT
-    keys: Optional[SessionKeys] = None
-    # each sub-key expanded once, by its SessionKeys field name
-    schedules: Optional[dict[str, aes.KeySchedule]] = None
-    server_nonce: Optional[bytes] = None
-    customer_id: Optional[str] = None
-    # own ephemeral keypair: the client's until the ServerHello arrives, the
-    # server's from the ClientHello until `server_derive_keys`
-    dh_keypair: Optional[DhKeyPair] = None
-    # server side: the checked client DH public, from the ClientHello until
-    # `server_derive_keys`; set means a key derivation is pending
-    client_public: Optional[int] = None
-    # server side: the path the client asked for, checked in phase 2
-    space_path: Optional[str] = None
+    """What one side of a session knows; `close` discards all of it."""
+
+    def __init__(self) -> None:
+        self.phase = Phase.INIT
+        self.keys: Optional[SessionKeys] = None
+        # each sub-key expanded once, by its SessionKeys field name
+        self.schedules: Optional[dict[str, aes.KeySchedule]] = None
+        self.server_nonce: Optional[bytes] = None
+        self.customer_id: Optional[str] = None
+        # own ephemeral keypair: the client's until the ServerHello arrives,
+        # the server's from the ClientHello until `server_derive_keys`
+        self.dh_keypair: Optional[DhKeyPair] = None
+        # server side: the checked client DH public, from the ClientHello
+        # until `server_derive_keys`; set means a key derivation is pending
+        self.client_public: Optional[int] = None
+        # server side: the path the client asked for, checked in phase 2
+        self.space_path: Optional[str] = None
 
     def close(self) -> None:
         """Drop to CLOSED and discard everything the session learned."""
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, None)
+        for name in vars(self):
+            setattr(self, name, None)
         self.phase = Phase.CLOSED
 
     def set_keys(self, keys: SessionKeys) -> None:
         """Hold the derived sub-keys, each expanded once for the session."""
         self.keys = keys
-        self.schedules = {name: aes.key_expansion(key) for name, key in vars(keys).items()}
+        self.schedules = {name: aes.key_expansion(key) for name, key in keys._asdict().items()}
 
 
 def _step(state: SessionState, msg_type: MessageType) -> _Step:
@@ -285,12 +285,13 @@ def build_get(state: SessionState, name: str) -> Frame:
     return _seal(state, MessageType.GET, encode_str(name))
 
 
-def parse_get_result(state: SessionState, payload: bytearray) -> tuple[int, bytes]:
+def parse_get_result(state: SessionState, payload: bytearray) -> tuple[int, memoryview]:
+    """The status and the object, a view of the payload it was decrypted in."""
     r = _open(state, MessageType.GET_RESULT, payload)
     status = r.u8()
     data = r.take(r.u32())
     r.expect_end()
-    return status, bytes(data)
+    return status, data
 
 
 def build_list(state: SessionState) -> Frame:
@@ -315,16 +316,24 @@ def disconnect(state: SessionState) -> Frame:
 # server side
 # --------------------------------------------------------------------------
 
-@dataclass
 class ServerContext:
     """Everything one server session needs besides its SessionState."""
 
-    registry: Registry
-    store: ObjectStore
-    master_key: bytes
-    group: DhGroup
-    now: Callable[[], float] = time.time
-    audit: Callable[[str, Optional[str]], None] = _noop_audit
+    def __init__(
+        self,
+        registry: Registry,
+        store: ObjectStore,
+        master_key: bytes,
+        group: DhGroup,
+        now: Callable[[], float] = time.time,
+        audit: Callable[[str, Optional[str]], None] = _noop_audit,
+    ) -> None:
+        self.registry = registry
+        self.store = store
+        self.master_key = master_key
+        self.group = group
+        self.now = now
+        self.audit = audit
 
 
 def server_hello(state: SessionState, client_payload: bytes, group: DhGroup) -> Frame:

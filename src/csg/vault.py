@@ -25,9 +25,8 @@ import os
 import struct
 import tempfile
 import threading
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import aes
 from .keyx import PASSWORD_KDF, hash_password, sub_key
@@ -89,8 +88,7 @@ class CertVerdict(enum.Enum):
     RIGHTS_MISSING = "rights-missing"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     customer_id: str
     issued_at: int
     last_update: int
@@ -99,8 +97,7 @@ class Certificate:
     revoked: bool = False
 
 
-@dataclass(frozen=True)
-class CustomerRecord:
+class CustomerRecord(NamedTuple):
     customer_id: str
     tunnel_user: str
     tunnel_salt: bytes
@@ -212,7 +209,8 @@ class Registry:
 
 
 def _record_to_json(record: CustomerRecord) -> dict:
-    obj = asdict(record)
+    obj = record._asdict()
+    obj["certificate"] = record.certificate._asdict()
     for key in ("tunnel_salt", "tunnel_hash", "service_salt", "service_hash"):
         obj[key] = obj[key].hex()
     obj["kdf"] = PASSWORD_KDF

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 MAX_FRAME_LEN = 16 * 1024 * 1024  # type byte + payload
 MAX_PAYLOAD_LEN = MAX_FRAME_LEN - 1
@@ -70,8 +69,7 @@ class MessageType(enum.IntEnum):
     ERROR = 0x0F
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     msg_type: MessageType
     payload: bytes
 

@@ -256,12 +256,9 @@ def test_store_concurrent_writers_and_readers(tmp_path):
 
 def test_registry_duplicate_customer_id_rejected():
     from csg.vault import DuplicateUser
-    from dataclasses import replace
 
     a = provision_customer("acme").record
-    b = replace(
-        provision_customer("bravo").record, customer_id="acme"
-    )
+    b = provision_customer("bravo").record._replace(customer_id="acme")
     with pytest.raises(DuplicateUser):
         Registry([a, b])
 

@@ -4,7 +4,7 @@ full phase x type grid, and the data-session framing."""
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import os
 import random
 import shutil
@@ -159,12 +159,12 @@ def test_close_drops_everything_the_session_learned(wire, acme):
     assert wire.handshake(acme)[0]
     assert wire.login(acme)[0]
     state = wire.server
-    for field in dataclasses.fields(state):
-        if getattr(state, field.name) is None:  # a field this flow leaves unset
-            setattr(state, field.name, object())
+    for name, value in vars(state).items():
+        if value is None:  # a field this flow leaves unset
+            setattr(state, name, object())
     state.close()
     assert state.phase is P.Phase.CLOSED
-    left = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+    left = dict(vars(state))
     del left["phase"]
     assert left == dict.fromkeys(left)
 
@@ -231,8 +231,8 @@ def test_phase1_server_recovers_exact_credentials(ctx):
 
     def owner(answer, nonce=server.server_nonce, payload=auth.payload):
         registry = _RecordingRegistry(answer)
-        state = dataclasses.replace(server, server_nonce=nonce)
-        stub_ctx = dataclasses.replace(ctx, registry=registry)
+        state, stub_ctx = copy.copy(server), copy.copy(ctx)
+        state.server_nonce, stub_ctx.registry = nonce, registry
         found = P._credential_owner(
             state, MessageType.PHASE1_AUTH, "tunnel", bytearray(payload), stub_ctx
         )
@@ -775,6 +775,21 @@ def test_open_peak_memory_is_bounded():
     reader.expect_end()
     # decrypted in place: the engine's chunk-sized scratch, and nothing the
     # size of the payload
+    assert peak <= ENGINE_CHUNKS * P.aes._CHUNK_BYTES
+
+
+def test_get_result_of_one_mib_is_returned_where_it_was_decrypted():
+    """The client decrypts a GET_RESULT in place and returns the object as a
+    view of that payload: beyond the payload, only the engine's scratch."""
+    state = _state_in(P.Phase.SESSION_ACTIVE, derive_keys(os.urandom(32)), os.urandom(16))
+    size = 1 << 20
+    data_len = size - 16 - 1 - 4  # less the padding block and the fields
+    first_block = bytes([P.STATUS_OK]) + struct.pack(">I", data_len)
+    first_block += bytes(16 - len(first_block))
+    schedule = state.schedules["k_data"]
+    payload = sealed_without_encryption(schedule, first_block, size, random.Random(59))
+    (status, data), peak = peak_allocated(lambda: P.parse_get_result(state, payload))
+    assert (status, len(data)) == (P.STATUS_OK, data_len)
     assert peak <= ENGINE_CHUNKS * P.aes._CHUNK_BYTES
 
 

@@ -107,11 +107,7 @@ def test_registry_line_is_pinned(tmp_path):
 
 def test_duplicate_tunnel_user_rejected(tmp_path):
     a = provision_customer("acme").record
-    from dataclasses import replace
-
-    clash = replace(
-        provision_customer("bravo").record, tunnel_user=a.tunnel_user
-    )
+    clash = provision_customer("bravo").record._replace(tunnel_user=a.tunnel_user)
     with pytest.raises(DuplicateUser):
         Registry([a, clash])
     path = tmp_path / "registry.jsonl"
@@ -123,10 +119,8 @@ def test_duplicate_tunnel_user_rejected(tmp_path):
 
 
 def test_duplicate_service_user_rejected():
-    from dataclasses import replace
-
     a = provision_customer("acme").record
-    clash = replace(provision_customer("bravo").record, service_user=a.service_user)
+    clash = provision_customer("bravo").record._replace(service_user=a.service_user)
     with pytest.raises(DuplicateUser):
         Registry([a, clash])
 
