@@ -23,12 +23,13 @@
 # protocol._open names it. CTR has no failure of its own: the object store
 # authenticates before it decrypts.
 #
-# Buffers: every mode call writes its result over its data argument, a
-# writable buffer (a bytearray or a writable memoryview of one) that the
-# caller allocates once per message: cbc_encrypt's with the padding already
-# in it, cbc_decrypt's holding the ciphertext, whose plaintext it returns as
-# a memoryview of that buffer. No call writes a buffer it was handed to
-# read: a key, an IV or a counter.
+# Buffers: cbc_encrypt, cbc_decrypt and ctr_crypt write their result over
+# their data argument, a writable buffer (a bytearray or a writable
+# memoryview of one) that the caller allocates once per message:
+# cbc_encrypt's with the padding already in it, cbc_decrypt's holding the
+# ciphertext, whose plaintext it returns as a memoryview of that buffer.
+# ctr_stream only reads its data; it yields the result a chunk at a time.
+# No call writes a buffer it was handed to read: a key, an IV or a counter.
 
 from __future__ import annotations
 
@@ -477,15 +478,17 @@ _RAMP = int.from_bytes(
 )
 
 
-def ctr_crypt(data: bytearray | memoryview, schedule: KeySchedule, counter: bytes) -> None:
-    """XOR the key stream E(counter), E(counter + 1), ... (NIST SP 800-38A
-    6.5) into data, a writable buffer, in place; the same call encrypts and
-    decrypts.
+def ctr_stream(
+    data: bytes | memoryview, schedule: KeySchedule, counter: bytes
+) -> Iterator[memoryview]:
+    """The key stream E(counter), E(counter + 1), ... (NIST SP 800-38A 6.5)
+    XORed into data, yielded one chunk of _CHUNK_BYTES at a time as a view
+    of the engine's output; the same call encrypts and decrypts.
 
     The counter is the whole 16-byte block, a big-endian integer incremented
     mod 2^128. It must never repeat under one key: the caller draws 16 fresh
-    random bytes per message. No padding: data keeps its length. Whole
-    chunks of _CHUNK_BYTES are encrypted at once.
+    random bytes per message. No padding: the pieces add up to data's
+    length. data is only read.
     """
     if len(counter) != BLOCK_SIZE:
         raise ValueError("counter must be exactly 16 bytes")
@@ -505,4 +508,14 @@ def ctr_crypt(data: bytearray | memoryview, schedule: KeySchedule, counter: byte
         end = min(pos + size, length)
         # the last chunk's key stream runs past the data to a whole block
         out = cipher(counters.to_bytes(size, "big"), view[pos:end])
-        view[pos:end] = memoryview(out)[: end - pos]
+        yield memoryview(out)[: end - pos]
+
+
+def ctr_crypt(data: bytearray | memoryview, schedule: KeySchedule, counter: bytes) -> None:
+    """ctr_stream written back over data, a writable buffer, in place: each
+    chunk is read before its piece is written over it."""
+    view = memoryview(data)
+    pos = 0
+    for piece in ctr_stream(view, schedule, counter):
+        view[pos : pos + len(piece)] = piece
+        pos += len(piece)

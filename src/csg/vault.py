@@ -6,13 +6,14 @@ lowercase, each line tagged `"kdf": keyx.PASSWORD_KDF`.
 
 Object file layout (version 0x03): magic "CSG1", version byte, 16-byte
 random initial counter, u64 big-endian plaintext length, the AES-128-CTR
-ciphertext (as long as the plaintext), then a 32-byte HMAC-SHA256 tag. The
-tag covers the customer id, the object name, the header and the ciphertext
-(encrypt-then-MAC), so a file that was altered, renamed, or moved to another
-customer does not verify; it is checked before anything is decrypted. The
-file size must be 29 + length + 32. No other version is read: a file of
-version 0x02 or 0x01 (CBC, no tag), or of any other version, is a
-CorruptObject, and the startup scan skips it.
+ciphertext (as long as the plaintext; only csg.aes advances the counter),
+then a 32-byte HMAC-SHA256 tag. The tag covers the customer id, the object
+name, the header and the ciphertext (encrypt-then-MAC), so a file that was
+altered, renamed, or moved to another customer does not verify; it is
+checked before anything is decrypted. The file size must be 29 + length +
+32. No other version is read: a file of version 0x02 or 0x01 (CBC, no
+tag), or of any other version, is a CorruptObject, and the startup scan
+skips it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ OBJECT_MAGIC = b"CSG1"
 OBJECT_VERSION = 0x03
 OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + counter(16) + length(8)
 OBJECT_TAG_LEN = 32  # HMAC-SHA256, after the ciphertext
-
-# A put encrypts, tags and writes its object in slices of this many bytes
-# through one scratch buffer; a whole number of the cipher's 16 KiB chunks,
-# so that each call but the last runs on full chunks.
-_PUT_SLICE_BYTES = 64 * 1024
-_COUNTER_MOD = 1 << 128  # the CTR counter block is incremented mod 2^128
 
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
 
@@ -386,10 +381,10 @@ class ObjectStore:
     hand while the store runs stays listed and charged until the next
     startup scan; a get of it is a NoSuchObject.
 
-    A put holds no object-sized buffer of its own: it streams the plaintext
-    through one 64 KiB scratch buffer, encrypting, tagging and writing it a
-    slice at a time. A get holds one, the file image: it reads the file into
-    it and returns a view of the plaintext decrypted there in place. Neither
+    A put allocates no buffer of its own: it streams the ciphertext to its
+    file one cipher chunk at a time, as aes.ctr_stream yields it. A get
+    holds one object-sized buffer, the file image: it reads the file into it
+    and returns a view of the plaintext decrypted there in place. Neither
     writes a buffer it was handed.
     """
 
@@ -464,11 +459,9 @@ class ObjectStore:
         refuses at its start costs no encryption; the check under the lock,
         before the rename, is the one that holds.
 
-        The object streams to its temp file, header first and tag last:
-        each _PUT_SLICE_BYTES slice of the plaintext is copied into one
-        scratch buffer, encrypted there in place at the slice's counter,
-        fed to the tag and written, outside the lock. `plaintext` is only
-        read."""
+        The object streams to its temp file, header first and tag last,
+        outside the lock: each piece aes.ctr_stream yields is fed to the tag
+        and written. `plaintext` is only read."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
         size = len(plaintext)
@@ -479,9 +472,6 @@ class ObjectStore:
         counter = os.urandom(aes.BLOCK_SIZE)
         header = OBJECT_MAGIC + bytes([OBJECT_VERSION]) + counter + struct.pack(">Q", size)
         mac = _object_mac(master_key, customer_id, name, header)
-        first = int.from_bytes(counter, "big")
-        source = memoryview(plaintext)
-        scratch = memoryview(bytearray(min(size, _PUT_SLICE_BYTES)))
         directory = self._dir(customer_id)
         directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=directory)
@@ -489,11 +479,7 @@ class ObjectStore:
             # a file object writes every byte or raises, and closes fd
             with open(fd, "wb") as fh:
                 fh.write(header)
-                for pos in range(0, size, _PUT_SLICE_BYTES):
-                    piece = scratch[: min(_PUT_SLICE_BYTES, size - pos)]
-                    piece[:] = source[pos : pos + len(piece)]
-                    at = (first + pos // aes.BLOCK_SIZE) % _COUNTER_MOD
-                    aes.ctr_crypt(piece, schedule, at.to_bytes(aes.BLOCK_SIZE, "big"))
+                for piece in aes.ctr_stream(plaintext, schedule, counter):
                     mac.update(piece)
                     fh.write(piece)
                 fh.write(mac.digest())

@@ -758,9 +758,8 @@ def _peak_rss(pid: int) -> int:
 def test_gateway_process_serves_a_4_mib_put_in_under_twice_its_size(tmp_path):
     """A real gateway process, on group 14, serves one 4 MiB PUT while its
     peak resident set rises by at most twice the object: the payload it
-    received, decrypted there in place, plus cipher scratch and the slice
-    the store writes through. The payload is sealed without encryption, so
-    no time goes on serial CBC."""
+    received, decrypted there in place, plus cipher scratch. The payload is
+    sealed without encryption, so no time goes on serial CBC."""
     acme = provision_customer("acme")
     registry_path = tmp_path / "registry.jsonl"
     save_registry(Registry([acme.record]), registry_path)

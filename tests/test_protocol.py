@@ -795,8 +795,8 @@ def test_get_result_of_one_mib_is_returned_where_it_was_decrypted():
 
 def test_put_of_one_mib_peaks_under_six_tenths_of_the_object(wire, acme):
     """A PUT decrypts the payload that arrived in place and streams the
-    object to its file through one slice, so beyond the payload it
-    allocates only cipher scratch and that slice: no copy of the object."""
+    object to its file a cipher chunk at a time, so beyond the payload it
+    allocates only cipher scratch: no copy of the object."""
     assert wire.handshake(acme)[0] and wire.login(acme)[0]
     name = "big"
     size = 1 << 20

@@ -363,24 +363,23 @@ def test_on_disk_layout(store, tmp_path):
     assert blob[-32:] == expected_tag
 
 
-SLICE = vault._PUT_SLICE_BYTES
+CHUNK = aes._CHUNK_BYTES
 
 
-def test_put_slice_is_whole_cipher_chunks():
-    assert SLICE % aes._CHUNK_BYTES == 0
-
-
-@pytest.mark.parametrize("size", [0, 1, SLICE - 1, SLICE, SLICE + 1, 200 * 1024 + 5])
+@pytest.mark.parametrize(
+    "size",
+    [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 200 * 1024 + 5],
+)
 @pytest.mark.parametrize(
     "counter",
-    # random; wrapping past 2^128 inside the first slice; and at its end
-    [None, (1 << 128) - 3, (1 << 128) - SLICE // 16],
-    ids=["random", "wrap-3", "wrap-at-slice"],
+    # random; wrapping past 2^128 inside the first cipher chunk; and at its end
+    [None, (1 << 128) - 3, (1 << 128) - CHUNK // 16],
+    ids=["random", "wrap-3", "wrap-at-chunk"],
 )
 def test_streamed_put_matches_an_independent_computation(
     store, tmp_path, monkeypatch, size, counter
 ):
-    """Each file, put slice by slice, against AES-CTR over the whole body by
+    """Each file, put chunk by chunk, against AES-CTR over the whole body by
     the `cryptography` package and an HMAC over the fields by `hmac`."""
     pytest.importorskip("cryptography.hazmat.primitives.ciphers", exc_type=ImportError)
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -456,13 +455,13 @@ def test_invalid_names(store, name):
 
 def test_over_quota_put_is_refused_before_encryption(store, monkeypatch):
     encrypted: list[int] = []
-    real_ctr_crypt = aes.ctr_crypt
+    real_ctr_stream = aes.ctr_stream
 
-    def counting_ctr_crypt(data, schedule, counter):
+    def counting_ctr_stream(data, schedule, counter):
         encrypted.append(len(data))
-        return real_ctr_crypt(data, schedule, counter)
+        return real_ctr_stream(data, schedule, counter)
 
-    monkeypatch.setattr(aes, "ctr_crypt", counting_ctr_crypt)
+    monkeypatch.setattr(aes, "ctr_stream", counting_ctr_stream)
     store.put_object("acme", "a", bytes(600), MASTER, 1000)
     assert encrypted == [600]
     with pytest.raises(QuotaExceeded):
@@ -492,13 +491,13 @@ def test_get_object_peak_is_one_object(store):
     assert peak <= len(data) + 61 + ENGINE_CHUNKS * aes._CHUNK_BYTES
 
 
-@pytest.mark.parametrize("size", [SLICE + 1, 2 << 20])
-def test_put_object_peak_is_one_slice_whatever_the_size(store, size):
-    # the plaintext streams through one scratch slice: that slice and the
+@pytest.mark.parametrize("size", [4 * CHUNK + 1, 2 << 20])
+def test_put_object_peak_is_cipher_scratch_whatever_the_size(store, size):
+    # the ciphertext streams to the file a cipher chunk at a time: the
     # cipher engine's scratch, and nothing the size of the object
     data = random.Random(size).randbytes(size)
     _, peak = peak_allocated(lambda: store.put_object("acme", "big", data, MASTER, QUOTA))
-    assert peak <= SLICE + ENGINE_CHUNKS * aes._CHUNK_BYTES
+    assert peak <= ENGINE_CHUNKS * CHUNK
     assert store.get_object("acme", "big", MASTER) == data
 
 
