@@ -10,7 +10,11 @@ failed bind included, which closes the audit log and reports dropped lines.
 Session threads share one interpreter lock. The gateway process (`run`, not
 the `Gateway` class, which leaves it to an embedder) hands it over every
 0.5 ms, so a small request is not held behind another session's cipher, at
-some cost to that session's throughput.
+some cost to that session's throughput. Every system call on a session
+thread (a recv, a sendall, each file call of the object store) can still
+cost one switch interval: the thread waits that long for the lock on its
+return while another session's cipher holds it. The store keeps its calls
+per small request few for that reason.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ import hmac
 import json
 import os
 import struct
-import tempfile
 import threading
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -40,6 +39,7 @@ OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + counter(16) + length(8)
 OBJECT_TAG_LEN = 32  # HMAC-SHA256, after the ciphertext
 
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
+_CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 SALT_LEN = 16  # as hash_password requires
 HASH_LEN = 32  # a SHA-256 digest
@@ -345,6 +345,18 @@ def _parse_header(header: bytes, file_size: int) -> bytes:
     return header[5:21]
 
 
+def _write_all(fd: int, buffers: list) -> None:
+    """Write every byte of `buffers` to fd in order, with one os.writev
+    when the kernel takes them all; a short write resumes where it
+    stopped. It leaves `buffers` empty."""
+    while buffers:
+        done = os.writev(fd, buffers)
+        while buffers and done >= len(buffers[0]):
+            done -= len(buffers.pop(0))
+        if buffers:
+            buffers[0] = memoryview(buffers[0])[done:]
+
+
 def _validate_customer_id(customer_id: str) -> None:
     if not customer_id or customer_id in (".", ".."):
         raise ValueError(f"invalid customer id {customer_id!r}")
@@ -369,22 +381,33 @@ class ObjectStore:
     counts such files.
 
     Writes go through a temp file + atomic rename, which commits content and
-    size together. The temp file is written outside the store-wide lock,
-    which covers only the quota checks, the rename and the totals, so a slow
-    write holds up no other put or listing. A failed write or rename removes
-    its temp file and counts nothing to the quota; one left by a crash is
-    removed by the next startup scan (`scan_removed`). No write is synced to
-    disk (`fsync`).
+    size together. The temp file, `.tmp-<counter hex>` beside the object,
+    is named by the put's fresh counter and made with O_EXCL and mode 0600;
+    the customer's directory is made only when that open finds it missing.
+    The temp file is written outside the store-wide lock, which covers only
+    the quota checks, the rename and the totals, so a slow write holds up
+    no other put or listing. A failed write or rename removes its temp file
+    and counts nothing to the quota; one left by a crash is removed by the
+    next startup scan (`scan_removed`). No write is synced to disk (`fsync`).
+
+    Object files are reached through bare descriptors (os.open, os.writev,
+    os.readv), not through `io` file objects, since each system call on a
+    gateway session thread can wait out a GIL switch interval on its return:
+    a 1 KiB put opens, writes, closes and renames, and a get opens, sizes,
+    reads and closes.
 
     The store is the only writer of its directories, so the size table is
     also the listing: `list_objects` reads no directory. A file deleted by
     hand while the store runs stays listed and charged until the next
-    startup scan; a get of it is a NoSuchObject.
+    startup scan; a get of it is a NoSuchObject. A customer directory
+    removed by hand is made again by the customer's next put.
 
     A put allocates no buffer of its own: it streams the ciphertext to its
-    file one cipher chunk at a time, as aes.ctr_stream yields it. A get
-    holds one object-sized buffer, the file image: it reads the file into it
-    and returns a view of the plaintext decrypted there in place. Neither
+    file with one os.writev per cipher chunk, as aes.ctr_stream yields it,
+    the header going out with the first chunk and the tag with the last; a
+    short write resumes where it stopped. A get holds one object-sized
+    buffer, the file image: it reads the file into it with one os.readv and
+    returns a view of the plaintext decrypted there in place. Neither
     writes a buffer it was handed.
     """
 
@@ -400,8 +423,8 @@ class ObjectStore:
 
     # --- startup scan ---
 
-    def _dir(self, customer_id: str) -> Path:
-        return self.root / customer_id
+    def _dir(self, customer_id: str) -> str:
+        return os.path.join(self.root, customer_id)
 
     def _scan(self) -> None:
         """Rebuild the file-size table from checked object headers.
@@ -419,9 +442,12 @@ class ObjectStore:
                         os.unlink(f.path)
                         self.scan_removed += 1
                         continue
-                    with open(f, "rb") as fh:
-                        header = fh.read(OBJECT_HEADER_LEN)
-                        file_size = os.fstat(fh.fileno()).st_size
+                    fd = os.open(f.path, os.O_RDONLY)
+                    try:
+                        header = os.read(fd, OBJECT_HEADER_LEN)
+                        file_size = os.fstat(fd).st_size
+                    finally:
+                        os.close(fd)
                     _parse_header(header, file_size)
                     sizes[f.name] = file_size
                 except (OSError, CorruptObject):
@@ -473,23 +499,39 @@ class ObjectStore:
         header = OBJECT_MAGIC + bytes([OBJECT_VERSION]) + counter + struct.pack(">Q", size)
         mac = _object_mac(master_key, customer_id, name, header)
         directory = self._dir(customer_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=directory)
+        # the counter is fresh for every put, so it names the temp file too
+        tmp = os.path.join(directory, _TMP_PREFIX + counter.hex())
         try:
-            # a file object writes every byte or raises, and closes fd
-            with open(fd, "wb") as fh:
-                fh.write(header)
+            fd = os.open(tmp, _CREATE_FLAGS, 0o600)
+        except FileNotFoundError:  # the customer's first put, or its directory was removed
+            os.makedirs(directory, exist_ok=True)
+            fd = os.open(tmp, _CREATE_FLAGS, 0o600)
+        try:
+            try:
+                # the header goes out with the first piece, the tag with the
+                # last: an object of one cipher chunk is one write
+                buffers = [header]
+                written = 0
                 for piece in aes.ctr_stream(plaintext, schedule, counter):
                     mac.update(piece)
-                    fh.write(piece)
-                fh.write(mac.digest())
+                    buffers.append(piece)
+                    written += len(piece)
+                    if written < size:
+                        _write_all(fd, buffers)  # and empties it
+                buffers.append(mac.digest())
+                _write_all(fd, buffers)
+            finally:
+                os.close(fd)
             with self._lock:
                 used = self._check_quota(customer_id, name, file_size, quota_bytes)
-                os.replace(tmp, directory / name)
+                os.replace(tmp, os.path.join(directory, name))
                 self._sizes.setdefault(customer_id, {})[name] = file_size
                 self._used[customer_id] = used + file_size
         except BaseException:
-            Path(tmp).unlink(missing_ok=True)
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
             raise
 
     def get_object(self, customer_id: str, name: str, master_key: bytes) -> memoryview:
@@ -500,15 +542,16 @@ class ObjectStore:
         result is a memoryview of the plaintext in that buffer."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
-        path = self._dir(customer_id) / name
         try:
-            fh = open(path, "rb")
+            fd = os.open(os.path.join(self._dir(customer_id), name), os.O_RDONLY)
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
-        with fh:
-            blob = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
-            if fh.readinto(blob) != len(blob):
+        try:
+            blob = memoryview(bytearray(os.fstat(fd).st_size))
+            if os.readv(fd, [blob]) != len(blob):
                 raise CorruptObject("object file shorter than its size")
+        finally:
+            os.close(fd)
         header = blob[:OBJECT_HEADER_LEN]
         counter = _parse_header(header, len(blob))
         body = blob[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import hmac
 import json
@@ -9,6 +10,7 @@ import os
 import random
 import shutil
 import signal
+import stat
 import struct
 import subprocess
 import sys
@@ -506,28 +508,15 @@ def test_a_held_write_holds_up_no_other_put_or_listing(store, monkeypatch):
     customer's put is stuck in its write, another customer's put and a
     listing still finish."""
     entered, release = threading.Event(), threading.Event()
-    real_open = open
+    real_writev = os.writev
 
-    class HeldFile:
-        def __init__(self, fh):
-            self._fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return self._fh.__exit__(*exc_info)
-
-        def write(self, data):
+    def held_writev(fd, buffers):
+        if threading.current_thread().name == "held-put":
             entered.set()
             release.wait(timeout=10)
-            return self._fh.write(data)
+        return real_writev(fd, buffers)
 
-    def held_open(*args, **kwargs):
-        fh = real_open(*args, **kwargs)
-        return HeldFile(fh) if threading.current_thread().name == "held-put" else fh
-
-    monkeypatch.setattr(vault, "open", held_open, raising=False)
+    monkeypatch.setattr(vault.os, "writev", held_writev)
     held = threading.Thread(
         target=store.put_object, args=("slow", "a", bytes(1000), MASTER, QUOTA), name="held-put"
     )
@@ -846,6 +835,150 @@ def test_failed_rename_leaves_no_temp_file(store, tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "objects" / "acme") == ["kept"]
     assert store.get_object("acme", "kept", MASTER) == b"old"
     assert store.used_bytes("acme") == 3 + OVERHEAD
+
+
+# --- system calls and descriptors --------------------------------------------
+
+_FILE_CALLS = (
+    "open", "close", "read", "readv", "write", "writev", "fstat", "stat",
+    "mkdir", "makedirs", "replace", "unlink",
+)
+
+
+def _spy_on_file_calls(monkeypatch) -> list[str]:
+    """The names of the `os` file calls vault makes from now on, in order;
+    builtin `open` fails the test."""
+    calls: list[str] = []
+    for name in _FILE_CALLS:
+        def spy(*args, _real=getattr(os, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(vault.os, name, spy)
+
+    def no_builtin_open(*_args, **_kwargs):
+        raise AssertionError("vault opened a file through io")
+
+    monkeypatch.setattr(vault, "open", no_builtin_open, raising=False)
+    return calls
+
+
+def test_small_put_and_get_make_one_call_each_way(store, monkeypatch):
+    """A 1 KiB put for a customer with a directory opens its temp file,
+    writes header, ciphertext and tag in one writev, closes and renames;
+    a get opens, sizes and reads in one readv."""
+    store.put_object("acme", "first", b"x", MASTER, QUOTA)
+    data = random.Random(1024).randbytes(1024)
+    calls = _spy_on_file_calls(monkeypatch)
+    store.put_object("acme", "blob", data, MASTER, QUOTA)
+    assert calls == ["open", "writev", "close", "replace"]
+    calls.clear()
+    assert store.get_object("acme", "blob", MASTER) == data
+    assert calls == ["open", "fstat", "readv", "close"]
+
+
+def test_put_remakes_a_customer_directory_removed_by_hand(store, tmp_path, monkeypatch):
+    store.put_object("acme", "gone", b"old", MASTER, QUOTA)
+    shutil.rmtree(tmp_path / "objects" / "acme")  # behind the store's back
+    calls = _spy_on_file_calls(monkeypatch)
+    store.put_object("acme", "new", b"new content", MASTER, QUOTA)
+    assert calls.count("open") == 2 and calls.count("mkdir") == 1
+    monkeypatch.undo()
+    assert os.listdir(tmp_path / "objects" / "acme") == ["new"]
+    assert store.get_object("acme", "new", MASTER) == b"new content"
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK + 1, 4 * CHUNK + 1])
+def test_short_writes_still_write_the_whole_file(store, tmp_path, monkeypatch, size):
+    """A writev that takes at most 7 bytes a call: each put resumes where
+    the kernel stopped, and the file is what an independent computation
+    gives."""
+    pytest.importorskip("cryptography.hazmat.primitives.ciphers", exc_type=ImportError)
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    real_write = os.write
+    calls = []
+
+    def writev_seven(fd, buffers):
+        calls.append(fd)
+        taken = bytearray()
+        for buffer in buffers:
+            taken += memoryview(buffer)[: 7 - len(taken)]
+        return real_write(fd, taken)
+
+    monkeypatch.setattr(vault.os, "writev", writev_seven)
+    data = random.Random(size).randbytes(size)
+    store.put_object("acme", "blob", data, MASTER, QUOTA)
+    monkeypatch.undo()
+    blob = (tmp_path / "objects" / "acme" / "blob").read_bytes()
+    assert len(calls) >= len(blob) / 7  # every call took 7 bytes or fewer
+    header, ciphertext, tag = blob[:29], blob[29:-32], blob[-32:]
+    assert header[:5] == b"CSG1\x03" and header[21:] == struct.pack(">Q", size)
+    encryptor = Cipher(
+        algorithms.AES(storage_key(MASTER, "acme")), modes.CTR(header[5:21])
+    ).encryptor()
+    assert ciphertext == encryptor.update(data) + encryptor.finalize()
+    fields = b"\x00\x04acme" + b"\x00\x04blob" + header + ciphertext
+    assert tag == hmac.new(storage_mac_key(MASTER, "acme"), fields, hashlib.sha256).digest()
+    assert store.get_object("acme", "blob", MASTER) == data
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_descriptor_outlives_a_put_get_or_scan(tmp_path, monkeypatch):
+    root = tmp_path / "objects"
+    store = ObjectStore(root)
+    before = _open_descriptors()
+    store.put_object("acme", "a", bytes(100), MASTER, 1000)
+    store.put_object("acme", "big", bytes(4 * CHUNK + 1), MASTER, QUOTA)
+    assert store.get_object("acme", "a", MASTER) == bytes(100)
+    with pytest.raises(QuotaExceeded):
+        store.put_object("acme", "b", bytes(900), MASTER, 1000)
+    with pytest.raises(NoSuchObject):
+        store.get_object("acme", "missing", MASTER)
+    assert _open_descriptors() == before
+
+    # a refused rename, then a write that fails
+    for call, code in (("replace", errno.EXDEV), ("writev", errno.ENOSPC)):
+        def fail(*_args, code=code):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(vault.os, call, fail)
+        with pytest.raises(OSError) as failed:
+            store.put_object("acme", "a", b"new", MASTER, QUOTA)
+        assert failed.value.errno == code
+        monkeypatch.undo()
+    real_fstat = os.fstat
+    monkeypatch.setattr(vault.os, "fstat", lambda fd: SimpleNamespace(
+        st_size=real_fstat(fd).st_size + 8
+    ))
+    with pytest.raises(CorruptObject, match="shorter than its size"):
+        store.get_object("acme", "a", MASTER)
+    monkeypatch.undo()
+    assert _open_descriptors() == before
+    assert sorted(os.listdir(root / "acme")) == ["a", "big"]  # no .tmp-* left
+
+    (root / "acme" / "bad").write_bytes(b"CSG1\x03 and then too short")
+    restarted = ObjectStore(root)
+    assert restarted.scan_skipped == 1
+    assert _open_descriptors() == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o000], ids=["umask-022", "umask-000"])
+def test_object_files_are_private_to_the_owner(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        store = ObjectStore(tmp_path / "objects")
+        store.put_object("acme", "fresh", b"first put", MASTER, QUOTA)
+        store.put_object("acme", "next", b"second put", MASTER, QUOTA)
+    finally:
+        os.umask(old)
+    for name in ("fresh", "next"):
+        mode = (tmp_path / "objects" / "acme" / name).stat().st_mode
+        assert stat.S_IMODE(mode) == 0o600, name
 
 
 @pytest.mark.parametrize("version", [0x01, 0x02], ids=["v1", "v2"])
