@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, NamedTuple, Optional
 
-from .keyx import select_group
+from .keyx import RFC3526_GROUP14
 from .protocol import (
     Phase,
     ServerContext,
@@ -86,8 +86,10 @@ class GatewayConfig(NamedTuple):
 
 
 def _text(value: object) -> str:
-    if not isinstance(value, str) or not value:  # Path("") would be the cwd
-        raise ValueError(f"not a non-empty string: {value!r}")
+    # Path("") would be the cwd; open() and bind() refuse a NUL, and bind()
+    # with a TypeError that no startup handler expects
+    if not isinstance(value, str) or not value or "\x00" in value:
+        raise ValueError(f"not a non-empty string without NUL: {value!r}")
     return value
 
 
@@ -115,7 +117,11 @@ def _max_sessions(value: object) -> int:
 
 
 def _dh_group(value: object) -> str:
-    select_group(_text(value))  # _text first: a list cannot be looked up
+    # selects nothing (the gateway runs RFC3526_GROUP14); the key stays so
+    # that config files naming it still load
+    default = GatewayConfig._field_defaults["dh_group"]
+    if value != default:
+        raise ValueError(f"only {default!r} is supported, not {value!r}")
     return value
 
 
@@ -239,7 +245,7 @@ class Gateway:
     appender."""
 
     def __init__(self, config: GatewayConfig):
-        self.group = select_group(config.dh_group)
+        self.group = RFC3526_GROUP14
         self.config = config
         self.registry = load_registry(config.registry_path)
         self.store = ObjectStore(config.objects_dir)

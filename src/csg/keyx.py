@@ -1,6 +1,7 @@
 """Establishment of the symmetric session keys and credential hashing.
 
-Finite-field Diffie-Hellman produces a shared secret; the three session
+Finite-field Diffie-Hellman over RFC 3526 group 14 (`RFC3526_GROUP14`, the
+one group outside tests) produces a shared secret; the three session
 sub-keys (phase-1 auth, phase-2 auth, data) are derived from it by
 `sub_key`, domain-separated SHA-256, which also makes the vault's storage
 keys. A generated public value comes from one fixed-base comb table per
@@ -41,8 +42,8 @@ class InvalidPublicKey(ValueError):
 
 
 class DhGroup:
-    """A prime modulus p and a generator g; equal groups share one hash, so
-    the fixed-base table cache finds a group by its value."""
+    """A prime modulus p and a generator g. The only groups are the module's
+    two objects, so the fixed-base table cache keys a group by identity."""
 
     def __init__(self, p: int, g: int) -> None:
         if p <= 3 or p % 2 == 0:
@@ -51,14 +52,6 @@ class DhGroup:
             raise ValueError("generator must satisfy 1 < g < p")
         self.p = p
         self.g = g
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DhGroup):
-            return NotImplemented
-        return (self.p, self.g) == (other.p, other.g)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.g))
 
     @property
     def byte_len(self) -> int:
@@ -78,18 +71,9 @@ _MODP14_HEX = (
 )
 RFC3526_GROUP14 = DhGroup(p=int(_MODP14_HEX, 16), g=2)
 
-# Tiny group for tests only. It is in no table that a config key, variable
-# or flag reads, so a test can only reach it by passing this object.
+# Tiny group for tests only. No config key, variable or flag reaches it,
+# so a test can only use it by passing this object.
 TEST_SMALL = DhGroup(p=23, g=5)
-
-GROUPS = {"rfc3526-14": RFC3526_GROUP14}
-
-
-def select_group(name: str) -> DhGroup:
-    """The group called `name`; raises ValueError for any other name."""
-    if name not in GROUPS:
-        raise ValueError(f"unknown group {name!r}, expected one of {sorted(GROUPS)}")
-    return GROUPS[name]
 
 
 class DhKeyPair(NamedTuple):

@@ -160,7 +160,7 @@ class _Console:
         try:
             with open(local, "rb") as fh:
                 data = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             self.say(f"cannot read {local}: {exc}")
             return  # local trouble does not end the session
         self.session.put(name, data)
@@ -174,7 +174,7 @@ class _Console:
         try:
             with open(local, "wb") as fh:
                 fh.write(data)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             self.say(f"cannot write {local}: {exc}")
             return
         self.say(f"retrieved {name} ({len(data)} bytes)")

@@ -134,11 +134,9 @@ PRECEDENCE_BASE = {
     "master_key_hex": "00" * 16,
 }
 
-# a second legal dh_group name, which the precedence test registers
-SECOND_GROUP = "second-group"
-
 # key, (file value, parsed), (env value, parsed), (flag argv, parsed) or None;
-# each source's value differs from the next source's and from the default
+# each source's value differs from the next source's and from the default,
+# except for dh_group
 PRECEDENCE = [
     ("registry_path", ("f.jsonl", "f.jsonl"), ("e.jsonl", "e.jsonl"),
      (["--registry", "g.jsonl"], "g.jsonl")),
@@ -146,7 +144,8 @@ PRECEDENCE = [
     ("master_key_hex", ("11" * 16, "11" * 16), ("2A" * 16, "2A" * 16), None),
     ("listen_addr", ("127.0.0.1:1111", "127.0.0.1:1111"), ("127.0.0.1:2222", "127.0.0.1:2222"),
      (["--listen", "127.0.0.1:3333"], "127.0.0.1:3333")),
-    ("dh_group", (SECOND_GROUP, SECOND_GROUP), ("rfc3526-14", "rfc3526-14"), None),
+    # its one legal value, also the default: the other rows cover precedence
+    ("dh_group", ("rfc3526-14", "rfc3526-14"), ("rfc3526-14", "rfc3526-14"), None),
     ("max_sessions", (7, 7), ("8", 8), None),
     ("audit_log", ("f.log", "f.log"), ("e.log", "e.log"), (["--audit-log", "g.log"], "g.log")),
 ]
@@ -163,8 +162,7 @@ def load_key(tmp_path, key, file_values, env, argv=()):
 
 
 @pytest.mark.parametrize("key, file, env, flag", PRECEDENCE, ids=[r[0] for r in PRECEDENCE])
-def test_flag_beats_env_beats_file_beats_default(tmp_path, monkeypatch, key, file, env, flag):
-    monkeypatch.setitem(keyx.GROUPS, SECOND_GROUP, keyx.RFC3526_GROUP14)
+def test_flag_beats_env_beats_file_beats_default(tmp_path, key, file, env, flag):
     env_name = "CSG_" + key.upper()
     others = {k: v for k, v in PRECEDENCE_BASE.items() if k != key}
     if key not in GatewayConfig._field_defaults:
@@ -186,6 +184,10 @@ def test_flag_beats_env_beats_file_beats_default(tmp_path, monkeypatch, key, fil
         ("objects_dir", "config file", None),
         ("audit_log", "config file", None),
         ("registry_path", "config file", 5),
+        ("registry_path", "config file", "r\x00.jsonl"),
+        ("objects_dir", "config file", "obj\x00x"),
+        ("audit_log", "config file", "audit\x00.log"),
+        ("listen_addr", "config file", "127.0.0.1\x00:0"),
         ("objects_dir", "env", ""),
         ("objects_dir", "flag", ""),
         ("master_key_hex", "env", "00" * 15),
@@ -930,6 +932,7 @@ def test_cli_registry_without_kdf_tag_exits_1_with_one_line(tmp_path):
     "argv, file_values, env_values, message",
     [
         (["--listen", "127.0.0.1:\u00b2"], {}, {}, "listen_addr (from flag)"),
+        ([], {"listen_addr": "127.0.0.1\x00:0"}, {}, "listen_addr (from config file)"),
         ([], {"objects_dir": None}, {}, "objects_dir (from config file)"),
         ([], {"max_sessions": 2.9}, {}, "max_sessions (from config file)"),
         # the removed opt-in to the test-only group is refused in any form
@@ -937,8 +940,8 @@ def test_cli_registry_without_kdf_tag_exits_1_with_one_line(tmp_path):
          "dh_group (from env CSG_DH_GROUP)"),
         ([], {"allow_insecure_group": True}, {}, "allow_insecure_group (from config file)"),
     ],
-    ids=["non-ascii-port-digit", "null-path", "float-max-sessions", "test-group-from-env",
-         "removed-insecure-group-key"],
+    ids=["non-ascii-port-digit", "nul-in-listen-addr", "null-path", "float-max-sessions",
+         "test-group-from-env", "removed-insecure-group-key"],
 )
 def test_cli_config_error_exits_2_with_one_line(
     tmp_path, argv, file_values, env_values, message

@@ -147,6 +147,36 @@ def test_script_get_missing_continues(gateway_factory, tmp_path):
     assert "no such object" in result.stdout
 
 
+def test_script_local_file_trouble_is_reported_and_session_goes_on(gateway_factory, tmp_path):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    source = tmp_path / "f.txt"
+    source.write_bytes(b"data")
+    result = run_script(
+        tmp_path,
+        handle,
+        acme,
+        [
+            connect_line(handle, acme),
+            login_line(acme),
+            f"put {tmp_path / 'absent'} a",
+            f"put {tmp_path}/nul\x00path b",  # open() raises ValueError, not OSError
+            f"put {source} notes",
+            f"get notes {tmp_path}/nul\x00path",
+            "ls",
+            "quit",
+        ],
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[2].startswith(f"cannot read {tmp_path / 'absent'}: ")
+    assert lines[3].startswith(f"cannot read {tmp_path}/nul\x00path: ")
+    assert lines[4] == "stored notes"
+    assert lines[5].startswith(f"cannot write {tmp_path}/nul\x00path: ")
+    assert lines[6:] == ["notes"]
+    assert result.stderr == ""
+
+
 def test_script_put_before_login_reports_and_continues(gateway_factory, tmp_path):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
