@@ -113,8 +113,6 @@ def _mul_table(c: int) -> bytes:
     return bytes(_gf_mul(c, x) for x in range(256))
 
 
-_MUL2 = _mul_table(0x02)
-_MUL3 = _mul_table(0x03)
 _MUL9 = _mul_table(0x09)
 _MUL11 = _mul_table(0x0B)
 _MUL13 = _mul_table(0x0D)
@@ -124,12 +122,14 @@ _MUL14 = _mul_table(0x0E)
 # --------- key expansion ---------
 
 class KeySchedule:
-    """The 11 expanded round keys; round_keys[0] is the cipher key itself."""
+    """The FIPS-197 5.2 key schedule: its 44 words as big-endian integers,
+    row 0 in the top byte, the form encrypt_block adds them in, and the same
+    bytes as 11 round keys; round_keys[0] is the cipher key itself."""
 
-    def __init__(self, round_keys: tuple[bytes, ...]) -> None:
-        if len(round_keys) != NUM_ROUNDS + 1 or any(len(rk) != BLOCK_SIZE for rk in round_keys):
-            raise ValueError("schedule must hold 11 round keys of 16 bytes")
-        self.round_keys = round_keys
+    def __init__(self, words: tuple[int, ...]) -> None:
+        self.words = words
+        rk = struct.pack(">44I", *words)  # refuses any count but 44
+        self.round_keys = tuple(rk[i : i + BLOCK_SIZE] for i in range(0, len(rk), BLOCK_SIZE))
 
     @cached_property
     def inverse_round_keys(self) -> tuple[bytes, ...]:
@@ -148,34 +148,27 @@ class KeySchedule:
             rks[0],
         )
 
-    @cached_property
-    def words(self) -> tuple[int, ...]:
-        """The 44 round-key words as big-endian integers, row 0 in the top
-        byte, 4 per round key: the form encrypt_block adds them in."""
-        return struct.unpack(">44I", b"".join(self.round_keys))
-
 
 def key_expansion(key: bytes) -> KeySchedule:
-    """Expand a 16-byte cipher key into the 11 round keys.
-
-    Word recurrence: w[i] = w[i-4] ^ g(w[i-1]), where g is
-    SubWord(RotWord(.)) ^ Rcon for i % 4 == 0 and identity otherwise.
-    """
+    """Expand a 16-byte cipher key by the FIPS-197 5.2 recurrence on 32-bit
+    words, in one pass: w[0..3] are the key, and w[i] = w[i-4] ^ t, where t
+    is w[i-1], or SubWord(RotWord(w[i-1])) ^ Rcon when i % 4 == 0."""
     if len(key) != BLOCK_SIZE:
         raise ValueError("cipher key must be exactly 16 bytes")
     sbox = _SBOX
-    words = [list(key[i : i + 4]) for i in (0, 4, 8, 12)]
+    w = list(struct.unpack(">4I", key))
     for i in range(4, 4 * (NUM_ROUNDS + 1)):
-        t = words[i - 1]
+        t = w[i - 1]
         if i % 4 == 0:
-            t = [sbox[t[1]] ^ _RCON[i // 4 - 1], sbox[t[2]], sbox[t[3]], sbox[t[0]]]
-        prev = words[i - 4]
-        words.append([prev[0] ^ t[0], prev[1] ^ t[1], prev[2] ^ t[2], prev[3] ^ t[3]])
-    round_keys = tuple(
-        bytes(b for w in words[4 * r : 4 * r + 4] for b in w)
-        for r in range(NUM_ROUNDS + 1)
-    )
-    return KeySchedule(round_keys)
+            # RotWord takes the top byte to the bottom; Rcon adds to the top
+            t = (
+                (sbox[t >> 16 & 255] ^ _RCON[i // 4 - 1]) << 24
+                | sbox[t >> 8 & 255] << 16
+                | sbox[t & 255] << 8
+                | sbox[t >> 24]
+            )
+        w.append(w[i - 4] ^ t)
+    return KeySchedule(tuple(w))
 
 
 # --------- block encryption / decryption ---------
@@ -193,7 +186,7 @@ def key_expansion(key: bytes) -> KeySchedule:
 # _TE0[x] is the column SubBytes then MixColumns make of byte x in row 0,
 # (2*S(x), S(x), S(x), 3*S(x)); _TE1, _TE2 and _TE3, for rows 1 to 3, are it
 # rotated right by 8, 16 and 24 bits
-_TE0 = tuple(_MUL2[s] << 24 | s << 16 | s << 8 | _MUL3[s] for s in _SBOX)
+_TE0 = tuple(_gf_mul(2, s) << 24 | s << 16 | s << 8 | _gf_mul(3, s) for s in _SBOX)
 _TE1, _TE2, _TE3 = (
     tuple((t >> n | t << 32 - n) & 0xFFFFFFFF for t in _TE0) for n in (8, 16, 24)
 )

@@ -4,9 +4,9 @@ private-space commands, wrapping the protocol state machine.
 Every exchange with the gateway goes through `ClientSession._exchange`, the
 one place where socket, framing and decryption errors become
 ProtocolFailure. A command the gateway could not receive or would refuse
-(a field longer than the wire's u16 length prefix, a put name the store
-rejects, an object too large for one frame) is CommandRefused before
-anything is encrypted or sent."""
+(a field that is not valid UTF-8 or is longer than the wire's u16 length
+prefix, a put name the store rejects, an object too large for one frame)
+is CommandRefused before anything is encrypted or sent."""
 
 from __future__ import annotations
 
@@ -50,11 +50,16 @@ _STATUS_MESSAGES = {
 
 
 def _refuse_overlong(fields: dict[str, str]) -> None:
-    """Refuse a field the wire's u16 length prefix cannot count, before any
-    frame is built, so nothing is sent and the phase does not move."""
+    """Refuse a field the wire cannot carry, before any frame is built, so
+    nothing is sent and the phase does not move: one that UTF-8 cannot
+    encode (a lone surrogate, which is what a byte that is not UTF-8 in
+    argv, the environment or stdin decodes to), or one longer than the u16
+    length prefix counts."""
     for label, value in fields.items():
         try:
             encode_str(value)
+        except UnicodeEncodeError:
+            raise CommandRefused(f"{label} is not valid UTF-8") from None
         except FieldTooLong:
             raise CommandRefused(f"{label} longer than 65535 UTF-8 bytes") from None
 
@@ -92,10 +97,8 @@ class ClientSession:
         them, read that reply and return `parse(state, payload)`. The one
         place where socket, framing and decryption failures, an Error frame
         and a reply of the wrong type become ProtocolFailure. Callers build
-        the frames, so an out-of-order command raises ProtocolOrderError
-        before any is sent."""
-        if self._sock is None:
-            raise ProtocolFailure("session is closed")
+        the frames, so an out-of-order command, any command after close()
+        among them, raises ProtocolOrderError before any is sent."""
         expected = protocol.reply_to(frames[-1].msg_type)
         try:
             raws = [frame.encode() for frame in frames]

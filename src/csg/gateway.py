@@ -87,9 +87,15 @@ class GatewayConfig(NamedTuple):
 
 def _text(value: object) -> str:
     # Path("") would be the cwd; open() and bind() refuse a NUL, and bind()
-    # with a TypeError that no startup handler expects
+    # with a TypeError that no startup handler expects. A path must encode as
+    # the OS will take it (os.fsencode): a surrogate-escaped byte is legal,
+    # any other lone surrogate is not
     if not isinstance(value, str) or not value or "\x00" in value:
         raise ValueError(f"not a non-empty string without NUL: {value!r}")
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        raise ValueError(f"not a string the OS can encode: {value!r}") from None
     return value
 
 
@@ -98,6 +104,14 @@ def _listen_addr(value: object) -> str:
     # isdigit alone passes digits such as "²" that int() rejects
     if not (sep and host and port.isascii() and port.isdigit() and int(port) <= 65535):
         raise ValueError(f"not host:port: {value!r}")
+    # the socket layer takes an ASCII host as it is and encodes any other
+    # with idna, which imports re, stringprep and unicodedata: so only a
+    # host that is not ASCII is encoded here
+    if not host.isascii():
+        try:
+            host.encode("idna")
+        except UnicodeError:
+            raise ValueError(f"host the socket layer cannot encode: {value!r}") from None
     return value
 
 

@@ -9,7 +9,6 @@ import os
 import random
 import socket
 import struct
-import sys
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -17,13 +16,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-
-# No bytecode in src, whatever the caller's environment: this process and
-# every gateway or vpnc process a test starts, which inherit the variable.
-# A src/csg/__pycache__ makes every later gateway process start about 1 MiB
-# smaller, which would skew a peak-RSS comparison between two checkouts.
-sys.dont_write_bytecode = True
-os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from csg import aes, protocol
 from csg.client import ClientSession

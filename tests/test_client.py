@@ -165,6 +165,21 @@ def test_overlong_tunnel_user_refused_before_the_hello(gateway_factory):
         session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)
 
 
+@pytest.mark.parametrize("field", ["user", "password"])
+def test_non_utf8_tunnel_field_refused_before_the_hello(gateway_factory, field):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    fields = {"user": acme.tunnel_user, "password": acme.tunnel_pass}
+    capture: list[bytes] = []
+    with ClientSession(handle.host, handle.port, group=TEST_SMALL, capture=capture) as session:
+        with pytest.raises(CommandRefused, match=f"^{field} is not valid UTF-8$"):
+            # what the byte 0xff in argv, the environment or stdin decodes to
+            session.connect_tunnel(*{**fields, field: fields[field] + "\udcff"}.values())
+        assert capture == []
+        assert session.state.phase is P.Phase.INIT
+        session.connect_tunnel(*fields.values())
+
+
 def test_close_sends_nothing_when_nothing_was_sent(gateway_factory):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
@@ -213,6 +228,38 @@ def test_overlong_login_field_refused_before_the_phase_moves(gateway_factory, fi
         assert session.state.phase is P.Phase.TUNNEL_ESTABLISHED
         session.login(*login.values())
         assert session.list_names() == []
+
+
+def test_over_quota_put_is_refused_and_the_session_goes_on(gateway_factory):
+    tiny = provision_customer("tiny", quota_bytes=1000)
+    handle = gateway_factory([tiny])
+    with open_session(handle, tiny) as session:
+        with pytest.raises(CommandRefused, match="^quota exceeded$"):
+            session.put("big", bytes(2000))
+        session.put("small", b"fits")
+        assert session.get("small") == b"fits"
+
+
+def test_commands_on_a_closed_session_send_nothing(gateway_factory):
+    # close() discards the session state, so each command is refused in
+    # phase CLOSED before a frame is built
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    capture: list[bytes] = []
+    session = open_session(handle, acme, capture=capture)
+    session.close()
+    sent = len(capture)
+    for command in (
+        lambda: session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass),
+        lambda: session.login(acme.space_path, acme.service_user, acme.service_pass),
+        lambda: session.put("notes", b"data"),
+        lambda: session.get("notes"),
+        session.list_names,
+    ):
+        with pytest.raises(P.ProtocolOrderError, match="not allowed in phase CLOSED$"):
+            command()
+    assert len(capture) == sent
+    session.close()  # a second close is a no-op
 
 
 class _RecordingSocket:

@@ -201,6 +201,12 @@ def test_flag_beats_env_beats_file_beats_default(tmp_path, key, file, env, flag)
         ("max_sessions", "config file", 2.9),
         ("max_sessions", "config file", True),
         ("max_sessions", "env", "2.9"),
+        # a surrogate-escaped byte is a legal path, any other lone surrogate
+        # is not; a host must encode as the socket layer encodes it
+        ("objects_dir", "config file", "obj\ud800"),
+        ("registry_path", "env", "r\udfff.jsonl"),
+        ("listen_addr", "config file", "\udc80:0"),
+        ("listen_addr", "env", "h\udc80st:0"),
     ],
 )
 def test_bad_value_names_key_and_winning_source(tmp_path, key, source, bad):
@@ -939,14 +945,29 @@ def test_cli_registry_without_kdf_tag_exits_1_with_one_line(tmp_path):
         ([], {}, {"CSG_DH_GROUP": "test-small", "CSG_ALLOW_INSECURE_GROUP": "1"},
          "dh_group (from env CSG_DH_GROUP)"),
         ([], {"allow_insecure_group": True}, {}, "allow_insecure_group (from config file)"),
+        ([], {"objects_dir": "obj\ud800"}, {}, "objects_dir (from config file)"),
+        # the environment carries the byte 0x80, which decodes to "\udc80"
+        ([], {}, {"CSG_LISTEN_ADDR": "\udc80:0"}, "listen_addr (from env CSG_LISTEN_ADDR)"),
+        # the last --config wins
+        (["--config", "."], {}, {}, "config (from flag --config)"),
+        # a str is the config file's whole text
+        ([], "{not json", {}, "config file {config}"),
+        ([], '["listen_addr"]', {}, "config file {config}"),
     ],
     ids=["non-ascii-port-digit", "nul-in-listen-addr", "null-path", "float-max-sessions",
-         "test-group-from-env", "removed-insecure-group-key"],
+         "test-group-from-env", "removed-insecure-group-key", "surrogate-path-from-file",
+         "surrogate-host-from-env", "unreadable-config", "config-not-json",
+         "config-json-array"],
 )
 def test_cli_config_error_exits_2_with_one_line(
     tmp_path, argv, file_values, env_values, message
 ):
-    config_path = write_config(tmp_path, **file_values)
+    if isinstance(file_values, str):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(file_values)
+    else:
+        config_path = write_config(tmp_path, **file_values)
+    message = message.format(config=config_path)
     env = {k: v for k, v in os.environ.items() if not k.startswith("CSG_")}
     env.update(env_values)
     proc = subprocess.run(

@@ -8,8 +8,10 @@ import functools
 import os
 import pty
 import select
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -120,6 +122,33 @@ def test_script_unreachable_host_exits_3(tmp_path, gateway_factory):
     assert "cannot connect" in result.stdout
 
 
+def test_script_peer_that_closes_at_once_exits_3(tmp_path):
+    acme = provision_customer("acme")
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def close_at_once():
+        conn, _ = listener.accept()
+        conn.close()
+
+    thread = threading.Thread(target=close_at_once)
+    thread.start()
+    host, port = listener.getsockname()
+    try:
+        result = run_script(
+            tmp_path,
+            None,
+            acme,
+            [f"connect --host {host} --port {port} --user {acme.tunnel_user}", "quit"],
+        )
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stdout.startswith("connect failed: ")
+    assert "Traceback" not in result.stderr + result.stdout
+
+
 def test_script_login_before_connect_is_usage_error(gateway_factory, tmp_path):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
@@ -199,6 +228,32 @@ def test_script_put_before_login_reports_and_continues(gateway_factory, tmp_path
     assert "stored ontime" in result.stdout
 
 
+def test_script_over_quota_put_is_refused_and_session_goes_on(gateway_factory, tmp_path):
+    tiny = provision_customer("tiny", quota_bytes=1000)
+    handle = gateway_factory([tiny])
+    big, small = tmp_path / "big.bin", tmp_path / "small.txt"
+    big.write_bytes(bytes(2000))
+    small.write_bytes(b"fits")
+    result = run_script(
+        tmp_path,
+        handle,
+        tiny,
+        [
+            connect_line(handle, tiny),
+            login_line(tiny),
+            f"put {big} big",
+            f"put {small} small",
+            f"get small {tmp_path / 'out.txt'}",
+            "quit",
+        ],
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[2:] == [
+        "quota exceeded", "stored small", "retrieved small (4 bytes)",
+    ]
+    assert (tmp_path / "out.txt").read_bytes() == b"fits"
+
+
 def test_script_overlong_name_is_refused_and_session_goes_on(gateway_factory, tmp_path):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
@@ -260,6 +315,34 @@ def test_script_overlong_connect_user_is_refused_and_connect_goes_on(
     assert "user longer than 65535 UTF-8 bytes" in result.stdout
     assert "tunnel established" in result.stdout
     assert "access granted" in result.stdout
+    assert "Traceback" not in result.stderr + result.stdout
+
+
+@pytest.mark.parametrize(
+    "password, refusal",
+    [
+        ("p" * 70000, "password longer than 65535 UTF-8 bytes"),
+        # the byte 0xff in the environment decodes to "\udcff"
+        ("pass\udcff", "password is not valid UTF-8"),
+    ],
+    ids=["overlong", "not-utf8"],
+)
+def test_script_unsendable_tunnel_password_is_refused_before_the_hello(
+    gateway_factory, tmp_path, password, refusal
+):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    result = run_script(
+        tmp_path,
+        handle,
+        acme,
+        [connect_line(handle, acme), login_line(acme), "quit"],
+        env_extra={"CSG_TUNNEL_PASS": password},
+    )
+    # the refused connect leaves no session, so the login has no tunnel
+    assert result.returncode == 4, result.stderr
+    assert result.stdout.splitlines() == [refusal]
+    assert result.stderr == "vpnc: login: no tunnel (run connect first)\n"
     assert "Traceback" not in result.stderr + result.stdout
 
 
@@ -353,6 +436,33 @@ def test_interactive_unclosed_quote_reports_and_continues(gateway_factory):
     assert result.returncode == 0, result.stdout + result.stderr
     assert "usage: cannot parse" in result.stdout
     assert "Traceback" not in result.stderr + result.stdout
+
+
+@pytest.mark.parametrize(
+    "connected, line, message",
+    [
+        (False, "connect --host 127.0.0.1 --port 1 --user u --mode x",
+         "connect: unexpected argument '--mode'"),
+        (False, "connect --host 127.0.0.1 --port 1 --user", "connect: --user needs a value"),
+        (False, "connect --host 127.0.0.1 --port 1", "connect: --user is required"),
+        (False, "mount /space", "unknown command 'mount'"),
+        (True, "{connect}", "connect: already connected"),
+        (True, "put notes", "put: usage: put <local-file> <name>"),
+        (True, "get notes", "get: usage: get <name> <local-file>"),
+        (True, "ls x", "ls: takes no arguments"),
+    ],
+    ids=["unknown-flag", "flag-without-value", "missing-flag", "unknown-command",
+         "connect-while-connected", "put-one-argument", "get-one-argument", "ls-argument"],
+)
+def test_script_bad_command_is_usage_error(gateway_factory, tmp_path, connected, line, message):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    connect = connect_line(handle, acme)
+    lines = ([connect] if connected else []) + [line.format(connect=connect), "quit"]
+    result = run_script(tmp_path, handle, acme, lines)
+    assert result.returncode == 4, result.stdout + result.stderr
+    assert result.stderr == f"vpnc: {message}\n"
+    assert "Traceback" not in result.stdout
 
 
 @pytest.mark.parametrize("port", ["70000", "0"])
