@@ -28,7 +28,6 @@ import string
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, NamedTuple, Optional
 
 from .keyx import RFC3526_GROUP14
@@ -81,15 +80,17 @@ class GatewayConfig(NamedTuple):
         return bytes.fromhex(self.master_key_hex)
 
     def host_port(self) -> tuple[str, int]:
+        """The host, without RFC 3986 brackets ("[::1]" is "::1"), and port."""
         host, _, port = self.listen_addr.rpartition(":")
-        return host, int(port)
+        return host.strip("[]"), int(port)
 
 
 def _text(value: object) -> str:
-    # Path("") would be the cwd; open() and bind() refuse a NUL, and bind()
-    # with a TypeError that no startup handler expects. A path must encode as
-    # the OS will take it (os.fsencode): a surrogate-escaped byte is legal,
-    # any other lone surrogate is not
+    # an empty path names no file, so it is refused here, where the error
+    # names its key; open() and bind() refuse a NUL, and bind() with a
+    # TypeError that no startup handler expects. A path must encode as the
+    # OS will take it (os.fsencode): a surrogate-escaped byte is legal, any
+    # other lone surrogate is not
     if not isinstance(value, str) or not value or "\x00" in value:
         raise ValueError(f"not a non-empty string without NUL: {value!r}")
     try:
@@ -215,8 +216,8 @@ class AuditLog:
     the first one is reported on stderr when it happens.
     """
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    def __init__(self, path: str | os.PathLike[str]):
+        self.path = path
         self.dropped = 0
         self._lock = threading.Lock()
         self._fh = open(self.path, "a", encoding="utf-8")
@@ -281,8 +282,11 @@ class Gateway:
         self.bound_addr: Optional[tuple[str, int]] = None
 
     def start(self) -> tuple[str, int]:
-        """Bind, print the readiness line, and start accepting."""
-        self._listener = socket.create_server(self.config.host_port(), backlog=64)
+        """Bind, print the readiness line, and start accepting. A host
+        holding a ":" is IPv6; no name is resolved to choose the family."""
+        host, port = self.config.host_port()
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family, backlog=64)
         self.bound_addr = self._listener.getsockname()[:2]
         print(f"gateway listening on {self.bound_addr[0]}:{self.bound_addr[1]}", flush=True)
         self._accept_thread = threading.Thread(

@@ -25,7 +25,6 @@ import json
 import os
 import struct
 import threading
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from . import aes
@@ -145,30 +144,35 @@ def make_customer_record(
     )
 
 
+# the login an unknown user is checked against: a hash and a compare run as
+# for a known user, so timing does not reveal whether the user exists
+_NO_LOGIN = (None, bytes(SALT_LEN), bytes(HASH_LEN))
+
+
 class Registry:
-    """Read-mostly customer registry; immutable once loaded."""
+    """Read-mostly customer registry; immutable once loaded. Both logins
+    live in one table, kind ("tunnel" or "service") -> user -> (customer
+    id, salt, hash)."""
 
     def __init__(self, records: Iterable[CustomerRecord] = ()):
         self._by_id: dict[str, CustomerRecord] = {}
-        self._by_tunnel_user: dict[str, CustomerRecord] = {}
-        self._by_service_user: dict[str, CustomerRecord] = {}
-        # dummy credentials keep the unknown-user path the same shape as the
-        # known-user path (hash + compare always run)
-        self._dummy_salt = bytes(SALT_LEN)
-        self._dummy_hash = bytes(HASH_LEN)
+        self._logins: dict[str, dict[str, tuple[str, bytes, bytes]]] = {"tunnel": {}, "service": {}}
         for record in records:
             self.add(record)
 
     def add(self, record: CustomerRecord) -> None:
+        entries = {
+            "tunnel": (record.tunnel_user, record.tunnel_salt, record.tunnel_hash),
+            "service": (record.service_user, record.service_salt, record.service_hash),
+        }
         if record.customer_id in self._by_id:
             raise DuplicateUser(f"duplicate customer_id {record.customer_id!r}")
-        if record.tunnel_user in self._by_tunnel_user:
-            raise DuplicateUser(f"duplicate tunnel_user {record.tunnel_user!r}")
-        if record.service_user in self._by_service_user:
-            raise DuplicateUser(f"duplicate service_user {record.service_user!r}")
+        for kind, (user, _salt, _hash) in entries.items():
+            if user in self._logins[kind]:
+                raise DuplicateUser(f"duplicate {kind}_user {user!r}")
         self._by_id[record.customer_id] = record
-        self._by_tunnel_user[record.tunnel_user] = record
-        self._by_service_user[record.service_user] = record
+        for kind, (user, salt, digest) in entries.items():
+            self._logins[kind][user] = (record.customer_id, salt, digest)
 
     def get(self, customer_id: str) -> CustomerRecord:
         return self._by_id[customer_id]
@@ -183,24 +187,17 @@ class Registry:
         """Verify one credential pair; returns the customer_id.
 
         Unknown user and wrong password raise the same AuthFailed, and both
-        paths hash and compare against a same-shape target so timing does
-        not reveal whether the user exists.
+        paths hash once and compare once, so timing does not reveal whether
+        the user exists. An unknown kind is a ValueError, before any hash.
         """
-        if kind == "tunnel":
-            record = self._by_tunnel_user.get(user)
-            salt = record.tunnel_salt if record else self._dummy_salt
-            expected = record.tunnel_hash if record else self._dummy_hash
-        elif kind == "service":
-            record = self._by_service_user.get(user)
-            salt = record.service_salt if record else self._dummy_salt
-            expected = record.service_hash if record else self._dummy_hash
-        else:
+        logins = self._logins.get(kind)
+        if logins is None:
             raise ValueError(f"unknown credential kind {kind!r}")
-        digest = hash_password(password, salt)
-        ok = hmac.compare_digest(digest, expected)
-        if record is None or not ok:
+        customer_id, salt, expected = logins.get(user, _NO_LOGIN)
+        ok = hmac.compare_digest(hash_password(password, salt), expected)
+        if customer_id is None or not ok:
             raise AuthFailed("auth failed")
-        return record.customer_id
+        return customer_id
 
 
 def _record_to_json(record: CustomerRecord) -> dict:
@@ -267,7 +264,7 @@ def _record_from_json(obj: dict) -> CustomerRecord:
     )
 
 
-def load_registry(path: str | Path) -> Registry:
+def load_registry(path: str | os.PathLike[str]) -> Registry:
     registry = Registry()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -282,7 +279,7 @@ def load_registry(path: str | Path) -> Registry:
     return registry
 
 
-def save_registry(registry: Registry, path: str | Path) -> None:
+def save_registry(registry: Registry, path: str | os.PathLike[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in registry:
             fh.write(json.dumps(_record_to_json(record), sort_keys=True) + "\n")
@@ -314,15 +311,20 @@ def _object_mac(master_key: bytes, customer_id: str, name: str, header: bytes) -
     return mac
 
 
+def _check_component(value: str, what: str, max_bytes: int, error: type[ValueError]) -> None:
+    """Raise `error` unless `value` can be one path component under the
+    store's root: not empty, "." or "..", no "/", "\\" or NUL, and at most
+    `max_bytes` in UTF-8."""
+    if value in ("", ".", "..") or "/" in value or "\\" in value or "\x00" in value:
+        raise error(f"invalid {what} {value!r}")
+    if len(value.encode("utf-8")) > max_bytes:
+        raise error(f"{what} too long: over {max_bytes} UTF-8 bytes")
+
+
 def validate_object_name(name: str) -> None:
     """Raise InvalidName for a name the store refuses; the client checks a
     put name with it before encrypting the object."""
-    if not name or name in (".", ".."):
-        raise InvalidName(f"object name {name!r} is reserved or empty")
-    if "/" in name or "\\" in name or "\x00" in name:
-        raise InvalidName(f"object name {name!r} contains forbidden characters")
-    if len(name.encode("utf-8")) > 255:
-        raise InvalidName("object name exceeds 255 UTF-8 bytes")
+    _check_component(name, "object name", 255, InvalidName)
     if name.startswith(_TMP_PREFIX):
         raise InvalidName(f"object name prefix {_TMP_PREFIX!r} is reserved")
 
@@ -358,12 +360,7 @@ def _write_all(fd: int, buffers: list) -> None:
 
 
 def _validate_customer_id(customer_id: str) -> None:
-    if not customer_id or customer_id in (".", ".."):
-        raise ValueError(f"invalid customer id {customer_id!r}")
-    if "/" in customer_id or "\\" in customer_id or "\x00" in customer_id:
-        raise ValueError(f"invalid customer id {customer_id!r}")
-    if len(customer_id.encode("utf-8")) > 200:
-        raise ValueError("customer id too long")
+    _check_component(customer_id, "customer id", 200, ValueError)
 
 
 class ObjectStore:
@@ -390,7 +387,8 @@ class ObjectStore:
     and counts nothing to the quota; one left by a crash is removed by the
     next startup scan (`scan_removed`). No write is synced to disk (`fsync`).
 
-    Object files are reached through bare descriptors (os.open, os.writev,
+    The root, kept as given, is reached through `os` calls alone. Object
+    files are reached through bare descriptors (os.open, os.writev,
     os.readv), not through `io` file objects, since each system call on a
     gateway session thread can wait out a GIL switch interval on its return:
     a 1 KiB put opens, writes, closes and renames, and a get opens, sizes,
@@ -411,9 +409,9 @@ class ObjectStore:
     writes a buffer it was handed.
     """
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: str | os.PathLike[str]):
+        self.root = root
+        os.makedirs(root, exist_ok=True)
         self._lock = threading.Lock()
         self._sizes: dict[str, dict[str, int]] = {}  # object file sizes
         self._used: dict[str, int] = {}  # per customer, the sum of its sizes
@@ -567,7 +565,7 @@ class ObjectStore:
         """Object names in lexicographic byte order, read from the size
         table; empty for a customer that has never stored anything."""
         _validate_customer_id(customer_id)
-        if not self.root.is_dir():
+        if not os.path.isdir(self.root):
             raise FileNotFoundError(f"object store root missing: {self.root}")
         with self._lock:
             return sorted(self._sizes.get(customer_id, ()))

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .client import AuthRefused, ClientError, ClientSession, CommandRefused, ProtocolFailure
 from .protocol import ProtocolOrderError
+from .wire import MAX_FRAME_LEN
 
 EXIT_OK = 0
 EXIT_AUTH = 2
@@ -158,8 +159,10 @@ class _Console:
             raise _UsageError("put: usage: put <local-file> <name>")
         local, name = args
         try:
+            # one byte more than a frame holds is enough for the put to be
+            # refused, and bounds the read of an endless file (/dev/zero)
             with open(local, "rb") as fh:
-                data = fh.read()
+                data = fh.read(MAX_FRAME_LEN + 1)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             self.say(f"cannot read {local}: {exc}")
             return  # local trouble does not end the session

@@ -182,13 +182,14 @@ def gateway_factory(tmp_path):
         group: DhGroup = TEST_SMALL,
         max_sessions: int = 256,
         master_key: bytes | None = None,
+        listen_addr: str = "127.0.0.1:0",
     ) -> SimpleNamespace:
         base = tmp_path / f"gw{len(started)}"
         base.mkdir(parents=True, exist_ok=True)
         registry_path = base / "registry.jsonl"
         save_registry(Registry(c.record for c in customers), registry_path)
         config = GatewayConfig(
-            listen_addr="127.0.0.1:0",
+            listen_addr=listen_addr,
             registry_path=str(registry_path),
             objects_dir=str(base / "objects"),
             master_key_hex=(master_key or os.urandom(16)).hex(),

@@ -334,6 +334,13 @@ def test_cbc_encrypt_rejects_unpadded_lengths():
             aes.cbc_encrypt(bytearray(n), schedule, iv)
 
 
+@pytest.mark.parametrize("cipher", [aes.cbc_encrypt, aes.cbc_decrypt], ids=["encrypt", "decrypt"])
+@pytest.mark.parametrize("n", [0, 15, 17])
+def test_cbc_rejects_bad_iv_lengths(cipher, n):
+    with pytest.raises(ValueError, match="iv must be exactly 16 bytes"):
+        cipher(bytearray(32), aes.key_expansion(b"k" * 16), bytes(n))
+
+
 def test_cbc_decrypt_rejects_bad_lengths():
     with pytest.raises(aes.PaddingError):
         aes.cbc_decrypt(b"x" * 15, aes.key_expansion(b"k" * 16), b"i" * 16)

@@ -294,6 +294,27 @@ def test_readiness_line_and_round_trip(gateway_factory, capsys):
     session.close()
 
 
+def _ipv6_loopback_bindable() -> bool:
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _ipv6_loopback_bindable(), reason="::1 cannot be bound here")
+@pytest.mark.parametrize("listen_addr", ["::1:0", "[::1]:0"], ids=["bare", "bracketed"])
+def test_gateway_listens_on_ipv6(gateway_factory, listen_addr):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme], listen_addr=listen_addr)
+    assert handle.host == "::1"
+    session = open_session(handle, acme)
+    session.put("v6", b"over ipv6")
+    assert session.get("v6") == b"over ipv6"
+    assert session.list_names() == ["v6"]
+    session.close()
+
+
 def test_two_customers_have_independent_spaces(gateway_factory):
     acme = provision_customer("acme")
     bravo = provision_customer("bravo")
@@ -527,6 +548,29 @@ def test_per_session_failure_isolated(gateway_factory):
     healthy.put("still", b"alive")
     assert healthy.get("still") == b"alive"
     healthy.close()
+
+
+def test_internal_error_ends_only_its_session(gateway_factory, monkeypatch):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    real = gateway.server_handle_frame
+    failed = []
+
+    def fail_once(*args):
+        if not failed:
+            failed.append(True)
+            raise RuntimeError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(gateway, "server_handle_frame", fail_once)
+    with pytest.raises(ProtocolFailure):
+        open_session(handle, acme)
+    # the class name only: the exception's text is not audited
+    assert audit_events(handle, 1)[0] == "internal error RuntimeError"
+    session = open_session(handle, acme)
+    session.put("after", b"served")
+    assert session.get("after") == b"served"
+    session.close()
 
 
 def test_shutdown_drains_and_stops_accepting(gateway_factory):

@@ -97,6 +97,10 @@ def test_entropy_failure_is_typed():
     with pytest.raises(EntropyError):
         dh_generate(TEST_SMALL, randbelow=out_of_range)
 
+    # draws private 11 every time, whose public 5^11 mod 23 = 22 is p - 1
+    with pytest.raises(EntropyError, match="kept producing degenerate key pairs"):
+        dh_generate(TEST_SMALL, randbelow=lambda n: 9)
+
 
 def test_group14_privates_are_256_bit():
     # 2 + randbelow(2^256) reaches 2^256 + 1, which takes 257 bits

@@ -297,6 +297,14 @@ def test_full_login(wire, acme):
     assert wire.server.customer_id == "acme"
 
 
+def test_server_hello_before_client_hello_is_out_of_order():
+    state = P.SessionState()
+    server_hello = encode_mpint(dh_generate(TEST_SMALL).public) + bytes(16)
+    with pytest.raises(P.ProtocolOrderError, match="before ClientHello"):
+        P.client_handle_server_hello(state, server_hello, TEST_SMALL)
+    assert state.phase is P.Phase.INIT
+
+
 def test_service_request_requires_tunnel():
     state = P.SessionState()
     with pytest.raises(P.ProtocolOrderError):

@@ -19,6 +19,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 try:
     import resource
@@ -71,6 +73,19 @@ def test_registry_round_trip(tmp_path):
     loaded = load_registry(path)
     assert sorted(r.customer_id for r in loaded) == ["acme", "bravo"]
     assert loaded.get("acme") == a
+    assert loaded.get("bravo") == b
+
+
+@pytest.mark.parametrize("gap", ["\n", "   \n", "\t \n\n \n"], ids=["blank", "spaces", "several"])
+def test_blank_lines_between_records_are_skipped(tmp_path, gap):
+    a = provision_customer("acme").record
+    b = provision_customer("bravo").record
+    path = tmp_path / "registry.jsonl"
+    save_registry(Registry([a]), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(gap + json.dumps(vault._record_to_json(b)) + "\n" + gap)
+    loaded = load_registry(path)
+    assert [r.customer_id for r in loaded] == ["acme", "bravo"]
     assert loaded.get("bravo") == b
 
 
@@ -453,6 +468,54 @@ def test_overwrite_replaces_content(store):
 def test_invalid_names(store, name):
     with pytest.raises(InvalidName):
         store.put_object("acme", name, b"x", MASTER, QUOTA)
+
+
+def _component_ok(value: str, max_bytes: int) -> bool:
+    """The store's rule for one path component under its root, stated
+    apart from the code that enforces it."""
+    return (
+        value not in ("", ".", "..")
+        and not {"/", "\\", "\x00"} & set(value)
+        and len(value.encode("utf-8")) <= max_bytes
+    )
+
+
+# 1-, 2-, 3- and 4-byte UTF-8 characters, and every character the rule names
+_NAME_ALPHABET = "a-t.\u00e9\u20ac\U0001d11e/\\\x00"
+
+
+@st.composite
+def _near_a_cap(draw) -> str:
+    """A run of one character whose UTF-8 size lands within a few bytes of
+    the customer-id cap (200) or the object-name cap (255), behind a drawn
+    prefix and before a few drawn characters."""
+    filler = draw(st.sampled_from("a\u00e9\u20ac\U0001d11e"))
+    size = draw(st.sampled_from([200, 255])) + draw(st.integers(-8, 8))
+    prefix = draw(st.sampled_from(["", ".", ".tmp-", "tmp-"]))
+    run = filler * ((size - len(prefix)) // len(filler.encode("utf-8")))
+    return prefix + run + draw(st.text(_NAME_ALPHABET, max_size=4))
+
+
+@given(st.one_of(st.text(_NAME_ALPHABET, max_size=8), _near_a_cap()))
+@example("")
+@example("..")
+@example(".tmp-")
+@example("x" * 200)
+@example("x" * 201)
+@example("\u00e9" * 127 + "x")
+@example("\u00e9" * 128)
+def test_names_and_customer_ids_follow_one_component_rule(value):
+    name_ok = _component_ok(value, 255) and not value.startswith(".tmp-")
+    try:
+        vault.validate_object_name(value)
+        assert name_ok, value
+    except InvalidName:
+        assert not name_ok, value
+    try:
+        vault._validate_customer_id(value)
+        assert _component_ok(value, 200), value
+    except ValueError:
+        assert not _component_ok(value, 200), value
 
 
 def test_over_quota_put_is_refused_before_encryption(store, monkeypatch):

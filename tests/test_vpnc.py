@@ -16,6 +16,11 @@ import time
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from csg.keyx import RFC3526_GROUP14
 
 from conftest import make_certificate, provision_customer
@@ -29,7 +34,9 @@ def gateway_factory(gateway_factory):
     return functools.partial(gateway_factory, group=RFC3526_GROUP14)
 
 
-def run_script(tmp_path, handle, customer, lines, *, env_extra=None, name="script"):
+def run_script(
+    tmp_path, handle, customer, lines, *, env_extra=None, name="script", command=VPNC
+):
     script = tmp_path / f"{name}.txt"
     script.write_text("\n".join(lines) + "\n")
     env = dict(os.environ)
@@ -37,7 +44,7 @@ def run_script(tmp_path, handle, customer, lines, *, env_extra=None, name="scrip
     env["CSG_SERVICE_PASS"] = customer.service_pass
     env.update(env_extra or {})
     return subprocess.run(
-        VPNC + ["run", "--script", str(script)],
+        command + ["run", "--script", str(script)],
         capture_output=True,
         text=True,
         timeout=60,
@@ -252,6 +259,44 @@ def test_script_over_quota_put_is_refused_and_session_goes_on(gateway_factory, t
         "quota exceeded", "stored small", "retrieved small (4 bytes)",
     ]
     assert (tmp_path / "out.txt").read_bytes() == b"fits"
+
+
+@pytest.mark.skipif(
+    resource is None or not os.path.exists("/dev/zero"), reason="needs RLIMIT_AS and /dev/zero"
+)
+def test_script_put_of_an_endless_file_is_refused_and_session_goes_on(gateway_factory, tmp_path):
+    # put reads one byte more than a frame holds, then refuses the object;
+    # read whole, /dev/zero would exhaust the address-space cap, which is
+    # set in the vpnc process alone, before csg loads
+    capped_vpnc = [
+        sys.executable,
+        "-c",
+        "import resource, runpy\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000))\n"
+        "runpy.run_module('csg.vpnc', run_name='__main__', alter_sys=True)",
+    ]
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    source = tmp_path / "notes.txt"
+    source.write_bytes(b"notes")
+    result = run_script(
+        tmp_path,
+        handle,
+        acme,
+        [
+            connect_line(handle, acme),
+            login_line(acme),
+            f"put {source} notes",
+            "put /dev/zero big",
+            "ls",
+        ],
+        command=capped_vpnc,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[2:] == [
+        "stored notes", "object too large for one frame", "notes",
+    ]
+    assert "Traceback" not in result.stderr + result.stdout
 
 
 def test_script_overlong_name_is_refused_and_session_goes_on(gateway_factory, tmp_path):

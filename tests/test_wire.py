@@ -200,6 +200,16 @@ def test_mpint_round_trip():
         r.expect_end()
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [(-1, "non-negative"), (1 << 8 * 65535, "u16 length prefix")],  # the latter: 65,536 bytes
+    ids=["negative", "65536-bytes"],
+)
+def test_mpint_out_of_range(n, message):
+    with pytest.raises(ValueError, match=message):
+        encode_mpint(n)
+
+
 def test_mpint_has_no_leading_zero_bytes():
     raw = encode_mpint(8)
     assert raw == b"\x00\x01\x08"
