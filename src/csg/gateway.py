@@ -396,18 +396,14 @@ class Gateway:
             return False
         except FrameError as exc:
             self.audit.append(session_id, f"frame error {type(exc).__name__}")
-            self._try_send(conn, Frame(MessageType.ERROR, encode_str("bad frame")))
+            try:
+                conn.sendall(Frame(MessageType.ERROR, encode_str("bad frame")).encode())
+            except OSError:
+                pass
             return False
         for frame in server_handle_frame(state, msg_type, payload, ctx):
             conn.sendall(frame.encode())
         return True
-
-    @staticmethod
-    def _try_send(conn: socket.socket, frame: Frame) -> None:
-        try:
-            conn.sendall(frame.encode())
-        except OSError:
-            pass
 
     def shutdown(self, drain_seconds: float = DRAIN_SECONDS) -> None:
         """Stop accepting, give active sessions `drain_seconds` to finish,

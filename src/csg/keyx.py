@@ -20,6 +20,8 @@ PASSWORD_HASH_ITERATIONS = 10_000
 # The registry tag of the stored password hashes: a record without this exact
 # tag was hashed some other way and cannot be checked.
 PASSWORD_KDF = f"pbkdf2-hmac-sha256/{PASSWORD_HASH_ITERATIONS}"
+SALT_LEN = 16  # bytes of a stored password's salt
+HASH_LEN = 32  # bytes of a stored password hash: one PBKDF2 block of HMAC-SHA256
 
 # Size of a generated private exponent. RFC 3526 section 8 gives group 14 an
 # exponent of 220-320 bits, and NIST SP 800-56A Rev. 3 allows 2s = 224 bits
@@ -191,12 +193,13 @@ def derive_keys(shared: bytes) -> SessionKeys:
 
 def hash_password(password: str, salt: bytes) -> bytes:
     """PBKDF2-HMAC-SHA256 (RFC 8018 section 5.2) of the UTF-8 password
-    under a 16-byte salt for stored credentials; returns 32 bytes. It runs
-    PASSWORD_HASH_ITERATIONS, the count the registry's PASSWORD_KDF tag
-    names. Each iteration costs two SHA-256 compressions, in OpenSSL's loop.
+    under a SALT_LEN-byte salt for stored credentials; returns HASH_LEN
+    bytes. It runs PASSWORD_HASH_ITERATIONS, the count the registry's
+    PASSWORD_KDF tag names. Each iteration costs two SHA-256 compressions,
+    in OpenSSL's loop.
     """
-    if len(salt) != 16:
-        raise ValueError("salt must be exactly 16 bytes")
+    if len(salt) != SALT_LEN:
+        raise ValueError(f"salt must be exactly {SALT_LEN} bytes")
     return hashlib.pbkdf2_hmac(
-        "sha256", password.encode("utf-8"), salt, PASSWORD_HASH_ITERATIONS
+        "sha256", password.encode("utf-8"), salt, PASSWORD_HASH_ITERATIONS, HASH_LEN
     )

@@ -144,6 +144,14 @@ class SessionState:
         self.keys = keys
         self.schedules = {name: aes.key_expansion(key) for name, key in keys._asdict().items()}
 
+    def agree(self, peer_public: int, group: DhGroup) -> None:
+        """The key agreement of both sides: derive and hold the session keys
+        from the peer's DH public and this side's keypair, then drop the
+        keypair. Raises InvalidPublicKey, before any key is set, for a
+        degenerate peer public."""
+        self.set_keys(derive_keys(dh_shared(self.dh_keypair, peer_public, group)))
+        self.dh_keypair = None
+
 
 def _step(state: SessionState, msg_type: MessageType) -> _Step:
     """The row of `msg_type`, as request or reply; refused outside its phase."""
@@ -225,10 +233,8 @@ def client_handle_server_hello(
     server_public = r.mpint()
     nonce = bytes(r.take(16))
     r.expect_end()
-    shared = dh_shared(state.dh_keypair, server_public, group)
-    state.set_keys(derive_keys(shared))
+    state.agree(server_public, group)
     state.server_nonce = nonce
-    state.dh_keypair = None
     state.phase = step.next_phase
 
 
@@ -316,24 +322,15 @@ def disconnect(state: SessionState) -> Frame:
 # server side
 # --------------------------------------------------------------------------
 
-class ServerContext:
+class ServerContext(NamedTuple):
     """Everything one server session needs besides its SessionState."""
 
-    def __init__(
-        self,
-        registry: Registry,
-        store: ObjectStore,
-        master_key: bytes,
-        group: DhGroup,
-        now: Callable[[], float] = time.time,
-        audit: Callable[[str, Optional[str]], None] = _noop_audit,
-    ) -> None:
-        self.registry = registry
-        self.store = store
-        self.master_key = master_key
-        self.group = group
-        self.now = now
-        self.audit = audit
+    registry: Registry
+    store: ObjectStore
+    master_key: bytes
+    group: DhGroup
+    now: Callable[[], float] = time.time
+    audit: Callable[[str, Optional[str]], None] = _noop_audit
 
 
 def server_hello(state: SessionState, client_payload: bytes, group: DhGroup) -> Frame:
@@ -362,8 +359,7 @@ def server_derive_keys(state: SessionState, group: DhGroup) -> None:
     is pending."""
     if state.client_public is None:
         return
-    state.set_keys(derive_keys(dh_shared(state.dh_keypair, state.client_public, group)))
-    state.dh_keypair = None
+    state.agree(state.client_public, group)
     state.client_public = None
 
 

@@ -28,20 +28,27 @@ import threading
 from typing import Iterable, Iterator, NamedTuple
 
 from . import aes
-from .keyx import PASSWORD_KDF, hash_password, sub_key
+from .keyx import HASH_LEN, PASSWORD_KDF, SALT_LEN, hash_password, sub_key
 
 STORAGE_RIGHT = "storage"
 
 OBJECT_MAGIC = b"CSG1"
 OBJECT_VERSION = 0x03
-OBJECT_HEADER_LEN = 29  # magic(4) + version(1) + counter(16) + length(8)
+# magic, version byte, 16-byte initial counter, u64 plaintext length
+_OBJECT_HEADER = struct.Struct(">4sB16sQ")
+OBJECT_HEADER_LEN = _OBJECT_HEADER.size
 OBJECT_TAG_LEN = 32  # HMAC-SHA256, after the ciphertext
 
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
 _CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
-SALT_LEN = 16  # as hash_password requires
-HASH_LEN = 32  # a SHA-256 digest
+# the registry's binary fields, hex on a line, and their sizes in bytes
+_HEX_FIELDS = {
+    "tunnel_salt": SALT_LEN,
+    "tunnel_hash": HASH_LEN,
+    "service_salt": SALT_LEN,
+    "service_hash": HASH_LEN,
+}
 
 
 class ParseError(ValueError):
@@ -128,8 +135,8 @@ def make_customer_record(
 ) -> CustomerRecord:
     """Provisioning helper: draws fresh independent salts and hashes the
     two passwords for storage."""
-    tunnel_salt = os.urandom(16)
-    service_salt = os.urandom(16)
+    tunnel_salt = os.urandom(SALT_LEN)
+    service_salt = os.urandom(SALT_LEN)
     return CustomerRecord(
         customer_id=customer_id,
         tunnel_user=tunnel_user,
@@ -203,7 +210,7 @@ class Registry:
 def _record_to_json(record: CustomerRecord) -> dict:
     obj = record._asdict()
     obj["certificate"] = record.certificate._asdict()
-    for key in ("tunnel_salt", "tunnel_hash", "service_salt", "service_hash"):
+    for key in _HEX_FIELDS:
         obj[key] = obj[key].hex()
     obj["kdf"] = PASSWORD_KDF
     return obj
@@ -246,11 +253,8 @@ def _record_from_json(obj: dict) -> CustomerRecord:
     return CustomerRecord(
         customer_id=customer_id,
         tunnel_user=_typed(obj, "tunnel_user", str),
-        tunnel_salt=_hex_bytes(obj, "tunnel_salt", SALT_LEN),
-        tunnel_hash=_hex_bytes(obj, "tunnel_hash", HASH_LEN),
         service_user=_typed(obj, "service_user", str),
-        service_salt=_hex_bytes(obj, "service_salt", SALT_LEN),
-        service_hash=_hex_bytes(obj, "service_hash", HASH_LEN),
+        **{key: _hex_bytes(obj, key, size) for key, size in _HEX_FIELDS.items()},
         space_path=_typed(obj, "space_path", str),
         certificate=Certificate(
             customer_id=customer_id,
@@ -336,15 +340,14 @@ def _parse_header(header: bytes, file_size: int) -> bytes:
     """
     if len(header) < OBJECT_HEADER_LEN:
         raise CorruptObject("object file shorter than its header")
-    if header[:4] != OBJECT_MAGIC:
+    magic, version, counter, size = _OBJECT_HEADER.unpack_from(header)
+    if magic != OBJECT_MAGIC:
         raise CorruptObject("bad magic")
-    version = header[4]
     if version != OBJECT_VERSION:
         raise CorruptObject(f"unsupported object version 0x{version:02x}")
-    (size,) = struct.unpack(">Q", header[21:29])
     if file_size != OBJECT_HEADER_LEN + size + OBJECT_TAG_LEN:
         raise CorruptObject("ciphertext length does not match the header")
-    return header[5:21]
+    return counter
 
 
 def _write_all(fd: int, buffers: list) -> None:
@@ -494,7 +497,7 @@ class ObjectStore:
             self._check_quota(customer_id, name, file_size, quota_bytes)
         schedule = aes.key_expansion(storage_key(master_key, customer_id))
         counter = os.urandom(aes.BLOCK_SIZE)
-        header = OBJECT_MAGIC + bytes([OBJECT_VERSION]) + counter + struct.pack(">Q", size)
+        header = _OBJECT_HEADER.pack(OBJECT_MAGIC, OBJECT_VERSION, counter, size)
         mac = _object_mac(master_key, customer_id, name, header)
         directory = self._dir(customer_id)
         # the counter is fresh for every put, so it names the temp file too

@@ -44,20 +44,20 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_kv_args(words: list[str], known: dict[str, bool], command: str) -> dict[str, str]:
-    """Parse `--key value` pairs; `known` maps key name to required-ness."""
+def _parse_kv_args(words: list[str], keys: tuple[str, ...], command: str) -> dict[str, str]:
+    """Parse `--key value` pairs; each of `keys` is required."""
     values: dict[str, str] = {}
     i = 0
     while i < len(words):
         word = words[i]
-        if not word.startswith("--") or word[2:] not in known:
+        if not word.startswith("--") or word[2:] not in keys:
             raise _UsageError(f"{command}: unexpected argument {word!r}")
         if i + 1 >= len(words):
             raise _UsageError(f"{command}: {word} needs a value")
         values[word[2:]] = words[i + 1]
         i += 2
-    for key, required in known.items():
-        if required and key not in values:
+    for key in keys:
+        if key not in values:
             raise _UsageError(f"{command}: --{key} is required")
     return values
 
@@ -77,13 +77,12 @@ class _Console:
     and `run` the one loop that splits lines.
     """
 
-    def __init__(self, read_secret: Callable[[str, str], str], out: TextIO = sys.stdout):
+    def __init__(self, read_secret: Callable[[str, str], str]):
         self.read_secret = read_secret
-        self.out = out
         self.session: Optional[ClientSession] = None
 
     def say(self, text: str) -> None:
-        print(text, file=self.out, flush=True)
+        print(text, flush=True)
 
     def run(self, lines: Iterable[str], stop_on_usage: bool) -> int:
         """Execute each line; a usage error exits 4 when `stop_on_usage`,
@@ -130,7 +129,7 @@ class _Console:
     def _connect(self, args: list[str]) -> Optional[int]:
         if self.session is not None:
             raise _UsageError("connect: already connected")
-        kv = _parse_kv_args(args, {"host": True, "port": True, "user": True}, "connect")
+        kv = _parse_kv_args(args, ("host", "port", "user"), "connect")
         host, port = kv["host"], kv["port"]
         if not port.isdecimal() or not 1 <= int(port) <= 65535:
             raise _UsageError(f"connect: bad port {port!r} (expected 1-65535)")
@@ -149,7 +148,7 @@ class _Console:
         return None
 
     def _login(self, args: list[str]) -> None:
-        kv = _parse_kv_args(args, {"path": True, "user": True}, "login")
+        kv = _parse_kv_args(args, ("path", "user"), "login")
         password = self.read_secret("service", "service password: ")
         self.session.login(kv["path"], kv["user"], password)
         self.say("access granted")

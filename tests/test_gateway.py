@@ -27,7 +27,7 @@ from csg.client import ClientSession, ProtocolFailure
 from csg.gateway import AuditLog, ConfigError, GatewayConfig, load_config
 from csg.keyx import TEST_SMALL
 from csg.vault import Registry, save_registry
-from csg.wire import Frame, MessageType, encode_frame, encode_str
+from csg.wire import MAX_FRAME_LEN, Frame, MessageType, decode_frame, encode_frame, encode_str
 
 from conftest import (
     ScriptedClient,
@@ -760,6 +760,25 @@ def test_clean_end_is_told_apart_from_a_cut_frame(gateway_factory, sent, event):
     handle = gateway_factory([provision_customer("acme")])
     with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
         sock.sendall(sent)
+    assert audit_events(handle, 1) == [event]
+
+
+@pytest.mark.parametrize(
+    "sent, event",
+    [
+        # the declared length alone is refused; no payload byte is sent
+        (struct.pack(">IB", MAX_FRAME_LEN + 1, MessageType.PUT), "frame error FrameTooLarge"),
+        (struct.pack(">IB", 1, 0xEE), "frame error UnknownType"),  # an unassigned type byte
+    ],
+    ids=["too-large", "unknown-type"],
+)
+def test_undecodable_frame_is_answered_bad_frame(gateway_factory, sent, event):
+    handle = gateway_factory([provision_customer("acme")])
+    with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+        sock.sendall(sent)
+        with sock.makefile("rb") as stream:
+            assert decode_frame(stream) == (MessageType.ERROR, encode_str("bad frame"))
+            assert stream.read() == b""  # then the gateway closes the connection
     assert audit_events(handle, 1) == [event]
 
 

@@ -182,7 +182,9 @@ def test_dispatcher_turns_bad_hello_into_error_frame(ctx):
 
 def test_phase1_success(wire, acme):
     events = []
-    wire.ctx.audit = lambda event, customer_id: events.append((event, customer_id))
+    wire.ctx = wire.ctx._replace(
+        audit=lambda event, customer_id: events.append((event, customer_id))
+    )
     ok, reason = wire.handshake(acme)
     assert (ok, reason) == (True, "")
     assert wire.server.phase is P.Phase.TUNNEL_ESTABLISHED
@@ -231,8 +233,8 @@ def test_phase1_server_recovers_exact_credentials(ctx):
 
     def owner(answer, nonce=server.server_nonce, payload=auth.payload):
         registry = _RecordingRegistry(answer)
-        state, stub_ctx = copy.copy(server), copy.copy(ctx)
-        state.server_nonce, stub_ctx.registry = nonce, registry
+        state, stub_ctx = copy.copy(server), ctx._replace(registry=registry)
+        state.server_nonce = nonce
         found = P._credential_owner(
             state, MessageType.PHASE1_AUTH, "tunnel", bytearray(payload), stub_ctx
         )
@@ -380,7 +382,7 @@ def test_certificate_rights_missing_reason(tmp_path):
 
 
 def test_certificate_checked_against_injected_clock(ctx, acme):
-    ctx.now = lambda: acme.record.certificate.expiry_date  # exactly at expiry
+    ctx = ctx._replace(now=lambda: acme.record.certificate.expiry_date)  # exactly at expiry
     wire = Wire(ctx)
     assert wire.handshake(acme)[0]
     ok, reason = wire.login(acme)
@@ -473,7 +475,7 @@ def test_put_statuses(tmp_path):
 
 def test_put_storage_failure_is_a_status_not_an_error_frame(ctx, wire, acme, tmp_path):
     events: list[str] = []
-    ctx.audit = lambda event, _customer_id: events.append(event)
+    wire.ctx = ctx._replace(audit=lambda event, _customer_id: events.append(event))
     assert wire.handshake(acme)[0]
     assert wire.login(acme)[0]
     (tmp_path / "objects" / "acme").write_bytes(b"")  # where the customer's directory goes
@@ -491,7 +493,7 @@ def test_get_of_a_corrupt_object_is_a_status_not_an_error_frame(
     ctx, wire, acme, tmp_path, damage
 ):
     events: list[str] = []
-    ctx.audit = lambda event, _customer_id: events.append(event)
+    wire.ctx = ctx._replace(audit=lambda event, _customer_id: events.append(event))
     assert wire.handshake(acme)[0]
     assert wire.login(acme)[0]
     reply = wire.send(P.build_put(wire.client, "kept", b"kept"))
@@ -551,7 +553,7 @@ def test_list_storage_failure_sends_error_frame(tmp_path, acme):
 )
 def test_list_too_large_for_one_frame_sends_error_frame(ctx, acme, monkeypatch, names):
     events: list[str] = []
-    ctx.audit = lambda event, _customer_id: events.append(event)
+    ctx = ctx._replace(audit=lambda event, _customer_id: events.append(event))
     wire = Wire(ctx)
     assert wire.handshake(acme)[0]
     assert wire.login(acme)[0]
@@ -754,7 +756,7 @@ def test_client_order_enforcement_full_grid(monkeypatch):
 )
 def test_dispatch_error_reason_and_audit(ctx, phase, msg_type, payload, reason):
     events: list[str] = []
-    ctx.audit = lambda event, _customer_id: events.append(event)
+    ctx = ctx._replace(audit=lambda event, _customer_id: events.append(event))
     state = _state_in(phase, derive_keys(os.urandom(32)), os.urandom(16))
     frames = P.server_handle_frame(state, msg_type, payload, ctx)
     assert [f.msg_type for f in frames] == [MessageType.ERROR]

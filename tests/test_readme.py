@@ -1,5 +1,6 @@
 """The README's provisioning example and `gateway.json`, run as written: a
-registry they produce serves a session on group 14."""
+registry they produce serves a session on group 14. The README's config
+table names each key with the flag, variable and default the code gives it."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import re
 from pathlib import Path
 
 from csg.client import ClientSession
-from csg.gateway import Gateway, load_config
+from csg.gateway import Gateway, GatewayConfig, load_config
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -37,3 +38,35 @@ def test_readme_registry_and_config_serve_a_session(tmp_path, monkeypatch):
             assert session.list_names() == ["notes"]
     finally:
         gateway.shutdown(drain_seconds=2.0)
+
+
+def _config_table() -> list[list[str]]:
+    """The rows of README's gateway config table, each cell without its
+    backquotes."""
+    header = "| key | flag | environment variable | default | accepted values |"
+    lines = README.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    return [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in lines[1:]]
+
+
+# a legal value of each key that has a flag: not its default, nor its value
+# in the environment below
+_FLAG_VALUES = {
+    "registry_path": "registry.jsonl",
+    "objects_dir": "objects",
+    "listen_addr": "127.0.0.2:9444",
+    "audit_log": "audit.log",
+}
+
+
+def test_readme_config_table_matches_the_code():
+    rows = _config_table()
+    assert [row[0] for row in rows] == list(GatewayConfig._fields)
+    # the keys without a default
+    env = {"CSG_REGISTRY_PATH": "env.jsonl", "CSG_OBJECTS_DIR": "env-objects",
+           "CSG_MASTER_KEY_HEX": "ff" * 16}
+    for key, flag, env_name, default, _accepted in rows:
+        assert env_name == "CSG_" + key.upper(), key
+        assert default == str(GatewayConfig._field_defaults.get(key, "none")), key
+        if flag != "—":
+            config = load_config([flag, _FLAG_VALUES[key]], env=env)
+            assert getattr(config, key) == _FLAG_VALUES[key], key
