@@ -6,12 +6,14 @@
 # definition and cross-checked against each other.
 #
 # encrypt_block/decrypt_block are the single-block reference. CBC is the
-# tunnel's cipher; its encryption is block-serial through encrypt_block,
-# because each block chains on the previous ciphertext. encrypt_block runs
-# the four-table round of the Rijndael proposal (Daemen and Rijmen, 1999,
-# 5.2.1) on four 32-bit column words and reads none of the engine's tables,
-# so it checks CTR mode. No production path calls decrypt_block: it is the
-# plain InvCipher loop of FIPS-197 5.3, independent of the engine it checks.
+# tunnel's cipher; its encryption is block-serial, because each block chains
+# on the previous ciphertext. cbc_encrypt is one loop over the blocks that
+# runs the four-table round of the Rijndael proposal (Daemen and Rijmen,
+# 1999, 5.2.1) on four 32-bit column words, and encrypt_block is its
+# one-block case under a zero IV; neither reads the engine's tables, so
+# encrypt_block checks CTR mode. No production path calls decrypt_block: it
+# is the plain InvCipher loop of FIPS-197 5.3, independent of the engine it
+# checks.
 # CBC decryption and CTR mode (the object store's cipher) have no chain, so
 # they run each round over a whole chunk of blocks at once, in chunks of a
 # fixed _CHUNK_BYTES that bound their scratch memory. One engine,
@@ -39,6 +41,8 @@ from typing import Iterator, NamedTuple
 
 BLOCK_SIZE = 16
 NUM_ROUNDS = 10
+# a block, or a round key, as four big-endian 32-bit column words
+_WORDS = struct.Struct(">4I")
 
 
 class PaddingError(ValueError):
@@ -47,51 +51,33 @@ class PaddingError(ValueError):
 
 
 # --------- GF(2^8) arithmetic, reduction polynomial x^8+x^4+x^3+x+1 ---------
+#
+# Every table is built from one: _XTIME[a] is a * 2, a shifted left one bit
+# with the polynomial's low byte 0x1B added when bit 7 falls out (FIPS-197
+# 4.2.1). Other products are sums of doublings: 3a = 2a ^ a, 9a = 8a ^ a,
+# and so on.
 
-def _gf_mul(a: int, b: int) -> int:
-    r = 0
-    for _ in range(8):
-        if b & 1:
-            r ^= a
-        hi = a & 0x80
-        a = (a << 1) & 0xFF
-        if hi:
-            a ^= 0x1B
-        b >>= 1
-    return r
-
-
-def _affine(x: int) -> int:
-    # bit i of output = x[i] ^ x[i+4] ^ x[i+5] ^ x[i+6] ^ x[i+7] ^ c[i], c = 0x63
-    out = 0
-    for i in range(8):
-        bit = (
-            (x >> i)
-            ^ (x >> ((i + 4) % 8))
-            ^ (x >> ((i + 5) % 8))
-            ^ (x >> ((i + 6) % 8))
-            ^ (x >> ((i + 7) % 8))
-            ^ (0x63 >> i)
-        ) & 1
-        out |= bit << i
-    return out
+_XTIME = bytes((a << 1 ^ 0x11B) if a & 0x80 else a << 1 for a in range(256))
 
 
 def _build_sboxes() -> tuple[bytes, bytes]:
-    # exp/log tables over the multiplicative group (generator 0x03) give the
-    # field inverse; the affine transform on top yields the forward S-box
+    # exp/log tables over the multiplicative group (generator 0x03, so each
+    # power is the last one times 2 plus itself) give the field inverse; the
+    # affine transform of FIPS-197 5.1.1 on top yields the forward S-box: b
+    # plus b rotated left by 1 to 4 bits, plus 0x63
     exp = [0] * 255
     x = 1
     for i in range(255):
         exp[i] = x
-        x = _gf_mul(x, 0x03)
+        x ^= _XTIME[x]
     log = [0] * 256
     for i, v in enumerate(exp):
         log[v] = i
     forward = bytearray(256)
     for v in range(256):
-        inv = 0 if v == 0 else exp[(255 - log[v]) % 255]
-        forward[v] = _affine(inv)
+        b = 0 if v == 0 else exp[-log[v]]
+        r = b | b << 8
+        forward[v] = (b ^ r >> 7 ^ r >> 6 ^ r >> 5 ^ r >> 4 ^ 0x63) & 0xFF
     inverse = bytearray(256)
     for v in range(256):
         inverse[forward[v]] = v
@@ -105,25 +91,23 @@ _SBOX, _INV_SBOX = _build_sboxes()
 # round constants 0x01..0x36, by repeated doubling in the field
 _RCON = [1]
 while len(_RCON) < NUM_ROUNDS:
-    _RCON.append(_gf_mul(_RCON[-1], 2))
+    _RCON.append(_XTIME[_RCON[-1]])
 _RCON = tuple(_RCON)
 
-
-def _mul_table(c: int) -> bytes:
-    return bytes(_gf_mul(c, x) for x in range(256))
-
-
-_MUL9 = _mul_table(0x09)
-_MUL11 = _mul_table(0x0B)
-_MUL13 = _mul_table(0x0D)
-_MUL14 = _mul_table(0x0E)
+# InvMixColumns' factors 9, 11, 13 and 14 as sums of a, 2a, 4a and 8a
+_X4 = _XTIME.translate(_XTIME)
+_X8 = _X4.translate(_XTIME)
+_MUL9 = bytes(a ^ e for a, e in zip(range(256), _X8))
+_MUL11 = bytes(a ^ b ^ e for a, b, e in zip(range(256), _XTIME, _X8))
+_MUL13 = bytes(a ^ d ^ e for a, d, e in zip(range(256), _X4, _X8))
+_MUL14 = bytes(b ^ d ^ e for b, d, e in zip(_XTIME, _X4, _X8))
 
 
 # --------- key expansion ---------
 
 class KeySchedule:
     """The FIPS-197 5.2 key schedule: its 44 words as big-endian integers,
-    row 0 in the top byte, the form encrypt_block adds them in, and the same
+    row 0 in the top byte, the form cbc_encrypt adds them in, and the same
     bytes as 11 round keys; round_keys[0] is the cipher key itself."""
 
     def __init__(self, words: tuple[int, ...]) -> None:
@@ -156,7 +140,7 @@ def key_expansion(key: bytes) -> KeySchedule:
     if len(key) != BLOCK_SIZE:
         raise ValueError("cipher key must be exactly 16 bytes")
     sbox = _SBOX
-    w = list(struct.unpack(">4I", key))
+    w = list(_WORDS.unpack(key))
     for i in range(4, 4 * (NUM_ROUNDS + 1)):
         t = w[i - 1]
         if i % 4 == 0:
@@ -174,19 +158,19 @@ def key_expansion(key: bytes) -> KeySchedule:
 # --------- block encryption / decryption ---------
 #
 # decrypt_block keeps the state in flat input order: byte i sits at row
-# i % 4, column i // 4, so each run of 4 bytes is one column. encrypt_block
-# holds the same four columns as 32-bit big-endian words, row 0 in the top
-# byte, and runs each full round as the four-table round of the Rijndael
-# proposal (Daemen and Rijmen, 1999, 5.2.1): 16 table lookups and 4 key
-# words per round, with no per-byte state. CBC encryption runs every tunnel
-# payload through encrypt_block block by block, since each block chains on
-# the ciphertext before it. decrypt_block, which only the tests call, is the
-# plain round loop.
+# i % 4, column i // 4, so each run of 4 bytes is one column. Encryption
+# (cbc_encrypt, and encrypt_block as its one-block case) holds the same four
+# columns as 32-bit big-endian words, row 0 in the top byte, the form of
+# _WORDS, and runs each full round as the four-table round of the Rijndael
+# proposal (Daemen and Rijmen, 1999, 5.2.1): one _WORDS.pack splits the four
+# words into their 16 bytes, each indexes one of _TE0.._TE3, and four key
+# words are added, so no byte is cut out of a word by shifts and masks.
+# decrypt_block, which only the tests call, is the plain round loop.
 
 # _TE0[x] is the column SubBytes then MixColumns make of byte x in row 0,
 # (2*S(x), S(x), S(x), 3*S(x)); _TE1, _TE2 and _TE3, for rows 1 to 3, are it
 # rotated right by 8, 16 and 24 bits
-_TE0 = tuple(_gf_mul(2, s) << 24 | s << 16 | s << 8 | _gf_mul(3, s) for s in _SBOX)
+_TE0 = tuple(_XTIME[s] << 24 | s << 16 | s << 8 | (_XTIME[s] ^ s) for s in _SBOX)
 _TE1, _TE2, _TE3 = (
     tuple((t >> n | t << 32 - n) & 0xFFFFFFFF for t in _TE0) for n in (8, 16, 24)
 )
@@ -195,32 +179,13 @@ _TE1, _TE2, _TE3 = (
 def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
     """Encrypt one 16-byte block: AddRoundKey, 9 full rounds of
     SubBytes/ShiftRows/MixColumns/AddRoundKey, then a final round without
-    MixColumns."""
+    MixColumns. This is cbc_encrypt of one block under a zero IV, so the
+    forward round is written once."""
     if len(block) != BLOCK_SIZE:
         raise ValueError("block must be exactly 16 bytes")
-    te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
-    w = schedule.words
-    s0, s1, s2, s3 = struct.unpack(">4I", block)
-    s0, s1, s2, s3 = s0 ^ w[0], s1 ^ w[1], s2 ^ w[2], s3 ^ w[3]
-    for i in range(4, 4 * NUM_ROUNDS, 4):
-        # ShiftRows: column c reads row r from column c + r
-        s0, s1, s2, s3 = (
-            te0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255] ^ te3[s3 & 255] ^ w[i],
-            te0[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255] ^ te3[s0 & 255] ^ w[i + 1],
-            te0[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255] ^ te3[s1 & 255] ^ w[i + 2],
-            te0[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255] ^ te3[s2 & 255] ^ w[i + 3],
-        )
-    # final round: ShiftRows on the words, SubBytes on their bytes (the two
-    # commute), then AddRoundKey
-    shifted = struct.pack(
-        ">4I",
-        s0 & 0xFF000000 | s1 & 0xFF0000 | s2 & 0xFF00 | s3 & 0xFF,
-        s1 & 0xFF000000 | s2 & 0xFF0000 | s3 & 0xFF00 | s0 & 0xFF,
-        s2 & 0xFF000000 | s3 & 0xFF0000 | s0 & 0xFF00 | s1 & 0xFF,
-        s3 & 0xFF000000 | s0 & 0xFF0000 | s1 & 0xFF00 | s2 & 0xFF,
-    ).translate(_SBOX)
-    out = int.from_bytes(shifted, "big") ^ int.from_bytes(schedule.round_keys[NUM_ROUNDS], "big")
-    return out.to_bytes(BLOCK_SIZE, "big")
+    out = bytearray(block)
+    cbc_encrypt(out, schedule, bytes(BLOCK_SIZE))
+    return bytes(out)
 
 
 def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
@@ -417,18 +382,38 @@ def cbc_encrypt(data: bytearray | memoryview, schedule: KeySchedule, iv: bytes) 
     padding (padding(plaintext_len)), so its length is a positive multiple
     of 16. The IV must be 16 fresh random bytes from the caller; it is not
     written into data. Block-serial, since each block chains on the one
-    before.
+    before: each block is read as four words, encrypted in locals and
+    written back over itself, so the scratch does not grow with data.
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("iv must be exactly 16 bytes")
     view = memoryview(data)
     if not view or len(view) % BLOCK_SIZE != 0:
         raise ValueError("padded plaintext must be a positive multiple of 16 bytes")
-    prev = iv
-    for i in range(0, len(view), BLOCK_SIZE):
-        x = int.from_bytes(view[i : i + BLOCK_SIZE], "big") ^ int.from_bytes(prev, "big")
-        prev = encrypt_block(x.to_bytes(BLOCK_SIZE, "big"), schedule)
-        view[i : i + BLOCK_SIZE] = prev
+    te0, te1, te2, te3, sbox = _TE0, _TE1, _TE2, _TE3, _SBOX
+    unpack_from, pack, pack_into = _WORDS.unpack_from, _WORDS.pack, _WORDS.pack_into
+    # the 11 round keys as 4-tuples, straight from the schedule's words: a
+    # 36-word slice per call instead raised the gateway's peak RSS 0.2 MiB
+    it = iter(schedule.words)
+    (w0, w1, w2, w3), *full_rounds, (f0, f1, f2, f3) = zip(it, it, it, it)
+    p0, p1, p2, p3 = _WORDS.unpack(iv)
+    for pos in range(0, len(view), BLOCK_SIZE):
+        s0, s1, s2, s3 = unpack_from(view, pos)
+        s0, s1, s2, s3 = s0 ^ p0 ^ w0, s1 ^ p1 ^ w1, s2 ^ p2 ^ w2, s3 ^ p3 ^ w3
+        for k0, k1, k2, k3 in full_rounds:
+            a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = pack(s0, s1, s2, s3)
+            # ShiftRows: column c reads row r from column c + r
+            s0 = te0[a0] ^ te1[b1] ^ te2[c2] ^ te3[d3] ^ k0
+            s1 = te0[b0] ^ te1[c1] ^ te2[d2] ^ te3[a3] ^ k1
+            s2 = te0[c0] ^ te1[d1] ^ te2[a2] ^ te3[b3] ^ k2
+            s3 = te0[d0] ^ te1[a1] ^ te2[b2] ^ te3[c3] ^ k3
+        # final round: SubBytes and ShiftRows from the S-box, no MixColumns
+        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = pack(s0, s1, s2, s3)
+        p0 = (sbox[a0] << 24 | sbox[b1] << 16 | sbox[c2] << 8 | sbox[d3]) ^ f0
+        p1 = (sbox[b0] << 24 | sbox[c1] << 16 | sbox[d2] << 8 | sbox[a3]) ^ f1
+        p2 = (sbox[c0] << 24 | sbox[d1] << 16 | sbox[a2] << 8 | sbox[b3]) ^ f2
+        p3 = (sbox[d0] << 24 | sbox[a1] << 16 | sbox[b2] << 8 | sbox[c3]) ^ f3
+        pack_into(view, pos, p0, p1, p2, p3)
 
 
 def cbc_decrypt(data: bytearray | memoryview, schedule: KeySchedule, iv: bytes) -> memoryview:

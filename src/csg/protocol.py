@@ -91,6 +91,7 @@ STATUS_ERROR = 0x00
 REASON_AUTH_FAILED = "auth failed"
 REASON_UNKNOWN_PATH = "unknown service path"
 _CERT_REASONS = {
+    CertVerdict.NOT_YET_VALID: "certificate not yet valid",
     CertVerdict.EXPIRED: "certificate expired",
     CertVerdict.REVOKED: "certificate revoked",
     CertVerdict.RIGHTS_MISSING: "rights missing",

@@ -84,6 +84,7 @@ class CorruptObject(Exception):
 
 class CertVerdict(enum.Enum):
     VALID = "valid"
+    NOT_YET_VALID = "not-yet-valid"
     EXPIRED = "expired"
     REVOKED = "revoked"
     RIGHTS_MISSING = "rights-missing"
@@ -112,10 +113,14 @@ class CustomerRecord(NamedTuple):
 
 
 def check_certificate(cert: Certificate, now: int) -> CertVerdict:
-    """Revocation beats expiry beats missing rights; expiry is inclusive
-    (now >= expiry_date is already expired)."""
+    """Revocation beats a start in the future, which beats expiry, which
+    beats missing rights. Validity runs from issued_at, inclusive, to
+    expiry_date, exclusive (now >= expiry_date is already expired), as
+    notBefore and notAfter bound it in RFC 5280 4.1.2.5."""
     if cert.revoked:
         return CertVerdict.REVOKED
+    if now < cert.issued_at:
+        return CertVerdict.NOT_YET_VALID
     if now >= cert.expiry_date:
         return CertVerdict.EXPIRED
     if STORAGE_RIGHT not in cert.rights:

@@ -40,6 +40,28 @@ def test_cbc_matches_oracle(length):
     assert aes.cbc_decrypt(bytearray(ciphertext), schedule, iv) == plaintext
 
 
+# the blocks of small_ops' status reply, of a 1 KiB object and of a
+# 2,000-name listing
+@pytest.mark.parametrize("blocks", [1, 65, 1251])
+def test_cbc_encrypt_through_a_view_past_the_iv_matches_oracle(blocks):
+    # protocol._seal's call: the padded plaintext sits behind the IV in one
+    # payload buffer and is encrypted through the view at offset 16
+    rng = random.Random(blocks)
+    key, iv, plaintext = rng.randbytes(16), rng.randbytes(16), rng.randbytes(16 * blocks)
+    payload = bytearray(iv + plaintext)
+    aes.cbc_encrypt(memoryview(payload)[16:], aes.key_expansion(key), iv)
+    assert payload == iv + oracle_encrypt(plaintext, key, iv, pad=False)
+
+
+def test_encrypt_block_matches_oracle_ecb():
+    rng = random.Random(61)
+    for _ in range(100):
+        key, block = rng.randbytes(16), rng.randbytes(16)
+        encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        expected = encryptor.update(block) + encryptor.finalize()
+        assert aes.encrypt_block(block, aes.key_expansion(key)) == expected
+
+
 @pytest.mark.parametrize("length", [16, CHUNK, CHUNK + 16, 3 * CHUNK + 48])
 def test_truncated_ciphertext_raises_padding_error(length):
     rng = random.Random(length)

@@ -389,6 +389,19 @@ def test_certificate_checked_against_injected_clock(ctx, acme):
     assert (ok, reason) == (False, "certificate expired")
 
 
+def test_certificate_issued_in_the_future_is_refused(ctx, acme):
+    issued_at = acme.record.certificate.issued_at
+    ctx = ctx._replace(now=lambda: issued_at - 1)  # one second before it starts
+    wire = Wire(ctx)
+    assert wire.handshake(acme)[0]
+    ok, reason = wire.login(acme)
+    assert (ok, reason) == (False, "certificate not yet valid")
+    # from issued_at on, the same certificate logs in
+    wire = Wire(ctx._replace(now=lambda: issued_at))
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme) == (True, "")
+
+
 def test_phase2_replay_into_new_session(ctx, acme):
     a = Wire(ctx)
     assert a.handshake(acme)[0]

@@ -303,6 +303,17 @@ def test_certificate_boundaries():
     assert check_certificate(cert, 1501) is CertVerdict.EXPIRED
 
 
+def test_certificate_issued_in_the_future_is_not_yet_valid():
+    # RFC 5280 4.1.2.5: valid from notBefore, inclusive
+    cert = make_certificate("acme", now=1000, expires_in=500)  # issued at 800
+    assert check_certificate(cert, 799) is CertVerdict.NOT_YET_VALID
+    assert check_certificate(cert, 800) is CertVerdict.VALID
+    # revocation still comes first; the start comes before expiry and rights
+    assert check_certificate(cert._replace(revoked=True), 0) is CertVerdict.REVOKED
+    assert check_certificate(cert._replace(expiry_date=700), 799) is CertVerdict.NOT_YET_VALID
+    assert check_certificate(cert._replace(rights=()), 799) is CertVerdict.NOT_YET_VALID
+
+
 def test_revocation_precedes_expiry():
     cert = make_certificate("acme", now=1000, expires_in=500, revoked=True)
     assert check_certificate(cert, 1000) is CertVerdict.REVOKED
