@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import socket
-from typing import Any, Optional
+from typing import Any
 
 from . import protocol
 from .keyx import DhGroup, InvalidPublicKey, RFC3526_GROUP14, dh_generate
@@ -65,11 +65,7 @@ def _refuse_overlong(fields: dict[str, str]) -> None:
 
 
 class ClientSession:
-    """One connection to the gateway, driven through its protocol phases.
-
-    `capture`, when given, collects the raw bytes of every frame sent and
-    received (used by the wire-secrecy tests).
-    """
+    """One connection to the gateway, driven through its protocol phases."""
 
     def __init__(
         self,
@@ -77,10 +73,8 @@ class ClientSession:
         port: int,
         group: DhGroup = RFC3526_GROUP14,
         timeout: float = 30.0,
-        capture: Optional[list[bytes]] = None,
     ):
         self._group = group
-        self._capture = capture
         self._sent = False  # close() sends Disconnect only once a frame went out
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._stream = self._sock.makefile("rb")
@@ -101,19 +95,14 @@ class ClientSession:
         among them, raises ProtocolOrderError before any is sent."""
         expected = protocol.reply_to(frames[-1].msg_type)
         try:
-            raws = [frame.encode() for frame in frames]
-            if self._capture is not None:
-                self._capture.extend(raws)
             # one write: a frame sent after an unanswered one (Phase2Auth
             # after the ServiceRequest) would wait in Nagle's buffer for the
             # peer's delayed ACK
-            self._sock.sendall(b"".join(raws))
+            self._sock.sendall(b"".join(frame.encode() for frame in frames))
             self._sent = True
             if expected is None:
                 return None
             msg_type, payload = decode_frame(self._stream)
-            if self._capture is not None:
-                self._capture.append(Frame(msg_type, payload).encode())
             if msg_type is MessageType.ERROR:
                 reason = PayloadReader(payload).string()
                 raise ProtocolFailure(f"server error: {reason}")

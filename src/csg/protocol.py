@@ -560,7 +560,9 @@ def server_handle_frame(
     sealed one is decrypted there in place. Returns the frames to send back
     (possibly none). Any illegal (phase, type) pair, malformed payload or
     reply too large for one frame yields a single Error frame and a closed
-    session; frames arriving after close are dropped silently.
+    session, and so does any request of an active session once its
+    customer's certificate no longer holds at `ctx.now()`; frames arriving
+    after close are dropped silently.
     """
     server_derive_keys(state, ctx.group)
     if state.phase is Phase.CLOSED:
@@ -570,9 +572,14 @@ def server_handle_frame(
         state.close()
         return []
     step = _STEPS.get(msg_type)
+    reason = None
     if step is None or step.phase is not state.phase:
         reason = f"unexpected {msg_type.name} in phase {state.phase.name}"
-    else:
+    elif step.phase is Phase.SESSION_ACTIVE:
+        # the contract holds for the whole session, not only at login
+        certificate = ctx.registry.get(state.customer_id).certificate
+        reason = _CERT_REASONS.get(check_certificate(certificate, int(ctx.now())))
+    if reason is None:
         try:
             return step.serve(state, payload, ctx)
         except VersionMismatch:

@@ -41,6 +41,8 @@ OBJECT_TAG_LEN = 32  # HMAC-SHA256, after the ciphertext
 
 _TMP_PREFIX = ".tmp-"  # reserved for atomic writes; not a legal object name
 _CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+# no link is followed, and a FIFO put in an object's place cannot block the open
+_READ_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK
 
 # the registry's binary fields, hex on a line, and their sizes in bytes
 _HEX_FIELDS = {
@@ -382,8 +384,8 @@ class ObjectStore:
     size, header and tag included, and its totals are rebuilt from the
     checked headers at startup, which reads no tag. Only version 0x03 is
     read: a file of any other version is a CorruptObject, and the scan skips
-    it, so it is neither listed nor counted toward the quota; `scan_skipped`
-    counts such files.
+    it, so it is neither listed nor counted toward the quota. The scan
+    also skips links; `scan_skipped` counts what it skips.
 
     Writes go through a temp file + atomic rename, which commits content and
     size together. The temp file, `.tmp-<counter hex>` beside the object,
@@ -399,21 +401,23 @@ class ObjectStore:
     files are reached through bare descriptors (os.open, os.writev,
     os.readv), not through `io` file objects, since each system call on a
     gateway session thread can wait out a GIL switch interval on its return:
-    a 1 KiB put opens, writes, closes and renames, and a get opens, sizes,
-    reads and closes.
+    a 1 KiB put opens, writes, closes and renames, and a get opens, reads
+    and closes.
 
     The store is the only writer of its directories, so the size table is
-    also the listing: `list_objects` reads no directory. A file deleted by
-    hand while the store runs stays listed and charged until the next
-    startup scan; a get of it is a NoSuchObject. A customer directory
-    removed by hand is made again by the customer's next put.
+    also the listing: `list_objects` reads no directory, and `get_object`
+    serves only a name the table lists. A file deleted by hand while the
+    store runs stays listed and charged until the next startup scan; a get
+    of it is a NoSuchObject. One placed by hand is served only after that
+    scan. A customer directory removed by hand is made again by the
+    customer's next put.
 
     A put allocates no buffer of its own: it streams the ciphertext to its
     file with one os.writev per cipher chunk, as aes.ctr_stream yields it,
     the header going out with the first chunk and the tag with the last; a
-    short write resumes where it stopped. A get holds one object-sized
-    buffer, the file image: it reads the file into it with one os.readv and
-    returns a view of the plaintext decrypted there in place. Neither
+    short write resumes where it stopped. A get holds one buffer, the file
+    image, sized from the table: it reads the file into it with one os.readv
+    and returns a view of the plaintext decrypted there in place. Neither
     writes a buffer it was handed.
     """
 
@@ -432,15 +436,23 @@ class ObjectStore:
     def _dir(self, customer_id: str) -> str:
         return os.path.join(self.root, customer_id)
 
+    def _entries(self, path: str) -> list[os.DirEntry]:
+        """The entries of directory `path` that are not links; each link is
+        skipped and counted in `scan_skipped`."""
+        with os.scandir(path) as entries:
+            found = list(entries)
+        kept = [entry for entry in found if not entry.is_symlink()]
+        self.scan_skipped += len(found) - len(kept)
+        return kept
+
     def _scan(self) -> None:
         """Rebuild the file-size table from checked object headers.
-        Unreadable or corrupt files are skipped, and `.tmp-*` files, left by
-        a write cut off before its rename, are removed; both are counted."""
-        with os.scandir(self.root) as entries:
-            customers = [entry for entry in entries if entry.is_dir()]
+        Links, unreadable and corrupt files are skipped, and `.tmp-*` files,
+        left by a write cut off before its rename, are removed; all are
+        counted."""
+        customers = [e for e in self._entries(self.root) if e.is_dir(follow_symlinks=False)]
         for customer in customers:
-            with os.scandir(customer.path) as entries:
-                files = [entry for entry in entries if entry.is_file()]
+            files = [e for e in self._entries(customer.path) if e.is_file(follow_symlinks=False)]
             sizes: dict[str, int] = {}
             for f in files:
                 try:
@@ -448,7 +460,7 @@ class ObjectStore:
                         os.unlink(f.path)
                         self.scan_removed += 1
                         continue
-                    fd = os.open(f.path, os.O_RDONLY)
+                    fd = os.open(f.path, _READ_FLAGS)
                     try:
                         header = os.read(fd, OBJECT_HEADER_LEN)
                         file_size = os.fstat(fd).st_size
@@ -544,22 +556,31 @@ class ObjectStore:
         """Read, verify and decrypt one object; byte-exact inverse of
         put_object. The tag is checked before anything is decrypted.
 
-        The file is read into one buffer and decrypted there in place; the
-        result is a memoryview of the plaintext in that buffer."""
+        Only a name the size table lists is served, so a get allocates at
+        most what the quota charged. Its file, opened without following a
+        link, is read into one buffer of the listed size plus one byte, and
+        a file of any other size is a CorruptObject. The result is a
+        memoryview of the plaintext, decrypted in place there."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
+        with self._lock:
+            size = self._sizes.get(customer_id, {}).get(name)
+        if size is None:
+            raise NoSuchObject(f"no object named {name!r}")
         try:
-            fd = os.open(os.path.join(self._dir(customer_id), name), os.O_RDONLY)
+            fd = os.open(os.path.join(self._dir(customer_id), name), _READ_FLAGS)
         except FileNotFoundError:
             raise NoSuchObject(f"no object named {name!r}") from None
         try:
-            blob = memoryview(bytearray(os.fstat(fd).st_size))
-            if os.readv(fd, [blob]) != len(blob):
-                raise CorruptObject("object file shorter than its size")
+            buffer = bytearray(size + 1)
+            read = os.readv(fd, [buffer])
         finally:
             os.close(fd)
+        if read != size:
+            raise CorruptObject("object file is not the size the store listed")
+        blob = memoryview(buffer)[:size]
         header = blob[:OBJECT_HEADER_LEN]
-        counter = _parse_header(header, len(blob))
+        counter = _parse_header(header, size)
         body = blob[OBJECT_HEADER_LEN:-OBJECT_TAG_LEN]
         mac = _object_mac(master_key, customer_id, name, header)
         mac.update(body)

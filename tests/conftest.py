@@ -1,7 +1,8 @@
 """Shared fixtures: customer provisioning, a loopback gateway factory, a
-scripted low-level client, an audit-line parser, pre-v3 object files,
-copying forms of the in-place ciphers, sealed payloads built without
-encryption, a tracemalloc peak, and the acceptance pass/fail summary."""
+frame recorder at the client's socket, a scripted low-level client, an
+audit-line parser, pre-v3 object files, copying forms of the in-place
+ciphers, sealed payloads built without encryption, a tracemalloc peak, and
+the acceptance pass/fail summary."""
 
 from __future__ import annotations
 
@@ -214,9 +215,56 @@ def gateway_factory(tmp_path):
         gateway.shutdown(drain_seconds=2.0)
 
 
+class RecordingSocket:
+    """Stands in for a ClientSession's socket or its read stream: passes
+    every call on, and records what crosses `sendall` or `read`. Each
+    `sendall` is kept whole in `writes`; each frame, split by its length
+    prefix, is appended whole to `frames`, in the order it crossed."""
+
+    def __init__(self, inner, frames: list[bytes]):
+        self._inner = inner
+        self._frames = frames
+        self._partial = bytearray()  # the start of a frame not yet whole
+        self.writes: list[bytes] = []
+
+    def sendall(self, data) -> None:
+        self._inner.sendall(data)
+        self.writes.append(bytes(data))
+        self._record(data)
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._inner.read(size)
+        self._record(data)
+        return data
+
+    def _record(self, data) -> None:
+        self._partial += data
+        while len(self._partial) >= 4:
+            end = 4 + struct.unpack_from(">I", self._partial)[0]
+            if len(self._partial) < end:
+                break
+            self._frames.append(bytes(self._partial[:end]))
+            del self._partial[:end]
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def record_frames(session: ClientSession, frames: list[bytes]) -> RecordingSocket:
+    """Record every frame `session` sends and receives, as it crosses the
+    socket, into `frames`; returns the recording socket."""
+    session._stream = RecordingSocket(session._stream, frames)
+    session._sock = RecordingSocket(session._sock, frames)
+    return session._sock
+
+
 def open_session(handle, customer: Provisioned, *, capture=None, login=True) -> ClientSession:
-    """Happy-path session against a gateway started by gateway_factory."""
-    session = ClientSession(handle.host, handle.port, group=handle.gateway.group, capture=capture)
+    """Happy-path session against a gateway started by gateway_factory.
+    `capture`, when given, collects every frame sent and received, whole,
+    as it crossed the socket."""
+    session = ClientSession(handle.host, handle.port, group=handle.gateway.group)
+    if capture is not None:
+        record_frames(session, capture)
     try:
         session.connect_tunnel(customer.tunnel_user, customer.tunnel_pass)
         if login:

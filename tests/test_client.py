@@ -18,7 +18,7 @@ from csg.client import ClientSession, CommandRefused, ProtocolFailure
 from csg.keyx import TEST_SMALL
 from csg.wire import MAX_PAYLOAD_LEN, Frame, MessageType, decode_frame, encode_str
 
-from conftest import audit_events, open_session, provision_customer
+from conftest import audit_events, open_session, provision_customer, record_frames
 
 
 def _error_with_malformed_reason(conn, stream):
@@ -157,7 +157,8 @@ def test_overlong_tunnel_user_refused_before_the_hello(gateway_factory):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
     capture: list[bytes] = []
-    with ClientSession(handle.host, handle.port, group=TEST_SMALL, capture=capture) as session:
+    with ClientSession(handle.host, handle.port, group=TEST_SMALL) as session:
+        record_frames(session, capture)
         with pytest.raises(CommandRefused, match="user longer than 65535"):
             session.connect_tunnel("u" * 70000, acme.tunnel_pass)
         assert capture == []
@@ -171,7 +172,8 @@ def test_non_utf8_tunnel_field_refused_before_the_hello(gateway_factory, field):
     handle = gateway_factory([acme])
     fields = {"user": acme.tunnel_user, "password": acme.tunnel_pass}
     capture: list[bytes] = []
-    with ClientSession(handle.host, handle.port, group=TEST_SMALL, capture=capture) as session:
+    with ClientSession(handle.host, handle.port, group=TEST_SMALL) as session:
+        record_frames(session, capture)
         with pytest.raises(CommandRefused, match=f"^{field} is not valid UTF-8$"):
             # what the byte 0xff in argv, the environment or stdin decodes to
             session.connect_tunnel(*{**fields, field: fields[field] + "\udcff"}.values())
@@ -184,7 +186,8 @@ def test_close_sends_nothing_when_nothing_was_sent(gateway_factory):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
     capture: list[bytes] = []
-    session = ClientSession(handle.host, handle.port, group=TEST_SMALL, capture=capture)
+    session = ClientSession(handle.host, handle.port, group=TEST_SMALL)
+    record_frames(session, capture)
     with pytest.raises(CommandRefused):
         session.connect_tunnel("u" * 70000, acme.tunnel_pass)
     session.close()
@@ -262,34 +265,18 @@ def test_commands_on_a_closed_session_send_nothing(gateway_factory):
     session.close()  # a second close is a no-op
 
 
-class _RecordingSocket:
-    """A socket whose `sendall` calls are recorded; all else is passed on."""
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self.writes: list[bytes] = []
-
-    def sendall(self, data: bytes) -> None:
-        self.writes.append(bytes(data))
-        self._sock.sendall(data)
-
-    def __getattr__(self, name):
-        return getattr(self._sock, name)
-
-
 def test_login_sends_its_two_frames_in_one_write(gateway_factory):
     # the ServiceRequest has no reply, so a Phase2Auth written after it
     # would wait in Nagle's buffer for the gateway's delayed ACK
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
     capture: list[bytes] = []
-    with open_session(handle, acme, capture=capture, login=False) as session:
-        sock = session._sock = _RecordingSocket(session._sock)
-        del capture[:]
+    with open_session(handle, acme, login=False) as session:
+        sock = record_frames(session, capture)
         session.login(acme.space_path, acme.service_user, acme.service_pass)
         assert session.state.phase is P.Phase.SESSION_ACTIVE
         (written,) = sock.writes
-        # the capture still holds one entry per frame: both requests, then the reply
+        # the recorder splits that write into its two frames, then the reply
         assert [decode_frame(io.BytesIO(raw))[0] for raw in capture] == [
             MessageType.SERVICE_REQUEST, MessageType.PHASE2_AUTH, MessageType.PHASE2_RESULT,
         ]

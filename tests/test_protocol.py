@@ -402,6 +402,34 @@ def test_certificate_issued_in_the_future_is_refused(ctx, acme):
     assert wire.login(acme) == (True, "")
 
 
+@pytest.mark.parametrize(
+    "request_frame",
+    [
+        pytest.param(lambda c: P.build_put(c, "notes", b"after expiry"), id="put"),
+        pytest.param(lambda c: P.build_get(c, "notes"), id="get"),
+        pytest.param(P.build_list, id="list"),
+    ],
+)
+def test_request_after_the_certificate_expires_closes_the_session(ctx, acme, request_frame):
+    expiry = acme.record.certificate.expiry_date
+    clock = [expiry - 10]
+    events: list[str] = []
+    wire = Wire(ctx._replace(
+        now=lambda: clock[0], audit=lambda event, _customer_id: events.append(event)
+    ))
+    assert wire.handshake(acme)[0]
+    assert wire.login(acme) == (True, "")
+    clock[0] = expiry  # the first second the certificate is expired
+    reply = wire.send(request_frame(wire.client))
+    assert [f.msg_type for f in reply] == [MessageType.ERROR]
+    assert PayloadReader(reply[0].payload).string() == "certificate expired"
+    assert wire.server.phase is P.Phase.CLOSED
+    assert events[-1] == "error certificate expired"
+    assert [e for e in events if e.startswith(("error", "put", "get", "list"))] == [events[-1]]
+    assert ctx.store.list_objects("acme") == []
+    assert ctx.store.used_bytes("acme") == 0
+
+
 def test_phase2_replay_into_new_session(ctx, acme):
     a = Wire(ctx)
     assert a.handshake(acme)[0]
@@ -514,19 +542,20 @@ def test_get_of_a_corrupt_object_is_a_status_not_an_error_frame(
     path = tmp_path / "objects" / "acme" / "bad"
     secret = b"never returned"
     if damage == "planted-v2":
+        # not in the store's size table, so not found
         write_cbc_object(path, 0x02, secret, ctx.master_key, "acme")
-        listed = ["kept"]
+        status, listed = P.STATUS_NOT_FOUND, ["kept"]
     else:
         reply = wire.send(P.build_put(wire.client, "bad", secret))
         assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_OK
         blob = bytearray(path.read_bytes())
         blob[40] ^= 0x01  # a ciphertext byte
         path.write_bytes(bytes(blob))
-        listed = ["bad", "kept"]
+        status, listed = P.STATUS_ERROR, ["bad", "kept"]
     reply = wire.send(P.build_get(wire.client, "bad"))
     assert [f.msg_type for f in reply] == [MessageType.GET_RESULT]
-    assert P.parse_get_result(wire.client, reply[0].payload) == (P.STATUS_ERROR, b"")
-    assert events[-1] == "get name='bad' status=0"
+    assert P.parse_get_result(wire.client, reply[0].payload) == (status, b"")
+    assert events[-1] == f"get name='bad' status={status}"
     assert [e for e in events if e.startswith("get ")] == [events[-1]]
     assert wire.server.phase is P.Phase.SESSION_ACTIVE
     reply = wire.send(P.build_list(wire.client))
@@ -612,6 +641,28 @@ def test_replayed_put_frame_is_refused(wire, acme):
     for _ in range(2):
         assert MessageType.PUT_RESULT not in [f.msg_type for f in wire.send(frame)]
     assert wire.server.phase is P.Phase.CLOSED
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the handshake is anonymous DH, so whoever answers the hello derives "
+    "the session keys; ROADMAP item 22 unmarks this",
+)
+def test_impostor_gateway_cannot_read_the_tunnel_password(acme):
+    client, impostor = P.SessionState(), P.SessionState()
+    hello = P.client_connect(client, dh_generate(TEST_SMALL))
+    # the impostor answers with the gateway's own code and a key pair of its own
+    reply = P.server_hello(impostor, hello.payload, TEST_SMALL)
+    P.server_derive_keys(impostor, TEST_SMALL)
+    P.client_handle_server_hello(client, reply.payload, TEST_SMALL)
+    frame = P.auth(client, acme.tunnel_user, acme.tunnel_pass)
+    try:
+        r = P._open(impostor, MessageType.PHASE1_AUTH, bytearray(frame.payload))
+        read = (r.string(), r.string())
+    except MalformedPayload:
+        read = ()
+    assert acme.tunnel_pass not in read
 
 
 def test_data_frames_rejected_outside_active_session(wire, acme):
