@@ -10,12 +10,11 @@ is CommandRefused before anything is encrypted or sent."""
 
 from __future__ import annotations
 
-import functools
 import socket
 from typing import Any
 
 from . import protocol
-from .keyx import DhGroup, InvalidPublicKey, RFC3526_GROUP14, dh_generate
+from .keyx import InvalidPublicKey, dh_generate
 from .vault import InvalidName, validate_object_name
 from .wire import (
     FieldTooLong, Frame, FrameError, FrameTooLarge, MessageType, PayloadReader, decode_frame,
@@ -67,14 +66,7 @@ def _refuse_overlong(fields: dict[str, str]) -> None:
 class ClientSession:
     """One connection to the gateway, driven through its protocol phases."""
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        group: DhGroup = RFC3526_GROUP14,
-        timeout: float = 30.0,
-    ):
-        self._group = group
+    def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sent = False  # close() sends Disconnect only once a frame went out
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._stream = self._sock.makefile("rb")
@@ -115,10 +107,9 @@ class ClientSession:
     def connect_tunnel(self, tunnel_user: str, tunnel_pass: str) -> None:
         """Hello exchange plus phase-1 authentication."""
         _refuse_overlong({"user": tunnel_user, "password": tunnel_pass})
-        keypair = dh_generate(self._group)
         self._exchange(
-            [protocol.client_connect(self.state, keypair)],
-            functools.partial(protocol.client_handle_server_hello, group=self._group),
+            [protocol.client_connect(self.state, dh_generate())],
+            protocol.client_handle_server_hello,
         )
         ok, reason = self._exchange(
             [protocol.auth(self.state, tunnel_user, tunnel_pass)], protocol.handle_auth_result

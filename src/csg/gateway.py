@@ -30,7 +30,6 @@ import threading
 import time
 from typing import BinaryIO, Callable, Mapping, NamedTuple, Optional
 
-from .keyx import RFC3526_GROUP14
 from .protocol import (
     Phase,
     ServerContext,
@@ -132,7 +131,7 @@ def _max_sessions(value: object) -> int:
 
 
 def _dh_group(value: object) -> str:
-    # selects nothing (the gateway runs RFC3526_GROUP14); the key stays so
+    # selects nothing (keyx holds the one group, P and G); the key stays so
     # that config files naming it still load
     default = GatewayConfig._field_defaults["dh_group"]
     if value != default:
@@ -260,7 +259,6 @@ class Gateway:
     appender."""
 
     def __init__(self, config: GatewayConfig):
-        self.group = RFC3526_GROUP14
         self.config = config
         self.registry = load_registry(config.registry_path)
         self.store = ObjectStore(config.objects_dir)
@@ -353,7 +351,6 @@ class Gateway:
             registry=self.registry,
             store=self.store,
             master_key=self.master_key,
-            group=self.group,
             audit=lambda event, customer_id: self.audit.append(
                 session_id, event, customer_id
             ),
@@ -364,7 +361,7 @@ class Gateway:
                 session_id, conn, stream, state, ctx
             ):
                 # once the ServerHello is out, this pow runs beside the client's
-                server_derive_keys(state, ctx.group)
+                server_derive_keys(state)
         except OSError as exc:  # peer reset, or socket shut down during drain
             self.audit.append(session_id, f"connection lost {type(exc).__name__}")
         except Exception as exc:  # a session must never take the process down

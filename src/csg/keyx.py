@@ -1,11 +1,11 @@
 """Establishment of the symmetric session keys and credential hashing.
 
-Finite-field Diffie-Hellman over RFC 3526 group 14 (`RFC3526_GROUP14`, the
-one group outside tests) produces a shared secret; the three session
-sub-keys (phase-1 auth, phase-2 auth, data) are derived from it by
+Finite-field Diffie-Hellman modulo `P`, the 2048-bit MODP safe prime of RFC
+3526 section 3, with generator `G` produces a shared secret; the three
+session sub-keys (phase-1 auth, phase-2 auth, data) are derived from it by
 `sub_key`, domain-separated SHA-256, which also makes the vault's storage
-keys. A generated public value comes from one fixed-base comb table per
-group (Lim-Lee), built on the first draw. Stored passwords use
+keys. A generated public value comes from one fixed-base comb table
+(Lim-Lee), built on the first draw. Stored passwords use
 PBKDF2-HMAC-SHA256 (RFC 8018 section 5.2) at PASSWORD_HASH_ITERATIONS.
 """
 
@@ -23,11 +23,11 @@ PASSWORD_KDF = f"pbkdf2-hmac-sha256/{PASSWORD_HASH_ITERATIONS}"
 SALT_LEN = 16  # bytes of a stored password's salt
 HASH_LEN = 32  # bytes of a stored password hash: one PBKDF2 block of HMAC-SHA256
 
-# Size of a generated private exponent. RFC 3526 section 8 gives group 14 an
-# exponent of 220-320 bits, and NIST SP 800-56A Rev. 3 allows 2s = 224 bits
-# for its s = 112; the group is a safe-prime group, so a short exponent does
-# not open the van Oorschot-Wiener attacks. Each side picks its own, so peers
-# that draw full-size exponents still agree with this one.
+# Size of a generated private exponent. RFC 3526 section 8 gives this modulus
+# an exponent of 220-320 bits, and NIST SP 800-56A Rev. 3 allows 2s = 224
+# bits for its s = 112; P is a safe prime, so a short exponent does not open
+# the van Oorschot-Wiener attacks. Each side picks its own, so peers that
+# draw full-size exponents still agree with this one.
 _PRIVATE_BITS = 256
 
 # Rows of the fixed-base comb: an exponent is read as 8 rows of w bits, and
@@ -36,32 +36,18 @@ _COMB_ROWS = 8
 
 
 class EntropyError(Exception):
-    """The random source failed or kept producing unusable values."""
+    """The random source failed or returned an out-of-range value."""
 
 
 class InvalidPublicKey(ValueError):
-    """Peer public value outside (1, p-1): 0, 1 and p-1 force a known secret."""
+    """Peer public value outside (1, P-1): 0, 1 and P-1 force a known secret."""
 
 
-class DhGroup:
-    """A prime modulus p and a generator g. The only groups are the module's
-    two objects, so the fixed-base table cache keys a group by identity."""
-
-    def __init__(self, p: int, g: int) -> None:
-        if p <= 3 or p % 2 == 0:
-            raise ValueError("modulus must be an odd prime > 3")
-        if not 1 < g < p:
-            raise ValueError("generator must satisfy 1 < g < p")
-        self.p = p
-        self.g = g
-
-    @property
-    def byte_len(self) -> int:
-        return (self.p.bit_length() + 7) // 8
-
-
-# RFC 3526 group 14: 2048-bit MODP safe prime, generator 2.
-_MODP14_HEX = (
+# RFC 3526 section 3: the 2048-bit MODP safe prime P and the generator G = 2.
+# P is 7 mod 8, so 2 is a quadratic residue and generates the subgroup of
+# prime order (P-1)/2: a private key in [2, 2^256 + 1] never gives a public
+# value of 1 or P-1.
+P = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
     "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
@@ -69,13 +55,11 @@ _MODP14_HEX = (
     "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
     "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
     "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF"
+    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
+    16,
 )
-RFC3526_GROUP14 = DhGroup(p=int(_MODP14_HEX, 16), g=2)
-
-# Tiny group for tests only. No config key, variable or flag reaches it,
-# so a test can only use it by passing this object.
-TEST_SMALL = DhGroup(p=23, g=5)
+G = 2
+P_BYTES = 256  # bytes of P, and of every shared secret
 
 
 class DhKeyPair(NamedTuple):
@@ -83,58 +67,47 @@ class DhKeyPair(NamedTuple):
     public: int
 
 
-def dh_generate(
-    group: DhGroup, *, randbelow: Optional[Callable[[int], int]] = None
-) -> DhKeyPair:
-    """Generate a keypair with private uniform in [2, min(p-2, 2^256 + 1)]:
-    a 256-bit exponent on group 14, and all of [2, p-2] on a smaller group.
-    The public value comes from the group's fixed-base comb
-    (`_fixed_base_pow`): one 256-entry table, built on the first draw and
-    then cached, and w squarings and w table products per draw (w = 33 on
-    group 14).
-
-    Privates whose public value is degenerate (1 or p-1) are resampled so
-    that peers applying the degenerate-public rejection always interoperate.
-    `randbelow` replaces `secrets.randbelow` as the random source.
+def dh_generate(*, randbelow: Optional[Callable[[int], int]] = None) -> DhKeyPair:
+    """Generate a keypair with private uniform in [2, 2^256 + 1]. The public
+    value comes from the fixed-base comb (`_fixed_base_pow`): one 256-entry
+    table, built on the first draw and then cached, and 33 squarings and 33
+    table products per draw. `randbelow` replaces `secrets.randbelow` as the
+    random source.
     """
     draw = randbelow if randbelow is not None else secrets.randbelow
-    bound = min(group.p - 3, 1 << _PRIVATE_BITS)
-    for _ in range(128):
-        try:
-            priv = 2 + draw(bound)
-        except Exception as exc:
-            raise EntropyError(f"random source failed: {exc}") from exc
-        if not 2 <= priv <= bound + 1:
-            raise EntropyError("random source returned an out-of-range value")
-        pub = _fixed_base_pow(group, priv)
-        if 1 < pub < group.p - 1:
-            return DhKeyPair(priv, pub)
-    raise EntropyError("random source kept producing degenerate key pairs")
+    bound = 1 << _PRIVATE_BITS
+    try:
+        priv = 2 + draw(bound)
+    except Exception as exc:
+        raise EntropyError(f"random source failed: {exc}") from exc
+    if not 2 <= priv <= bound + 1:
+        raise EntropyError("random source returned an out-of-range value")
+    return DhKeyPair(priv, _fixed_base_pow(priv))
 
 
 @functools.cache
-def _fixed_base_table(group: DhGroup) -> tuple[int, tuple[int, ...]]:
+def _fixed_base_table() -> tuple[int, tuple[int, ...]]:
     """The comb width w and the comb's 256 entries: entry j is the product
-    of g^(2^(w*i)) mod p over the set bits i of j, where w = ceil(b/8) for
-    the b bits of the largest private `dh_generate` draws. On group 14 that
-    is w = 33 and about 77 KiB. Fixed-base comb, Lim and Lee, CRYPTO '94;
-    HAC Algorithm 14.117."""
-    top = min(group.p - 2, (1 << _PRIVATE_BITS) + 1)
+    of G^(2^(w*i)) mod P over the set bits i of j, where w = ceil(b/8) for
+    the b bits of the largest private `dh_generate` draws. That is w = 33
+    and about 77 KiB. Fixed-base comb, Lim and Lee, CRYPTO '94; HAC
+    Algorithm 14.117."""
+    top = (1 << _PRIVATE_BITS) + 1
     width = -(-top.bit_length() // _COMB_ROWS)
-    bases = [group.g]  # row i's base g^(2^(w*i))
+    bases = [G]  # row i's base G^(2^(w*i))
     while len(bases) < _COMB_ROWS:
-        bases.append(pow(bases[-1], 1 << width, group.p))
+        bases.append(pow(bases[-1], 1 << width, P))
     table = [1]
     for base in bases:
-        table += [entry * base % group.p for entry in table]
+        table += [entry * base % P for entry in table]
     return width, tuple(table)
 
 
-def _fixed_base_pow(group: DhGroup, exponent: int) -> int:
-    """g^exponent mod p as one squaring and one table product per column of
-    the comb, highest column first; equals pow(g, exponent, p) for
+def _fixed_base_pow(exponent: int) -> int:
+    """G^exponent mod P as one squaring and one table product per column of
+    the comb, highest column first; equals pow(G, exponent, P) for
     0 <= exponent < 2^(8w)."""
-    width, table = _fixed_base_table(group)
+    width, table = _fixed_base_table()
     if exponent >> (_COMB_ROWS * width):
         raise ValueError("exponent exceeds the fixed-base table")
     mask = (1 << width) - 1
@@ -147,25 +120,23 @@ def _fixed_base_pow(group: DhGroup, exponent: int) -> int:
     for i in range(_COMB_ROWS):
         row = format(exponent >> (width * i) & mask, f"0{width}b").encode()
         spread |= (int.from_bytes(row, "big") & ones) << i
-    p = group.p
     result = 1
     for index in spread.to_bytes(width, "big"):
-        result = result * result % p * table[index] % p
+        result = result * result % P * table[index] % P
     return result
 
 
-def check_public(peer_public: int, group: DhGroup) -> None:
-    """Raise InvalidPublicKey unless 1 < peer_public < p-1."""
-    if not 1 < peer_public < group.p - 1:
+def check_public(peer_public: int) -> None:
+    """Raise InvalidPublicKey unless 1 < peer_public < P-1."""
+    if not 1 < peer_public < P - 1:
         raise InvalidPublicKey(f"peer public value {peer_public} is degenerate")
 
 
-def dh_shared(own: DhKeyPair, peer_public: int, group: DhGroup) -> bytes:
-    """Shared secret peer_public^private mod p, big-endian, zero-padded to
-    the modulus length."""
-    check_public(peer_public, group)
-    shared = pow(peer_public, own.private, group.p)
-    return shared.to_bytes(group.byte_len, "big")
+def dh_shared(own: DhKeyPair, peer_public: int) -> bytes:
+    """Shared secret peer_public^private mod P, big-endian, zero-padded to
+    P_BYTES."""
+    check_public(peer_public)
+    return pow(peer_public, own.private, P).to_bytes(P_BYTES, "big")
 
 
 class SessionKeys(NamedTuple):

@@ -49,7 +49,6 @@ from typing import Callable, NamedTuple, Optional
 
 from . import aes
 from .keyx import (
-    DhGroup,
     DhKeyPair,
     SessionKeys,
     InvalidPublicKey,
@@ -145,12 +144,12 @@ class SessionState:
         self.keys = keys
         self.schedules = {name: aes.key_expansion(key) for name, key in keys._asdict().items()}
 
-    def agree(self, peer_public: int, group: DhGroup) -> None:
+    def agree(self, peer_public: int) -> None:
         """The key agreement of both sides: derive and hold the session keys
         from the peer's DH public and this side's keypair, then drop the
         keypair. Raises InvalidPublicKey, before any key is set, for a
         degenerate peer public."""
-        self.set_keys(derive_keys(dh_shared(self.dh_keypair, peer_public, group)))
+        self.set_keys(derive_keys(dh_shared(self.dh_keypair, peer_public)))
         self.dh_keypair = None
 
 
@@ -223,9 +222,7 @@ def client_connect(state: SessionState, keypair: DhKeyPair) -> Frame:
     return Frame(MessageType.CLIENT_HELLO, payload)
 
 
-def client_handle_server_hello(
-    state: SessionState, payload: bytes, group: DhGroup
-) -> None:
+def client_handle_server_hello(state: SessionState, payload: bytes) -> None:
     """Derive the session keys from the ServerHello and record the nonce."""
     step = _step(state, MessageType.SERVER_HELLO)
     if state.dh_keypair is None:
@@ -234,7 +231,7 @@ def client_handle_server_hello(
     server_public = r.mpint()
     nonce = bytes(r.take(16))
     r.expect_end()
-    state.agree(server_public, group)
+    state.agree(server_public)
     state.server_nonce = nonce
     state.phase = step.next_phase
 
@@ -329,12 +326,11 @@ class ServerContext(NamedTuple):
     registry: Registry
     store: ObjectStore
     master_key: bytes
-    group: DhGroup
     now: Callable[[], float] = time.time
     audit: Callable[[str, Optional[str]], None] = _noop_audit
 
 
-def server_hello(state: SessionState, client_payload: bytes, group: DhGroup) -> Frame:
+def server_hello(state: SessionState, client_payload: bytes) -> Frame:
     """Answer a ClientHello: check the version and the client public, then
     draw the server keypair and a fresh 16-byte nonce and emit the public
     and the nonce. The keypair and the client public are kept for
@@ -346,21 +342,21 @@ def server_hello(state: SessionState, client_payload: bytes, group: DhGroup) -> 
         raise VersionMismatch(f"unsupported protocol version 0x{version:02x}")
     client_public = r.mpint()
     r.expect_end()
-    check_public(client_public, group)
-    state.dh_keypair, nonce = dh_generate(group), os.urandom(16)
+    check_public(client_public)
+    state.dh_keypair, nonce = dh_generate(), os.urandom(16)
     state.client_public = client_public
     state.server_nonce = nonce
     state.phase = step.next_phase
     return Frame(MessageType.SERVER_HELLO, encode_mpint(state.dh_keypair.public) + nonce)
 
 
-def server_derive_keys(state: SessionState, group: DhGroup) -> None:
+def server_derive_keys(state: SessionState) -> None:
     """Derive the session keys of a hello that `server_hello` answered, then
     drop the keypair and the client public; does nothing when no derivation
     is pending."""
     if state.client_public is None:
         return
-    state.agree(state.client_public, group)
+    state.agree(state.client_public)
     state.client_public = None
 
 
@@ -403,7 +399,7 @@ def _answer_auth(
 
 
 def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
-    frame = server_hello(state, payload, ctx.group)
+    frame = server_hello(state, payload)
     ctx.audit("hello", None)
     return [frame]
 
@@ -564,7 +560,7 @@ def server_handle_frame(
     customer's certificate no longer holds at `ctx.now()`; frames arriving
     after close are dropped silently.
     """
-    server_derive_keys(state, ctx.group)
+    server_derive_keys(state)
     if state.phase is Phase.CLOSED:
         return []
     if msg_type is MessageType.DISCONNECT:

@@ -191,9 +191,6 @@ class Registry:
     def get(self, customer_id: str) -> CustomerRecord:
         return self._by_id[customer_id]
 
-    def __len__(self) -> int:
-        return len(self._by_id)
-
     def __iter__(self) -> Iterator[CustomerRecord]:
         return iter(self._by_id.values())
 
@@ -559,18 +556,21 @@ class ObjectStore:
         Only a name the size table lists is served, so a get allocates at
         most what the quota charged. Its file, opened without following a
         link, is read into one buffer of the listed size plus one byte, and
-        a file of any other size is a CorruptObject. The result is a
-        memoryview of the plaintext, decrypted in place there."""
+        a file of any other size is a CorruptObject. The file is opened under
+        the lock that a put's rename and size entry take, so a same-name put
+        cannot land between them. The result is a memoryview of the
+        plaintext, decrypted in place there."""
         _validate_customer_id(customer_id)
         validate_object_name(name)
+        path = os.path.join(self._dir(customer_id), name)
         with self._lock:
             size = self._sizes.get(customer_id, {}).get(name)
-        if size is None:
-            raise NoSuchObject(f"no object named {name!r}")
-        try:
-            fd = os.open(os.path.join(self._dir(customer_id), name), _READ_FLAGS)
-        except FileNotFoundError:
-            raise NoSuchObject(f"no object named {name!r}") from None
+            if size is None:
+                raise NoSuchObject(f"no object named {name!r}")
+            try:
+                fd = os.open(path, _READ_FLAGS)
+            except FileNotFoundError:
+                raise NoSuchObject(f"no object named {name!r}") from None
         try:
             buffer = bytearray(size + 1)
             read = os.readv(fd, [buffer])

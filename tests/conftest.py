@@ -21,7 +21,7 @@ import pytest
 from csg import aes, protocol
 from csg.client import ClientSession
 from csg.gateway import Gateway, GatewayConfig
-from csg.keyx import TEST_SMALL, DhGroup
+from csg.keyx import dh_generate
 from csg.vault import (
     Certificate,
     CustomerRecord,
@@ -173,14 +173,12 @@ def write_cbc_object(
 @pytest.fixture
 def gateway_factory(tmp_path):
     """Start loopback gateways on ephemeral ports; they are shut down when
-    the test ends. No config names the test-only `TEST_SMALL` group, so a
-    gateway is built for group 14 and handed the `group` object to use."""
+    the test ends."""
     started: list[Gateway] = []
 
     def start(
         customers: list[Provisioned],
         *,
-        group: DhGroup = TEST_SMALL,
         max_sessions: int = 256,
         master_key: bytes | None = None,
         listen_addr: str = "127.0.0.1:0",
@@ -198,7 +196,6 @@ def gateway_factory(tmp_path):
             audit_log=str(base / "audit.log"),
         )
         gateway = Gateway(config)
-        gateway.group = group
         host, port = gateway.start()
         started.append(gateway)
         return SimpleNamespace(
@@ -262,7 +259,7 @@ def open_session(handle, customer: Provisioned, *, capture=None, login=True) -> 
     """Happy-path session against a gateway started by gateway_factory.
     `capture`, when given, collects every frame sent and received, whole,
     as it crossed the socket."""
-    session = ClientSession(handle.host, handle.port, group=handle.gateway.group)
+    session = ClientSession(handle.host, handle.port)
     if capture is not None:
         record_frames(session, capture)
     try:
@@ -297,8 +294,7 @@ class ScriptedClient:
     """Low-level client for protocol tests: drives the state machine by
     hand and can inject raw bytes (replays, fuzz)."""
 
-    def __init__(self, host: str, port: int, group=TEST_SMALL, capture=None):
-        self.group = group
+    def __init__(self, host: str, port: int, capture=None):
         self.capture = capture
         self.state = protocol.SessionState()
         self.sock = socket.create_connection((host, port), timeout=10.0)
@@ -319,15 +315,13 @@ class ScriptedClient:
     def hello(self, keypair=None, on_server_hello=None) -> None:
         """`on_server_hello` is called once the ServerHello has been read,
         before this side derives its keys."""
-        from csg.keyx import dh_generate
-
-        keypair = keypair or dh_generate(self.group)
+        keypair = keypair or dh_generate()
         self.send(protocol.client_connect(self.state, keypair))
         msg_type, payload = self.recv()
         assert msg_type is MessageType.SERVER_HELLO, msg_type
         if on_server_hello is not None:
             on_server_hello()
-        protocol.client_handle_server_hello(self.state, payload, self.group)
+        protocol.client_handle_server_hello(self.state, payload)
 
     def phase1(self, user: str, password: str) -> tuple[bool, str]:
         self.send(protocol.auth(self.state, user, password))

@@ -16,8 +16,8 @@ from csg import aes, protocol
 from csg.client import AuthRefused, ClientSession
 from csg.keyx import (
     InvalidPublicKey,
-    RFC3526_GROUP14,
-    TEST_SMALL,
+    P,
+    P_BYTES,
     dh_generate,
     dh_shared,
 )
@@ -77,25 +77,25 @@ def test_criterion_3_dh_agreement_1000_pairs():
     """1,000 random keypair pairs agree byte-exactly; degenerate publics
     are rejected."""
     for _ in range(1_000):
-        a = dh_generate(TEST_SMALL)
-        b = dh_generate(TEST_SMALL)
-        shared_a = dh_shared(a, b.public, TEST_SMALL)
-        shared_b = dh_shared(b, a.public, TEST_SMALL)
+        a = dh_generate()
+        b = dh_generate()
+        shared_a = dh_shared(a, b.public)
+        shared_b = dh_shared(b, a.public)
         assert shared_a == shared_b
-        assert len(shared_a) == TEST_SMALL.byte_len
-    own = dh_generate(TEST_SMALL)
-    for bad in (0, 1, TEST_SMALL.p - 1):
+        assert len(shared_a) == P_BYTES
+    own = dh_generate()
+    for bad in (0, 1, P - 1):
         with pytest.raises(InvalidPublicKey):
-            dh_shared(own, bad, TEST_SMALL)
+            dh_shared(own, bad)
 
 
 def test_criterion_4_handshake_under_one_second(gateway_factory):
     """Full two-phase handshake over loopback with the 2048-bit group in
     < 1 s, ending in SessionActive."""
     acme = provision_customer("acme")
-    handle = gateway_factory([acme], group=RFC3526_GROUP14)
+    handle = gateway_factory([acme])
     started = time.perf_counter()
-    session = ClientSession(handle.host, handle.port, group=RFC3526_GROUP14)
+    session = ClientSession(handle.host, handle.port)
     session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)
     session.login(acme.space_path, acme.service_user, acme.service_pass)
     elapsed = time.perf_counter() - started
@@ -120,7 +120,7 @@ def test_criterion_5_accept_reject_truth_table(gateway_factory):
         path_ok = bool(mask & 1)
         target = valid if cert_ok else lapsed
 
-        session = ClientSession(handle.host, handle.port, group=TEST_SMALL)
+        session = ClientSession(handle.host, handle.port)
         tunnel_pass = valid.tunnel_pass if p1_ok else "wrong-tunnel"
         try:
             session.connect_tunnel(valid.tunnel_user, tunnel_pass)
@@ -184,7 +184,7 @@ def test_criterion_6_wire_secrecy_and_replay_100_sessions(gateway_factory):
 
     rejected = 0
     for i in range(100):
-        fresh = ScriptedClient(handle.host, handle.port, group=TEST_SMALL)
+        fresh = ScriptedClient(handle.host, handle.port)
         try:
             fresh.hello()
             if i % 2 == 0:
@@ -342,7 +342,7 @@ def test_criterion_9_audit_redaction(gateway_factory):
     session.close()
 
     # one failed login too, so failure paths are in the log
-    failed = ClientSession(handle.host, handle.port, group=TEST_SMALL)
+    failed = ClientSession(handle.host, handle.port)
     with pytest.raises(AuthRefused):
         failed.connect_tunnel(acme.tunnel_user, "bad-" + tunnel_pass)
     failed.close()

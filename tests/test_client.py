@@ -15,7 +15,6 @@ import pytest
 from csg import aes
 from csg import protocol as P
 from csg.client import ClientSession, CommandRefused, ProtocolFailure
-from csg.keyx import TEST_SMALL
 from csg.wire import MAX_PAYLOAD_LEN, Frame, MessageType, decode_frame, encode_str
 
 from conftest import audit_events, open_session, provision_customer, record_frames
@@ -44,9 +43,9 @@ def _truncated_frame(conn, stream):
 def _garbage_phase1_result(conn, stream):
     state = P.SessionState()
     _, hello = decode_frame(stream)
-    reply = P.server_hello(state, hello, TEST_SMALL)
+    reply = P.server_hello(state, hello)
     conn.sendall(reply.encode())
-    P.server_derive_keys(state, TEST_SMALL)
+    P.server_derive_keys(state)
     decode_frame(stream)  # the Phase1Auth
     # an IV equal to the block's decryption makes the plaintext all zeros,
     # and a padding byte of 0x00 is never valid
@@ -76,7 +75,7 @@ def test_connect_tunnel_failures_raise_protocol_failure(serve):
     thread = threading.Thread(target=server)
     thread.start()
     try:
-        with ClientSession(*listener.getsockname(), group=TEST_SMALL) as session:
+        with ClientSession(*listener.getsockname()) as session:
             with pytest.raises(ProtocolFailure) as failure:
                 session.connect_tunnel("user", "pass")
     finally:
@@ -157,7 +156,7 @@ def test_overlong_tunnel_user_refused_before_the_hello(gateway_factory):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
     capture: list[bytes] = []
-    with ClientSession(handle.host, handle.port, group=TEST_SMALL) as session:
+    with ClientSession(handle.host, handle.port) as session:
         record_frames(session, capture)
         with pytest.raises(CommandRefused, match="user longer than 65535"):
             session.connect_tunnel("u" * 70000, acme.tunnel_pass)
@@ -172,7 +171,7 @@ def test_non_utf8_tunnel_field_refused_before_the_hello(gateway_factory, field):
     handle = gateway_factory([acme])
     fields = {"user": acme.tunnel_user, "password": acme.tunnel_pass}
     capture: list[bytes] = []
-    with ClientSession(handle.host, handle.port, group=TEST_SMALL) as session:
+    with ClientSession(handle.host, handle.port) as session:
         record_frames(session, capture)
         with pytest.raises(CommandRefused, match=f"^{field} is not valid UTF-8$"):
             # what the byte 0xff in argv, the environment or stdin decodes to
@@ -186,7 +185,7 @@ def test_close_sends_nothing_when_nothing_was_sent(gateway_factory):
     acme = provision_customer("acme")
     handle = gateway_factory([acme])
     capture: list[bytes] = []
-    session = ClientSession(handle.host, handle.port, group=TEST_SMALL)
+    session = ClientSession(handle.host, handle.port)
     record_frames(session, capture)
     with pytest.raises(CommandRefused):
         session.connect_tunnel("u" * 70000, acme.tunnel_pass)
@@ -209,7 +208,7 @@ def test_close_after_an_unanswered_hello_sends_disconnect():
     thread = threading.Thread(target=server)
     thread.start()
     try:
-        session = ClientSession(*listener.getsockname(), group=TEST_SMALL, timeout=0.2)
+        session = ClientSession(*listener.getsockname(), timeout=0.2)
         with pytest.raises(ProtocolFailure):
             session.connect_tunnel("user", "pass")
         session.close()

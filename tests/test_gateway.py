@@ -25,7 +25,6 @@ import pytest
 from csg import gateway, keyx, protocol
 from csg.client import ClientSession, ProtocolFailure
 from csg.gateway import AuditLog, ConfigError, GatewayConfig, load_config
-from csg.keyx import TEST_SMALL
 from csg.vault import Registry, save_registry
 from csg.wire import MAX_FRAME_LEN, Frame, MessageType, decode_frame, encode_frame, encode_str
 
@@ -195,7 +194,7 @@ def test_flag_beats_env_beats_file_beats_default(tmp_path, key, file, env, flag)
         ("listen_addr", "env", "127.0.0.1:\u00b2"),
         ("listen_addr", "flag", "127.0.0.1:\u00b2"),
         ("dh_group", "env", "rfc9999"),
-        # no config names the test-only group
+        # names of groups the gateway does not run
         ("dh_group", "env", "test-small"),
         ("dh_group", "config file", "test-small"),
         ("max_sessions", "config file", 2.9),
@@ -622,7 +621,7 @@ def test_first_dropped_audit_line_is_reported_when_it_happens(gateway_factory, c
 def test_audit_redaction_on_failed_phase1(gateway_factory):
     acme = provision_customer("acme", tunnel_pass="sup3r-secret-tunnel-pw")
     handle = gateway_factory([acme])
-    session = ClientSession(handle.host, handle.port, group=TEST_SMALL)
+    session = ClientSession(handle.host, handle.port)
     from csg.client import AuthRefused
 
     with pytest.raises(AuthRefused):
@@ -671,7 +670,7 @@ def test_gateway_derives_its_keys_after_sending_the_server_hello(gateway_factory
         return real_dh_shared(*args)
 
     monkeypatch.setattr(protocol, "dh_shared", held_dh_shared)
-    client = ScriptedClient(handle.host, handle.port, group=TEST_SMALL)
+    client = ScriptedClient(handle.host, handle.port)
     try:
         client.hello(on_server_hello=hello_read.set)
         assert client.phase1(acme.tunnel_user, acme.tunnel_pass) == (True, "")
@@ -1004,7 +1003,7 @@ def test_cli_registry_without_kdf_tag_exits_1_with_one_line(tmp_path):
         ([], {"listen_addr": "127.0.0.1\x00:0"}, {}, "listen_addr (from config file)"),
         ([], {"objects_dir": None}, {}, "objects_dir (from config file)"),
         ([], {"max_sessions": 2.9}, {}, "max_sessions (from config file)"),
-        # the removed opt-in to the test-only group is refused in any form
+        # the removed opt-in to a small test group is refused in any form
         ([], {}, {"CSG_DH_GROUP": "test-small", "CSG_ALLOW_INSECURE_GROUP": "1"},
          "dh_group (from env CSG_DH_GROUP)"),
         ([], {"allow_insecure_group": True}, {}, "allow_insecure_group (from config file)"),

@@ -14,7 +14,6 @@ import pytest
 from csg import aes, protocol
 from csg.client import ClientSession, CommandRefused
 from csg.gateway import Gateway, GatewayConfig
-from csg.keyx import TEST_SMALL
 from csg.vault import ObjectStore, Registry, save_registry
 from csg.wire import MessageType, encode_str
 
@@ -169,7 +168,7 @@ def test_server_nonces_unique_across_sessions(gateway_factory):
     handle = gateway_factory([acme])
     nonces = set()
     for _ in range(50):
-        session = ClientSession(handle.host, handle.port, group=TEST_SMALL)
+        session = ClientSession(handle.host, handle.port)
         session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)
         nonces.add(session.state.server_nonce)
         session.close()
@@ -212,10 +211,9 @@ def test_objects_survive_gateway_restart(gateway_factory, tmp_path):
         audit_log=str(tmp_path / "restart-audit.log"),
     )
     second = Gateway(config)
-    second.group = TEST_SMALL
     host, port = second.start()
     try:
-        session = ClientSession(host, port, group=TEST_SMALL)
+        session = ClientSession(host, port)
         session.connect_tunnel(acme.tunnel_user, acme.tunnel_pass)
         session.login(acme.space_path, acme.service_user, acme.service_pass)
         assert session.get("durable") == payload
@@ -287,7 +285,7 @@ def test_client_rejects_degenerate_server_public(tmp_path):
     thread.start()
     from csg.client import ProtocolFailure
 
-    session = ClientSession(host, port, group=TEST_SMALL)
+    session = ClientSession(host, port)
     with pytest.raises(ProtocolFailure, match="degenerate"):
         session.connect_tunnel("user", "pass")
     session.close()

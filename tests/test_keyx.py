@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from csg import keyx
 from csg.keyx import (
+    G,
+    P,
+    P_BYTES,
     DhKeyPair,
     EntropyError,
     InvalidPublicKey,
-    RFC3526_GROUP14,
-    TEST_SMALL,
     derive_keys,
     dh_generate,
     dh_shared,
@@ -32,14 +33,13 @@ HASH_A_ZERO_SALT_10K = bytes.fromhex(
 )
 
 
-# --- groups -----------------------------------------------------------------
+# --- group 14 ---------------------------------------------------------------
 
 def test_group14_constants():
-    p = RFC3526_GROUP14.p
-    assert p.bit_length() == 2048
-    assert p % 2 == 1
-    assert RFC3526_GROUP14.g == 2
-    assert RFC3526_GROUP14.byte_len == 256
+    assert P.bit_length() == 2048
+    assert P % 2 == 1
+    assert G == 2
+    assert P_BYTES == 256
 
 
 def test_group14_matches_pi_derivation():
@@ -48,40 +48,30 @@ def test_group14_matches_pi_derivation():
 
     mpmath.mp.prec = 2200
     pi_part = int(mpmath.floor(mpmath.pi * mpmath.mpf(2) ** 1918))
-    assert RFC3526_GROUP14.p == 2**2048 - 2**1984 - 1 + 2**64 * (pi_part + 124476)
+    assert P == 2**2048 - 2**1984 - 1 + 2**64 * (pi_part + 124476)
 
 
 def test_group14_is_safe_prime():
     import sympy
 
-    assert sympy.isprime(RFC3526_GROUP14.p)
-    assert sympy.isprime((RFC3526_GROUP14.p - 1) // 2)
+    assert sympy.isprime(P)
+    assert sympy.isprime((P - 1) // 2)
 
 
-def test_group_invariants_enforced():
-    with pytest.raises(ValueError):
-        keyx.DhGroup(p=4, g=2)
-    with pytest.raises(ValueError):
-        keyx.DhGroup(p=23, g=1)
-    with pytest.raises(ValueError):
-        keyx.DhGroup(p=23, g=23)
+def test_no_private_key_gives_a_degenerate_public():
+    # G lies in the subgroup of prime order q = (P-1)/2, and every private
+    # dh_generate draws is below q, so G^x is never 1 or P-1
+    assert pow(G, (P - 1) // 2, P) == 1
+    assert (P - 1) // 2 > 2**256 + 1
 
 
 # --- key generation ---------------------------------------------------------
 
 def test_generated_public_in_range():
     for _ in range(200):
-        pair = dh_generate(TEST_SMALL)
-        assert 1 < pair.public < TEST_SMALL.p
-        assert 2 <= pair.private <= TEST_SMALL.p - 2
-
-
-def test_generated_public_never_degenerate():
-    # p-1 is reachable in the tiny group (5^11 mod 23 = 22); generation
-    # must resample past it so peers never reject an honest public
-    for _ in range(500):
-        pair = dh_generate(TEST_SMALL)
-        assert pair.public not in (0, 1, TEST_SMALL.p - 1)
+        pair = dh_generate()
+        assert 1 < pair.public < P - 1
+        assert 2 <= pair.private <= 2**256 + 1
 
 
 def test_entropy_failure_is_typed():
@@ -89,38 +79,29 @@ def test_entropy_failure_is_typed():
         raise OSError("no entropy")
 
     with pytest.raises(EntropyError):
-        dh_generate(TEST_SMALL, randbelow=broken)
+        dh_generate(randbelow=broken)
 
     def out_of_range(n):
         return n + 5
 
     with pytest.raises(EntropyError):
-        dh_generate(TEST_SMALL, randbelow=out_of_range)
-
-    # draws private 11 every time, whose public 5^11 mod 23 = 22 is p - 1
-    with pytest.raises(EntropyError, match="kept producing degenerate key pairs"):
-        dh_generate(TEST_SMALL, randbelow=lambda n: 9)
+        dh_generate(randbelow=out_of_range)
 
 
 def test_group14_privates_are_256_bit():
     # 2 + randbelow(2^256) reaches 2^256 + 1, which takes 257 bits
-    p = RFC3526_GROUP14.p
     for _ in range(64):
-        pair = dh_generate(RFC3526_GROUP14)
+        pair = dh_generate()
         assert pair.private.bit_length() <= 257
-        assert pair.public == pow(2, pair.private, p)
+        assert pair.public == pow(2, pair.private, P)
 
 
 # --- fixed-base comb --------------------------------------------------------
 
 def test_fixed_base_table_shape():
-    # 257-bit privates take 8 rows of 33 bits; on the small group 21 has 5
-    # bits, so 8 rows of 1 bit
-    width, table = keyx._fixed_base_table(RFC3526_GROUP14)
+    # 257-bit privates take 8 rows of 33 bits
+    width, table = keyx._fixed_base_table()
     assert width == 33
-    assert len(table) == 256
-    width, table = keyx._fixed_base_table(TEST_SMALL)
-    assert width == 1
     assert len(table) == 256
 
 
@@ -129,7 +110,7 @@ def test_fixed_base_table_stays_under_100_kib():
     keyx._fixed_base_table.cache_clear()
     tracemalloc.start()
     try:
-        keyx._fixed_base_table(RFC3526_GROUP14)
+        keyx._fixed_base_table()
         held, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -140,25 +121,18 @@ def test_fixed_base_table_stays_under_100_kib():
 @given(st.integers(min_value=0, max_value=2**257 + 1))
 @example(0)
 @example(1)
+@example(2**33 - 1)  # every bit of the lowest row set
 @example(2**256)
 @example(2**256 + 1)
 @example(2**256 - 1)
 @example(2**264 - 1)  # every bit of every row of the comb set
 def test_fixed_base_pow_matches_pow(exponent):
-    p = RFC3526_GROUP14.p
-    assert keyx._fixed_base_pow(RFC3526_GROUP14, exponent) == pow(2, exponent, p)
-
-
-def test_fixed_base_pow_covers_the_small_group():
-    for exponent in range(TEST_SMALL.p - 1):
-        assert keyx._fixed_base_pow(TEST_SMALL, exponent) == pow(
-            TEST_SMALL.g, exponent, TEST_SMALL.p
-        )
+    assert keyx._fixed_base_pow(exponent) == pow(2, exponent, P)
 
 
 def test_fixed_base_pow_refuses_an_exponent_past_the_table():
     with pytest.raises(ValueError):
-        keyx._fixed_base_pow(RFC3526_GROUP14, 2**264)  # 8 rows of 33 bits
+        keyx._fixed_base_pow(2**264)  # 8 rows of 33 bits
 
 
 def test_concurrent_first_draws_agree_with_pow():
@@ -170,7 +144,7 @@ def test_concurrent_first_draws_agree_with_pow():
     def draw():
         start.wait(timeout=10)
         for _ in range(8):
-            pairs.append(dh_generate(RFC3526_GROUP14))
+            pairs.append(dh_generate())
 
     threads = [threading.Thread(target=draw) for _ in range(4)]
     for thread in threads:
@@ -179,74 +153,57 @@ def test_concurrent_first_draws_agree_with_pow():
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert len(pairs) == 32
-    p = RFC3526_GROUP14.p
-    assert all(pair.public == pow(2, pair.private, p) for pair in pairs)
+    assert all(pair.public == pow(2, pair.private, P) for pair in pairs)
 
 
-@pytest.mark.parametrize(
-    "group, bound",
-    [(RFC3526_GROUP14, 1 << 256), (TEST_SMALL, TEST_SMALL.p - 3)],
-    ids=["group14", "test-small"],
-)
-def test_draw_bound(group, bound):
+def test_draw_bound():
     asked = []
 
     def recording(n):
         asked.append(n)
         return n - 1
 
-    pair = dh_generate(group, randbelow=recording)
-    assert asked == [bound]
-    assert pair.private == bound + 1
+    pair = dh_generate(randbelow=recording)
+    assert asked == [1 << 256]
+    assert pair.private == (1 << 256) + 1
     with pytest.raises(EntropyError):  # a source returning its bound is broken
-        dh_generate(group, randbelow=lambda n: n)
+        dh_generate(randbelow=lambda n: n)
 
 
 def test_full_size_private_still_accepted():
     # an older peer draws from all of [2, p-2]; its key must agree with ours
-    p = RFC3526_GROUP14.p
-    full_size = random.Random(3).randrange(2**2047, p - 1)
-    short = dh_generate(RFC3526_GROUP14)
-    for private in (p - 2, full_size):
-        full = DhKeyPair(private, pow(2, private, p))
-        assert dh_shared(full, short.public, RFC3526_GROUP14) == dh_shared(
-            short, full.public, RFC3526_GROUP14
-        )
+    full_size = random.Random(3).randrange(2**2047, P - 1)
+    short = dh_generate()
+    for private in (P - 2, full_size):
+        full = DhKeyPair(private, pow(2, private, P))
+        assert dh_shared(full, short.public) == dh_shared(short, full.public)
 
 
 # --- shared secret ----------------------------------------------------------
 
 def test_shared_secret_examples():
-    a = DhKeyPair(6, 8)  # 5^6 mod 23 = 8
-    b = DhKeyPair(15, 19)  # 5^15 mod 23 = 19
-    assert dh_shared(a, b.public, TEST_SMALL) == b"\x02"  # 19^6 mod 23 = 2
-    assert dh_shared(b, a.public, TEST_SMALL) == b"\x02"  # 8^15 mod 23 = 2
+    # 2^(6*15) is far below P, so its secret also shows the zero padding
+    rng = random.Random(4)
+    for x, y in [(6, 15), (rng.getrandbits(256), rng.getrandbits(256))]:
+        a = DhKeyPair(x, pow(2, x, P))
+        b = DhKeyPair(y, pow(2, y, P))
+        expected = pow(2, x * y, P).to_bytes(256, "big")
+        assert dh_shared(a, b.public) == expected
+        assert dh_shared(b, a.public) == expected
 
 
 def test_degenerate_peer_publics_rejected():
-    own = DhKeyPair(6, 8)
-    for bad in (0, 1, TEST_SMALL.p - 1, TEST_SMALL.p, -3):
+    own = DhKeyPair(6, pow(2, 6, P))
+    for bad in (0, 1, P - 1, P, -3):
         with pytest.raises(InvalidPublicKey):
-            dh_shared(own, bad, TEST_SMALL)
-
-
-def test_agreement_on_random_pairs():
-    for _ in range(200):
-        a = dh_generate(TEST_SMALL)
-        b = dh_generate(TEST_SMALL)
-        secret_a = dh_shared(a, b.public, TEST_SMALL)
-        secret_b = dh_shared(b, a.public, TEST_SMALL)
-        assert secret_a == secret_b
-        assert len(secret_a) == TEST_SMALL.byte_len
+            dh_shared(own, bad)
 
 
 def test_agreement_group14():
-    a = dh_generate(RFC3526_GROUP14)
-    b = dh_generate(RFC3526_GROUP14)
-    assert dh_shared(a, b.public, RFC3526_GROUP14) == dh_shared(
-        b, a.public, RFC3526_GROUP14
-    )
-    assert len(dh_shared(a, b.public, RFC3526_GROUP14)) == 256
+    a = dh_generate()
+    b = dh_generate()
+    assert dh_shared(a, b.public) == dh_shared(b, a.public)
+    assert len(dh_shared(a, b.public)) == P_BYTES
 
 
 # --- key derivation ---------------------------------------------------------

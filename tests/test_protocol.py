@@ -12,8 +12,9 @@ import struct
 
 import pytest
 
+from csg import keyx
 from csg import protocol as P
-from csg.keyx import TEST_SMALL, DhKeyPair, derive_keys, dh_generate
+from csg.keyx import DhKeyPair, derive_keys, dh_generate
 from csg.vault import AuthFailed, ObjectStore, Registry
 from csg.wire import (
     Frame, MalformedPayload, MessageType, PayloadReader, encode_mpint, encode_str,
@@ -40,7 +41,6 @@ def ctx(tmp_path, acme):
         registry=Registry([acme.record]),
         store=ObjectStore(tmp_path / "objects"),
         master_key=os.urandom(16),
-        group=TEST_SMALL,
     )
 
 
@@ -59,8 +59,8 @@ class Wire:
         return P.server_handle_frame(self.server, frame.msg_type, payload, self.ctx)
 
     def handshake(self, customer, *, tunnel_pass=None) -> tuple[bool, str]:
-        reply = self.send(P.client_connect(self.client, dh_generate(self.ctx.group)))
-        P.client_handle_server_hello(self.client, reply[0].payload, self.ctx.group)
+        reply = self.send(P.client_connect(self.client, dh_generate()))
+        P.client_handle_server_hello(self.client, reply[0].payload)
         password = tunnel_pass if tunnel_pass is not None else customer.tunnel_pass
         reply = self.send(P.auth(self.client, customer.tunnel_user, password))
         return P.handle_auth_result(self.client, reply[0].payload)
@@ -81,12 +81,12 @@ def wire(ctx):
 
 def test_client_hello_layout():
     state = P.SessionState()
-    keypair = DhKeyPair(6, 8)  # 5^6 mod 23 = 8 in the test group
+    keypair = DhKeyPair(6, pow(2, 6, keyx.P))
     frame = P.client_connect(state, keypair)
     assert frame.msg_type is MessageType.CLIENT_HELLO
     r = PayloadReader(frame.payload)
     assert r.u8() == 0x01  # version byte first
-    assert r.mpint() == 8
+    assert r.mpint() == 64
     r.expect_end()
     assert state.phase is P.Phase.INIT  # unchanged until ServerHello
 
@@ -95,7 +95,7 @@ def test_client_connect_out_of_order():
     state = P.SessionState()
     state.phase = P.Phase.SESSION_ACTIVE
     with pytest.raises(P.ProtocolOrderError):
-        P.client_connect(state, dh_generate(TEST_SMALL))
+        P.client_connect(state, dh_generate())
 
 
 def test_hello_exchange_agrees_on_keys(wire, acme):
@@ -108,10 +108,10 @@ def test_hello_exchange_agrees_on_keys(wire, acme):
 
 def test_both_sides_derive_identical_keys(ctx):
     client, server = P.SessionState(), P.SessionState()
-    hello = P.client_connect(client, dh_generate(TEST_SMALL))
+    hello = P.client_connect(client, dh_generate())
     reply = P.server_handle_frame(server, hello.msg_type, hello.payload, ctx)
-    P.client_handle_server_hello(client, reply[0].payload, TEST_SMALL)
-    P.server_derive_keys(server, TEST_SMALL)
+    P.client_handle_server_hello(client, reply[0].payload)
+    P.server_derive_keys(server)
     assert client.keys == server.keys
     assert client.server_nonce == server.server_nonce
 
@@ -120,7 +120,7 @@ def test_server_hello_version_mismatch(ctx):
     server = P.SessionState()
     payload = bytes([0x02]) + b"\x00\x01\x08"
     with pytest.raises(P.VersionMismatch):
-        P.server_hello(server, payload, TEST_SMALL)
+        P.server_hello(server, payload)
 
 
 def test_server_hello_rejects_degenerate_public(ctx):
@@ -129,7 +129,7 @@ def test_server_hello_rejects_degenerate_public(ctx):
 
     payload = bytes([0x01]) + b"\x00\x01\x01"  # client public = 1
     with pytest.raises(InvalidPublicKey):
-        P.server_hello(server, payload, TEST_SMALL)
+        P.server_hello(server, payload)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +137,7 @@ def test_server_hello_rejects_degenerate_public(ctx):
     [(bytes([0x02]) + encode_mpint(8), "version mismatch")]
     + [
         (bytes([0x01]) + encode_mpint(public), "invalid public key")
-        for public in (0, 1, TEST_SMALL.p - 1, TEST_SMALL.p)
+        for public in (0, 1, keyx.P - 1, keyx.P)
     ],
     ids=["version-0x02", "public-0", "public-1", "public-p-minus-1", "public-p"],
 )
@@ -200,8 +200,8 @@ def test_phase1_wrong_password(wire, acme):
 
 
 def test_phase1_unknown_user_same_reason(wire, acme):
-    reply = wire.send(P.client_connect(wire.client, dh_generate(TEST_SMALL)))
-    P.client_handle_server_hello(wire.client, reply[0].payload, TEST_SMALL)
+    reply = wire.send(P.client_connect(wire.client, dh_generate()))
+    P.client_handle_server_hello(wire.client, reply[0].payload)
     reply = wire.send(P.auth(wire.client, "nobody", "pw"))
     ok, reason = P.handle_auth_result(wire.client, reply[0].payload)
     assert (ok, reason) == (False, "auth failed")
@@ -225,10 +225,10 @@ class _RecordingRegistry:
 def test_phase1_server_recovers_exact_credentials(ctx):
     # white-box: the server decrypts the exact pair and asks the registry once
     client, server = P.SessionState(), P.SessionState()
-    hello = P.client_connect(client, dh_generate(TEST_SMALL))
-    frame = P.server_hello(server, hello.payload, TEST_SMALL)
-    P.client_handle_server_hello(client, frame.payload, TEST_SMALL)
-    P.server_derive_keys(server, TEST_SMALL)
+    hello = P.client_connect(client, dh_generate())
+    frame = P.server_hello(server, hello.payload)
+    P.client_handle_server_hello(client, frame.payload)
+    P.server_derive_keys(server)
     auth = P.auth(client, "usér", "pässword")
 
     def owner(answer, nonce=server.server_nonce, payload=auth.payload):
@@ -250,8 +250,8 @@ def test_phase1_server_recovers_exact_credentials(ctx):
 
 
 def test_phase1_stale_nonce_rejected(wire, acme):
-    reply = wire.send(P.client_connect(wire.client, dh_generate(TEST_SMALL)))
-    P.client_handle_server_hello(wire.client, reply[0].payload, TEST_SMALL)
+    reply = wire.send(P.client_connect(wire.client, dh_generate()))
+    P.client_handle_server_hello(wire.client, reply[0].payload)
     wire.client.server_nonce = os.urandom(16)  # stale/foreign nonce
     reply = wire.send(P.auth(wire.client, acme.tunnel_user, acme.tunnel_pass))
     ok, reason = P.handle_auth_result(wire.client, reply[0].payload)
@@ -263,15 +263,15 @@ def test_phase1_replay_into_new_session(ctx, acme):
     # session A completes phase 1; its Phase1Auth frame replayed into B fails
     a = Wire(ctx)
     captured = {}
-    reply = a.send(P.client_connect(a.client, dh_generate(TEST_SMALL)))
-    P.client_handle_server_hello(a.client, reply[0].payload, TEST_SMALL)
+    reply = a.send(P.client_connect(a.client, dh_generate()))
+    P.client_handle_server_hello(a.client, reply[0].payload)
     frame = P.auth(a.client, acme.tunnel_user, acme.tunnel_pass)
     captured["phase1"] = frame
     a.send(frame)
 
     b = Wire(ctx)
-    reply = b.send(P.client_connect(b.client, dh_generate(TEST_SMALL)))
-    P.client_handle_server_hello(b.client, reply[0].payload, TEST_SMALL)
+    reply = b.send(P.client_connect(b.client, dh_generate()))
+    P.client_handle_server_hello(b.client, reply[0].payload)
     result = b.send(captured["phase1"])
     assert result[0].msg_type is MessageType.PHASE1_RESULT
     ok, reason = P.handle_auth_result(b.client, result[0].payload)
@@ -283,8 +283,8 @@ def test_password_bytes_not_on_the_wire(ctx, acme):
     for _ in range(10):
         wire = Wire(ctx)
         password = os.urandom(16).hex()  # 32 chars >= 16 bytes
-        reply = wire.send(P.client_connect(wire.client, dh_generate(TEST_SMALL)))
-        P.client_handle_server_hello(wire.client, reply[0].payload, TEST_SMALL)
+        reply = wire.send(P.client_connect(wire.client, dh_generate()))
+        P.client_handle_server_hello(wire.client, reply[0].payload)
         frame = P.auth(wire.client, acme.tunnel_user, password)
         assert password.encode() not in frame.encode()
 
@@ -301,9 +301,9 @@ def test_full_login(wire, acme):
 
 def test_server_hello_before_client_hello_is_out_of_order():
     state = P.SessionState()
-    server_hello = encode_mpint(dh_generate(TEST_SMALL).public) + bytes(16)
+    server_hello = encode_mpint(dh_generate().public) + bytes(16)
     with pytest.raises(P.ProtocolOrderError, match="before ClientHello"):
-        P.client_handle_server_hello(state, server_hello, TEST_SMALL)
+        P.client_handle_server_hello(state, server_hello)
     assert state.phase is P.Phase.INIT
 
 
@@ -341,7 +341,6 @@ def test_certificate_expired_reason(tmp_path):
         registry=Registry([expired.record]),
         store=ObjectStore(tmp_path / "objects"),
         master_key=os.urandom(16),
-        group=TEST_SMALL,
     )
     wire = Wire(ctx)
     assert wire.handshake(expired)[0]
@@ -357,7 +356,6 @@ def test_certificate_revoked_reason(tmp_path):
         registry=Registry([revoked.record]),
         store=ObjectStore(tmp_path / "objects"),
         master_key=os.urandom(16),
-        group=TEST_SMALL,
     )
     wire = Wire(ctx)
     assert wire.handshake(revoked)[0]
@@ -373,7 +371,6 @@ def test_certificate_rights_missing_reason(tmp_path):
         registry=Registry([limited.record]),
         store=ObjectStore(tmp_path / "objects"),
         master_key=os.urandom(16),
-        group=TEST_SMALL,
     )
     wire = Wire(ctx)
     assert wire.handshake(limited)[0]
@@ -503,7 +500,6 @@ def test_put_statuses(tmp_path):
         registry=Registry([tiny.record]),
         store=ObjectStore(tmp_path / "objects-tiny"),
         master_key=os.urandom(16),
-        group=TEST_SMALL,
     )
     wire = Wire(ctx)
     assert wire.handshake(tiny)[0]
@@ -568,7 +564,6 @@ def test_list_storage_failure_sends_error_frame(tmp_path, acme):
         registry=Registry([acme.record]),
         store=ObjectStore(tmp_path / "objects"),
         master_key=os.urandom(16),
-        group=TEST_SMALL,
         audit=lambda event, _customer_id: events.append(event),
     )
     wire = Wire(ctx)
@@ -651,11 +646,11 @@ def test_replayed_put_frame_is_refused(wire, acme):
 )
 def test_impostor_gateway_cannot_read_the_tunnel_password(acme):
     client, impostor = P.SessionState(), P.SessionState()
-    hello = P.client_connect(client, dh_generate(TEST_SMALL))
+    hello = P.client_connect(client, dh_generate())
     # the impostor answers with the gateway's own code and a key pair of its own
-    reply = P.server_hello(impostor, hello.payload, TEST_SMALL)
-    P.server_derive_keys(impostor, TEST_SMALL)
-    P.client_handle_server_hello(client, reply.payload, TEST_SMALL)
+    reply = P.server_hello(impostor, hello.payload)
+    P.server_derive_keys(impostor)
+    P.client_handle_server_hello(client, reply.payload)
     frame = P.auth(client, acme.tunnel_user, acme.tunnel_pass)
     try:
         r = P._open(impostor, MessageType.PHASE1_AUTH, bytearray(frame.payload))
@@ -757,13 +752,13 @@ def test_client_order_enforcement_full_grid(monkeypatch):
     auth_phases = {P.Phase.HELLO_EXCHANGED, P.Phase.SERVICE_REQUESTED}
     keys = derive_keys(os.urandom(32))
     nonce = os.urandom(16)
-    keypair = dh_generate(TEST_SMALL)
-    server_hello = encode_mpint(dh_generate(TEST_SMALL).public) + nonce
+    keypair = dh_generate()
+    server_hello = encode_mpint(dh_generate().public) + nonce
     sealed = random.Random(89).randbytes(48)  # IV plus two blocks
     ops = {
         "client_connect": ({P.Phase.INIT}, lambda s: P.client_connect(s, keypair)),
         "client_handle_server_hello": (
-            {P.Phase.INIT}, lambda s: P.client_handle_server_hello(s, server_hello, TEST_SMALL)
+            {P.Phase.INIT}, lambda s: P.client_handle_server_hello(s, server_hello)
         ),
         "auth": (auth_phases, lambda s: P.auth(s, "user", "password")),
         "handle_auth_result": (

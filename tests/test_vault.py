@@ -61,7 +61,7 @@ from conftest import (
 def test_empty_file_gives_empty_registry(tmp_path):
     path = tmp_path / "registry.jsonl"
     path.write_text("")
-    assert len(load_registry(path)) == 0
+    assert list(load_registry(path)) == []
 
 
 def test_registry_round_trip(tmp_path):
@@ -625,6 +625,58 @@ def test_a_held_write_holds_up_no_other_put_or_listing(store, monkeypatch):
             other.join(timeout=10)
     assert store.list_objects("slow") == ["a"]
     assert store.get_object("slow", "a", MASTER) == bytes(1000)
+
+
+class _ReportingLock:
+    """The store's lock, setting `blocked` when a thread has to wait for it."""
+
+    def __init__(self, lock, blocked: threading.Event):
+        self._lock, self._blocked = lock, blocked
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self._blocked.set()
+            self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+def test_a_get_racing_an_overwrite_of_another_size_serves_one_whole_object(
+    store, monkeypatch
+):
+    """A get whose open lets a 2 KiB put of the same name go ahead serves
+    the old 1 KiB object or the new one, never the new file against the
+    old size: the put either lands before the get's open or waits for the
+    lock the get holds across its size lookup and its open."""
+    old, new = bytes(1024), b"\x01" * 2048
+    store.put_object("acme", "n", old, MASTER, QUOTA)
+    settled = threading.Event()  # the put landed, or waits for the store lock
+    monkeypatch.setattr(store, "_lock", _ReportingLock(store._lock, settled))
+
+    def overwrite():
+        try:
+            store.put_object("acme", "n", new, MASTER, QUOTA)
+        finally:
+            settled.set()
+
+    put = threading.Thread(target=overwrite)
+    real_open = os.open
+
+    def open_after_the_put(path, flags, *args):
+        if os.path.basename(path) == "n" and not put.ident:
+            put.start()
+            assert settled.wait(timeout=10)
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(vault.os, "open", open_after_the_put)
+    try:
+        assert store.get_object("acme", "n", MASTER) in (old, new)
+    finally:
+        if put.ident:
+            put.join(timeout=10)
+    assert not put.is_alive()
+    assert store.get_object("acme", "n", MASTER) == new
 
 
 def test_quota_enforced(store):

@@ -4,7 +4,6 @@ and never reach any output stream."""
 
 from __future__ import annotations
 
-import functools
 import os
 import pty
 import select
@@ -21,17 +20,9 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
-from csg.keyx import RFC3526_GROUP14
-
 from conftest import make_certificate, provision_customer
 
 VPNC = [sys.executable, "-m", "csg.vpnc"]
-
-
-@pytest.fixture
-def gateway_factory(gateway_factory):
-    """vpnc speaks only group 14, so every gateway in this module does too."""
-    return functools.partial(gateway_factory, group=RFC3526_GROUP14)
 
 
 def run_script(
@@ -419,7 +410,7 @@ def test_script_missing_password_env_is_usage_error(gateway_factory, tmp_path):
 
 
 def test_group_flags_are_usage_errors(tmp_path):
-    # vpnc has no way to pick a DH group, so the test-only one is out of reach
+    # vpnc has no way to pick a DH group: the gateway runs only one
     script = tmp_path / "script.txt"
     script.write_text("quit\n")
     result = subprocess.run(
