@@ -11,7 +11,7 @@ is CommandRefused before anything is encrypted or sent."""
 from __future__ import annotations
 
 import socket
-from typing import Any
+from typing import Any, Sequence
 
 from . import protocol
 from .keyx import InvalidPublicKey, dh_generate
@@ -78,7 +78,7 @@ class ClientSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _exchange(self, frames: list[Frame], parse=None) -> Any:
+    def _exchange(self, frames: Sequence[Frame], parse=None) -> Any:
         """Send `frames` in one write; when the protocol answers the last of
         them, read that reply and return `parse(state, payload)`. The one
         place where socket, framing and decryption failures, an Error frame

@@ -380,9 +380,9 @@ class Gateway:
         self, session_id: int, conn: socket.socket, stream: BinaryIO,
         state: SessionState, ctx: ServerContext,
     ) -> bool:
-        """Read one frame and send the replies; False once the stream ends or
-        breaks. The request and its replies die with this call, so a session
-        waiting for its next frame holds neither."""
+        """Read one frame and send its reply, if it has one; False once the
+        stream ends or breaks. The request and its reply die with this call,
+        so a session waiting for its next frame holds neither."""
         try:
             msg_type, payload = decode_frame(stream)
         except StreamEnded:
@@ -398,8 +398,9 @@ class Gateway:
             except OSError:
                 pass
             return False
-        for frame in server_handle_frame(state, msg_type, payload, ctx):
-            conn.sendall(frame.encode())
+        reply = server_handle_frame(state, msg_type, payload, ctx)
+        if reply is not None:
+            conn.sendall(reply.encode())
         return True
 
     def shutdown(self, drain_seconds: float = DRAIN_SECONDS) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import secrets
+import os
 from typing import Callable, NamedTuple, Optional
 
 PASSWORD_HASH_ITERATIONS = 10_000
@@ -71,13 +71,17 @@ def dh_generate(*, randbelow: Optional[Callable[[int], int]] = None) -> DhKeyPai
     """Generate a keypair with private uniform in [2, 2^256 + 1]. The public
     value comes from the fixed-base comb (`_fixed_base_pow`): one 256-entry
     table, built on the first draw and then cached, and 33 squarings and 33
-    table products per draw. `randbelow` replaces `secrets.randbelow` as the
-    random source.
+    table products per draw. The draw is 32 bytes of `os.urandom` read as
+    an integer: the bound is exactly 2^256, so it is uniform below it, as
+    `secrets.randbelow(2**256)` is. A given `randbelow(bound)` replaces it
+    as the random source.
     """
-    draw = randbelow if randbelow is not None else secrets.randbelow
     bound = 1 << _PRIVATE_BITS
     try:
-        priv = 2 + draw(bound)
+        if randbelow is None:
+            priv = 2 + int.from_bytes(os.urandom(_PRIVATE_BITS // 8), "big")
+        else:
+            priv = 2 + randbelow(bound)
     except Exception as exc:
         raise EntropyError(f"random source failed: {exc}") from exc
     if not 2 <= priv <= bound + 1:

@@ -25,9 +25,11 @@ decrypts the received payload in place, and makes one that does not
 decrypt a MalformedPayload. `auth` and `handle_auth_result` serve both
 credential steps, picked by phase from the auth rows. The server side has
 one entry point, `server_handle_frame`, which serves a request only in its
-row's phase; every other (phase, type) pair, and every handler failure,
-becomes an Error frame that closes the session. A check or timer that must
-see every frame before any handler runs belongs in that function.
+row's phase and answers it with its row's reply, or with none. Every other
+(phase, type) pair, and every handler failure, becomes an Error frame that
+closes the session; a store failure reaches the client only as a status. A
+check or timer that must see every frame before any handler runs belongs in
+that function.
 
 The server answers a ClientHello before it derives the session keys.
 `server_hello` checks the version and the client public, draws the server
@@ -384,7 +386,7 @@ def _credential_owner(
 def _answer_auth(
     state: SessionState, ctx: ServerContext, event: str,
     customer_id: Optional[str] = None, reason: Optional[str] = None,
-) -> list[Frame]:
+) -> Frame:
     """Seal and audit the verdict on an auth step: ok moves the session to
     the step's next phase, a refusal `reason` closes it."""
     step = _STEPS[_auth_type(state, "_answer_auth")]
@@ -395,16 +397,16 @@ def _answer_auth(
         frame = _seal(state, step.reply, bytes([STATUS_ERROR]), encode_str(reason))
         state.close()
     ctx.audit(event, customer_id)
-    return [frame]
+    return frame
 
 
-def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> list[Frame]:
+def _serve_hello(state: SessionState, payload: bytes, ctx: ServerContext) -> Frame:
     frame = server_hello(state, payload)
     ctx.audit("hello", None)
-    return [frame]
+    return frame
 
 
-def _serve_phase1(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
+def _serve_phase1(state: SessionState, payload: bytearray, ctx: ServerContext) -> Frame:
     """Check the tunnel credentials; all failures (bad decrypt, replay,
     unknown user, bad password) get the same generic result."""
     customer_id = _credential_owner(state, MessageType.PHASE1_AUTH, "tunnel", payload, ctx)
@@ -415,7 +417,7 @@ def _serve_phase1(state: SessionState, payload: bytearray, ctx: ServerContext) -
 
 def _serve_service_request(
     state: SessionState, payload: bytearray, ctx: ServerContext
-) -> list[Frame]:
+) -> None:
     """Record the requested path; it is checked once phase 2 proves who is
     asking. There is no direct response."""
     r = _open(state, MessageType.SERVICE_REQUEST, payload)
@@ -423,10 +425,9 @@ def _serve_service_request(
     r.expect_end()
     state.space_path = path
     state.phase = _STEPS[MessageType.SERVICE_REQUEST].next_phase
-    return []
 
 
-def _serve_phase2(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
+def _serve_phase2(state: SessionState, payload: bytearray, ctx: ServerContext) -> Frame:
     """Check service credentials, then the requested path, then the
     contract. Credential failures stay generic; certificate verdicts are
     reported specifically so the customer learns their contract lapsed."""
@@ -444,7 +445,7 @@ def _serve_phase2(state: SessionState, payload: bytearray, ctx: ServerContext) -
     return _answer_auth(state, ctx, "phase2 ok cert=valid", customer_id)
 
 
-def _serve_put(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
+def _serve_put(state: SessionState, payload: bytearray, ctx: ServerContext) -> Frame:
     r = _open(state, MessageType.PUT, payload)
     name = r.string()
     data = r.take(r.u32())
@@ -460,10 +461,10 @@ def _serve_put(state: SessionState, payload: bytearray, ctx: ServerContext) -> l
     except OSError:
         status = STATUS_ERROR
     ctx.audit(f"put name={name!r} bytes={len(data)} status={status}", state.customer_id)
-    return [_seal(state, MessageType.PUT_RESULT, bytes([status]))]
+    return _seal(state, MessageType.PUT_RESULT, bytes([status]))
 
 
-def _serve_get(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
+def _serve_get(state: SessionState, payload: bytearray, ctx: ServerContext) -> Frame:
     r = _open(state, MessageType.GET, payload)
     name = r.string()
     r.expect_end()
@@ -475,22 +476,21 @@ def _serve_get(state: SessionState, payload: bytearray, ctx: ServerContext) -> l
     except (CorruptObject, OSError):
         data, status = b"", STATUS_ERROR
     ctx.audit(f"get name={name!r} status={status}", state.customer_id)
-    return [
-        _seal(state, MessageType.GET_RESULT, bytes([status]), struct.pack(">I", len(data)), data)
-    ]
+    return _seal(state, MessageType.GET_RESULT, bytes([status]), struct.pack(">I", len(data)), data)
 
 
-def _serve_list(state: SessionState, payload: bytearray, ctx: ServerContext) -> list[Frame]:
+def _serve_list(state: SessionState, payload: bytearray, ctx: ServerContext) -> Frame:
     _open(state, MessageType.LIST, payload).expect_end()
     names = ctx.store.list_objects(state.customer_id)
     ctx.audit(f"list count={len(names)}", state.customer_id)
     if len(names) > 0xFFFF:
         raise FrameTooLarge(f"{len(names)} objects exceed the u16 listing count")
     encoded = b"".join(encode_str(n) for n in names)
-    return [_seal(state, MessageType.LIST_RESULT, struct.pack(">H", len(names)), encoded)]
+    return _seal(state, MessageType.LIST_RESULT, struct.pack(">H", len(names)), encoded)
 
 
-_Handler = Callable[[SessionState, bytearray, ServerContext], list[Frame]]
+# a handler returns its row's reply, or None when the row has none
+_Handler = Callable[[SessionState, bytearray, ServerContext], Optional[Frame]]
 
 
 class _Step(NamedTuple):
@@ -549,24 +549,25 @@ def server_handle_frame(
     msg_type: MessageType,
     payload: bytearray,
     ctx: ServerContext,
-) -> list[Frame]:
+) -> Optional[Frame]:
     """Drive the server state machine for one incoming frame.
 
     The payload is a writable buffer, as `decode_frame` returns it, and a
-    sealed one is decrypted there in place. Returns the frames to send back
-    (possibly none). Any illegal (phase, type) pair, malformed payload or
-    reply too large for one frame yields a single Error frame and a closed
-    session, and so does any request of an active session once its
-    customer's certificate no longer holds at `ctx.now()`; frames arriving
-    after close are dropped silently.
+    sealed one is decrypted there in place. Returns the one frame to send
+    back: the reply of the request's row, or None when the row has none.
+    Any illegal (phase, type) pair, malformed payload or reply too large for
+    one frame yields an Error frame and a closed session, and so does any
+    request of an active session once its customer's certificate no longer
+    holds at `ctx.now()`. A Disconnect, and any frame arriving after close,
+    gets None.
     """
     server_derive_keys(state)
     if state.phase is Phase.CLOSED:
-        return []
+        return None
     if msg_type is MessageType.DISCONNECT:
         ctx.audit("disconnect", state.customer_id)
         state.close()
-        return []
+        return None
     step = _STEPS.get(msg_type)
     reason = None
     if step is None or step.phase is not state.phase:
@@ -587,9 +588,6 @@ def server_handle_frame(
         except FrameTooLarge:
             # a listing over the u16 count or the frame cap: the request was fine
             reason = "reply too large"
-        except OSError:
-            # LIST_RESULT has no status byte, so a failing store ends the session
-            reason = "storage error"
     ctx.audit(f"error {reason}", state.customer_id)
     state.close()
-    return [Frame(MessageType.ERROR, encode_str(reason))]
+    return Frame(MessageType.ERROR, encode_str(reason))

@@ -283,7 +283,10 @@ def load_registry(path: str | os.PathLike[str]) -> Registry:
                 record = _record_from_json(obj)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-            registry.add(record)
+            try:
+                registry.add(record)
+            except DuplicateUser as exc:
+                raise DuplicateUser(f"line {lineno}: {exc}") from None
     return registry
 
 
@@ -382,7 +385,8 @@ class ObjectStore:
     checked headers at startup, which reads no tag. Only version 0x03 is
     read: a file of any other version is a CorruptObject, and the scan skips
     it, so it is neither listed nor counted toward the quota. The scan
-    also skips links; `scan_skipped` counts what it skips.
+    also skips links and customer directories it cannot read;
+    `scan_skipped` counts what it skips.
 
     Writes go through a temp file + atomic rename, which commits content and
     size together. The temp file, `.tmp-<counter hex>` beside the object,
@@ -402,12 +406,13 @@ class ObjectStore:
     and closes.
 
     The store is the only writer of its directories, so the size table is
-    also the listing: `list_objects` reads no directory, and `get_object`
+    also the listing: `list_objects` makes no system call, and `get_object`
     serves only a name the table lists. A file deleted by hand while the
     store runs stays listed and charged until the next startup scan; a get
     of it is a NoSuchObject. One placed by hand is served only after that
-    scan. A customer directory removed by hand is made again by the
-    customer's next put.
+    scan. A customer directory, or the root itself, removed by hand is the
+    same: its objects stay listed until the next start, and the customer's
+    next put makes the directories again.
 
     A put allocates no buffer of its own: it streams the ciphertext to its
     file with one os.writev per cipher chunk, as aes.ctr_stream yields it,
@@ -424,7 +429,7 @@ class ObjectStore:
         self._lock = threading.Lock()
         self._sizes: dict[str, dict[str, int]] = {}  # object file sizes
         self._used: dict[str, int] = {}  # per customer, the sum of its sizes
-        self.scan_skipped = 0  # object files the startup scan could not read
+        self.scan_skipped = 0  # links, directories and files the startup scan could not read
         self.scan_removed = 0  # temp files of cut-off writes it removed
         self._scan()
 
@@ -444,12 +449,18 @@ class ObjectStore:
 
     def _scan(self) -> None:
         """Rebuild the file-size table from checked object headers.
-        Links, unreadable and corrupt files are skipped, and `.tmp-*` files,
-        left by a write cut off before its rename, are removed; all are
-        counted."""
+        Links, unreadable customer directories, and unreadable and corrupt
+        files are skipped, and `.tmp-*` files, left by a write cut off
+        before its rename, are removed; all are counted. A root that cannot
+        be read raises."""
         customers = [e for e in self._entries(self.root) if e.is_dir(follow_symlinks=False)]
         for customer in customers:
-            files = [e for e in self._entries(customer.path) if e.is_file(follow_symlinks=False)]
+            try:
+                entries = self._entries(customer.path)
+            except OSError:
+                self.scan_skipped += 1
+                continue
+            files = [e for e in entries if e.is_file(follow_symlinks=False)]
             sizes: dict[str, int] = {}
             for f in files:
                 try:
@@ -592,10 +603,9 @@ class ObjectStore:
 
     def list_objects(self, customer_id: str) -> list[str]:
         """Object names in lexicographic byte order, read from the size
-        table; empty for a customer that has never stored anything."""
+        table alone, with no system call; empty for a customer that has
+        never stored anything."""
         _validate_customer_id(customer_id)
-        if not os.path.isdir(self.root):
-            raise FileNotFoundError(f"object store root missing: {self.root}")
         with self._lock:
             return sorted(self._sizes.get(customer_id, ()))
 

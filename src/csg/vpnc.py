@@ -212,6 +212,8 @@ def _prompt_secret(kind: str, prompt: str) -> str:
         return getpass.getpass(prompt)
     except EOFError:  # Ctrl-D at the prompt
         raise _UsageError(f"no {kind} password given") from None
+    except UnicodeDecodeError as exc:  # the terminal is read in the locale's codec, strictly
+        raise _UsageError(f"{kind} password cannot be decoded as {exc.encoding}") from None
 
 
 def _env_secret(env: dict) -> Callable[[str, str], str]:
@@ -237,6 +239,10 @@ def _prompted_lines(stdin: TextIO) -> Iterator[str]:
 
 
 def _run_interactive(args, stdin: TextIO) -> int:
+    # a byte that is not UTF-8 becomes a lone surrogate, as in argv and the
+    # environment, and the client refuses the field; in a UTF-8 locale
+    # stdin would otherwise decode strictly and readline would raise
+    stdin.reconfigure(errors="surrogateescape")
     console = _Console(_prompt_secret)
     connect = ["connect", "--host", args.host, "--port", args.port, "--user", args.user]
     try:

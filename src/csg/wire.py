@@ -30,6 +30,10 @@ class FrameTooLarge(FrameError):
     pass
 
 
+class FrameTooShort(FrameError):
+    """The declared length is 0, which leaves no room for the type byte."""
+
+
 class TruncatedFrame(FrameError):
     pass
 
@@ -91,20 +95,22 @@ def decode_frame(stream: BinaryIO) -> tuple[MessageType, bytearray]:
     `stream` is buffered (`socket.makefile("rb")`, `io.BytesIO`): its
     `read(n)` returns fewer than n bytes only at the end of the stream.
     Raises TruncatedFrame (StreamEnded when no byte of the frame arrives),
-    UnknownType or FrameTooLarge; never anything else, whatever the input
-    bytes.
+    UnknownType, FrameTooShort or FrameTooLarge; never anything else,
+    whatever the input bytes.
     """
     head = stream.read(5)
     if not head:
         raise StreamEnded("stream ended while reading frame header")
-    # the declared length alone is enough to refuse an oversized frame
-    if len(head) >= 4 and struct.unpack(">I", head[:4])[0] > MAX_FRAME_LEN:
-        raise FrameTooLarge("declared frame length exceeds the cap")
+    # the declared length alone is enough to refuse a frame out of bounds
+    if len(head) >= 4:
+        declared = struct.unpack(">I", head[:4])[0]
+        if declared > MAX_FRAME_LEN:
+            raise FrameTooLarge("declared frame length exceeds the cap")
+        if declared < 1:
+            raise FrameTooShort("declared frame length leaves no room for the type byte")
     if len(head) < 5:
         raise TruncatedFrame("stream ended while reading frame header")
     length, type_code = struct.unpack(">IB", head)
-    if length < 1:
-        raise TruncatedFrame("declared frame length leaves no room for the type byte")
     # a read allocates all it asks for before any byte arrives, so no read
     # asks for more than _READ_BYTES: a peer that declares a large frame and
     # stops holds a buffer sized by what it sent

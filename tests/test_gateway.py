@@ -768,8 +768,10 @@ def test_clean_end_is_told_apart_from_a_cut_frame(gateway_factory, sent, event):
         # the declared length alone is refused; no payload byte is sent
         (struct.pack(">IB", MAX_FRAME_LEN + 1, MessageType.PUT), "frame error FrameTooLarge"),
         (struct.pack(">IB", 1, 0xEE), "frame error UnknownType"),  # an unassigned type byte
+        # a complete header whose length leaves no room for its type byte
+        (struct.pack(">IB", 0, MessageType.PUT), "frame error FrameTooShort"),
     ],
-    ids=["too-large", "unknown-type"],
+    ids=["too-large", "unknown-type", "zero-length"],
 )
 def test_undecodable_frame_is_answered_bad_frame(gateway_factory, sent, event):
     handle = gateway_factory([provision_customer("acme")])

@@ -53,10 +53,12 @@ class Wire:
         self.server = P.SessionState()
 
     def send(self, frame: Frame) -> list[Frame]:
+        """The frames the server sends back: none or its one reply."""
         # a fresh copy, as a socket delivers one: the server decrypts in
         # place, and a test may send one frame twice
         payload = bytearray(frame.payload)
-        return P.server_handle_frame(self.server, frame.msg_type, payload, self.ctx)
+        reply = P.server_handle_frame(self.server, frame.msg_type, payload, self.ctx)
+        return [] if reply is None else [reply]
 
     def handshake(self, customer, *, tunnel_pass=None) -> tuple[bool, str]:
         reply = self.send(P.client_connect(self.client, dh_generate()))
@@ -110,7 +112,7 @@ def test_both_sides_derive_identical_keys(ctx):
     client, server = P.SessionState(), P.SessionState()
     hello = P.client_connect(client, dh_generate())
     reply = P.server_handle_frame(server, hello.msg_type, hello.payload, ctx)
-    P.client_handle_server_hello(client, reply[0].payload)
+    P.client_handle_server_hello(client, reply.payload)
     P.server_derive_keys(server)
     assert client.keys == server.keys
     assert client.server_nonce == server.server_nonce
@@ -149,9 +151,9 @@ def test_refused_hello_costs_no_dh_work(ctx, monkeypatch, payload, reason):
             P, name, lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw)
         )
     server = P.SessionState()
-    frames = P.server_handle_frame(server, MessageType.CLIENT_HELLO, payload, ctx)
-    assert [f.msg_type for f in frames] == [MessageType.ERROR]
-    assert PayloadReader(frames[0].payload).string() == reason
+    reply = P.server_handle_frame(server, MessageType.CLIENT_HELLO, payload, ctx)
+    assert reply.msg_type is MessageType.ERROR
+    assert PayloadReader(reply.payload).string() == reason
     assert calls == []
 
 
@@ -172,10 +174,10 @@ def test_close_drops_everything_the_session_learned(wire, acme):
 def test_dispatcher_turns_bad_hello_into_error_frame(ctx):
     server = P.SessionState()
     payload = bytes([0x02]) + b"\x00\x01\x08"
-    frames = P.server_handle_frame(server, MessageType.CLIENT_HELLO, payload, ctx)
-    assert [f.msg_type for f in frames] == [MessageType.ERROR]
+    reply = P.server_handle_frame(server, MessageType.CLIENT_HELLO, payload, ctx)
+    assert reply.msg_type is MessageType.ERROR
     assert server.phase is P.Phase.CLOSED
-    assert PayloadReader(frames[0].payload).string() == "version mismatch"
+    assert PayloadReader(reply.payload).string() == "version mismatch"
 
 
 # --- phase 1 ----------------------------------------------------------------
@@ -558,25 +560,24 @@ def test_get_of_a_corrupt_object_is_a_status_not_an_error_frame(
     assert P.parse_list_result(wire.client, reply[0].payload) == listed
 
 
-def test_list_storage_failure_sends_error_frame(tmp_path, acme):
+def test_list_after_store_root_removed_answers_from_the_table(ctx, wire, acme, tmp_path):
+    """A store root removed by hand is like an object file deleted by hand:
+    LIST still answers from the size table, a GET answers not found, and
+    the session stays active."""
     events: list[str] = []
-    ctx = P.ServerContext(
-        registry=Registry([acme.record]),
-        store=ObjectStore(tmp_path / "objects"),
-        master_key=os.urandom(16),
-        audit=lambda event, _customer_id: events.append(event),
-    )
-    wire = Wire(ctx)
+    wire.ctx = ctx._replace(audit=lambda event, _customer_id: events.append(event))
     assert wire.handshake(acme)[0]
     assert wire.login(acme)[0]
     reply = wire.send(P.build_put(wire.client, "a", b"x"))
     assert P.parse_put_result(wire.client, reply[0].payload) == P.STATUS_OK
     shutil.rmtree(tmp_path / "objects")
     reply = wire.send(P.build_list(wire.client))
-    assert [f.msg_type for f in reply] == [MessageType.ERROR]
-    assert PayloadReader(reply[0].payload).string() == "storage error"
-    assert events[-1] == "error storage error"
-    assert wire.server.phase is P.Phase.CLOSED
+    assert [f.msg_type for f in reply] == [MessageType.LIST_RESULT]
+    assert P.parse_list_result(wire.client, reply[0].payload) == ["a"]
+    assert events[-1] == "list count=1"
+    reply = wire.send(P.build_get(wire.client, "a"))
+    assert P.parse_get_result(wire.client, reply[0].payload) == (P.STATUS_NOT_FOUND, b"")
+    assert wire.server.phase is P.Phase.SESSION_ACTIVE
 
 
 @pytest.mark.parametrize(
@@ -711,7 +712,9 @@ def _state_in(phase: P.Phase, keys, nonce) -> P.SessionState:
 
 def test_order_enforcement_full_grid(ctx):
     """Every (phase, type) pair outside the legal table must produce an
-    Error frame (and a closed session) or be dropped; nothing may crash."""
+    Error frame (and a closed session) or be dropped; nothing may crash. A
+    legal pair gets its row's reply, or none, or an Error frame for the
+    random payload."""
     legal = {
         (P.Phase.INIT, MessageType.CLIENT_HELLO),
         (P.Phase.HELLO_EXCHANGED, MessageType.PHASE1_AUTH),
@@ -729,17 +732,23 @@ def test_order_enforcement_full_grid(ctx):
         for msg_type in MessageType:
             state = _state_in(phase, keys, nonce)
             payload = bytearray(rng.randbytes(rng.randrange(0, 48)))
-            frames = P.server_handle_frame(state, msg_type, payload, ctx)
+            reply = P.server_handle_frame(state, msg_type, payload, ctx)
             checked += 1
             if phase is P.Phase.CLOSED:
-                assert frames == []
+                assert reply is None
                 continue
             if msg_type is MessageType.DISCONNECT:
-                assert frames == [] and state.phase is P.Phase.CLOSED
+                assert reply is None and state.phase is P.Phase.CLOSED
                 continue
             if (phase, msg_type) in legal:
-                continue  # behaviour covered by the flow tests
-            assert [f.msg_type for f in frames] == [MessageType.ERROR], (phase, msg_type)
+                # the rest of the behaviour is covered by the flow tests
+                row_reply = P._STEPS[msg_type].reply
+                if reply is None:
+                    assert row_reply is None, (phase, msg_type)
+                else:
+                    assert reply.msg_type in (row_reply, MessageType.ERROR), (phase, msg_type)
+                continue
+            assert reply.msg_type is MessageType.ERROR, (phase, msg_type)
             assert state.phase is P.Phase.CLOSED
     assert checked == 6 * 15
 
@@ -817,9 +826,9 @@ def test_dispatch_error_reason_and_audit(ctx, phase, msg_type, payload, reason):
     events: list[str] = []
     ctx = ctx._replace(audit=lambda event, _customer_id: events.append(event))
     state = _state_in(phase, derive_keys(os.urandom(32)), os.urandom(16))
-    frames = P.server_handle_frame(state, msg_type, payload, ctx)
-    assert [f.msg_type for f in frames] == [MessageType.ERROR]
-    assert PayloadReader(frames[0].payload).string() == reason
+    reply = P.server_handle_frame(state, msg_type, payload, ctx)
+    assert reply.msg_type is MessageType.ERROR
+    assert PayloadReader(reply.payload).string() == reason
     assert events == [f"error {reason}"]
     assert state.phase is P.Phase.CLOSED
 
@@ -876,11 +885,11 @@ def test_put_of_one_mib_peaks_under_six_tenths_of_the_object(wire, acme):
     payload = sealed_without_encryption(schedule, first_block, size, random.Random(53))
 
     def serve():
-        frames = P.server_handle_frame(wire.server, MessageType.PUT, payload, wire.ctx)
-        return [frame.encode() for frame in frames], frames
+        reply = P.server_handle_frame(wire.server, MessageType.PUT, payload, wire.ctx)
+        return reply.encode(), reply
 
-    (_, frames), peak = peak_allocated(serve)
-    assert P.parse_put_result(wire.client, frames[0].payload) == P.STATUS_OK
+    (_, reply), peak = peak_allocated(serve)
+    assert P.parse_put_result(wire.client, reply.payload) == P.STATUS_OK
     assert wire.ctx.store.list_objects("acme") == [name]
     assert peak <= 0.6 * data_len
 
@@ -905,7 +914,7 @@ def test_malformed_encrypted_payload_closes_session(wire, acme):
 
 def test_dispatcher_fuzz_never_raises(ctx):
     """2,000 random (phase, type, payload) triples: the dispatcher always
-    returns frames or closes, never raises."""
+    returns one frame or None, never raises."""
     rng = random.Random(0xD15)
     keys = derive_keys(os.urandom(32))
     nonce = os.urandom(16)
@@ -921,7 +930,5 @@ def test_dispatcher_fuzz_never_raises(ctx):
             payload = rng.randbytes(16) + rng.randbytes(16 * rng.randrange(1, 4))
         else:
             payload = bytes([0x01]) + rng.randbytes(rng.randrange(0, 20))
-        frames = P.server_handle_frame(state, msg_type, bytearray(payload), ctx)
-        assert isinstance(frames, list)
-        for frame in frames:
-            assert isinstance(frame, Frame)
+        reply = P.server_handle_frame(state, msg_type, bytearray(payload), ctx)
+        assert reply is None or isinstance(reply, Frame)

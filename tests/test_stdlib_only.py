@@ -51,6 +51,11 @@ def test_every_csg_module_imports_only_the_standard_library(loaded):
 def test_no_csg_module_loads_dataclasses_or_inspect(loaded):
     # dataclasses imports inspect, which brings ast, dis and tokenize: about
     # 1 MiB of every gateway process's resident memory. pathlib brings
-    # fnmatch, ntpath, urllib and ipaddress: about 0.7 MiB more
-    unwanted = {"dataclasses", "inspect", "pathlib", "fnmatch", "ntpath", "urllib", "ipaddress"}
+    # fnmatch, ntpath, urllib and ipaddress: about 0.7 MiB more. secrets
+    # brings random and base64 (with _sha512, bisect and binascii): about
+    # 0.5 MiB more, where os.urandom serves every secret
+    unwanted = {
+        "dataclasses", "inspect", "pathlib", "fnmatch", "ntpath", "urllib", "ipaddress",
+        "secrets", "random", "base64",
+    }
     assert sorted(loaded & unwanted) == []

@@ -130,7 +130,7 @@ def test_duplicate_tunnel_user_rejected(tmp_path):
     save_registry(Registry([a]), path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(vault._record_to_json(clash)) + "\n")
-    with pytest.raises(DuplicateUser):
+    with pytest.raises(DuplicateUser, match="line 2"):
         load_registry(path)
 
 
@@ -779,23 +779,32 @@ def test_list_ordering_and_fresh_customer(store):
 
 
 def test_list_after_store_root_deleted(store, tmp_path):
+    """A root removed by hand is like an object file deleted by hand: its
+    objects stay listed and charged, a get of one is a NoSuchObject, and
+    the next put makes the tree again."""
     store.put_object("acme", "a", b"1", MASTER, QUOTA)
     shutil.rmtree(tmp_path / "objects")
-    with pytest.raises(OSError):
-        store.list_objects("acme")
-    with pytest.raises(OSError):
-        store.list_objects("bravo")  # never stored anything
+    assert store.list_objects("acme") == ["a"]
+    assert store.list_objects("bravo") == []  # never stored anything
+    with pytest.raises(NoSuchObject):
+        store.get_object("acme", "a", MASTER)
+    store.put_object("acme", "b", b"2", MASTER, QUOTA)
+    assert store.list_objects("acme") == ["a", "b"]
+    assert store.used_bytes("acme") == 2 + 2 * OVERHEAD
+    assert bytes(store.get_object("acme", "b", MASTER)) == b"2"
+
+
+class _NoOs:
+    """Stands in for the os module: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"list_objects used os.{name}")
 
 
 def test_list_reads_no_directory(store, monkeypatch):
     for name in ("b", "a", "\u00e9", "Z"):
         store.put_object("acme", name, b"x", MASTER, QUOTA)
-
-    def no_directory_reads(*_args, **_kwargs):
-        raise AssertionError("list_objects read a directory")
-
-    monkeypatch.setattr(vault.os, "listdir", no_directory_reads)
-    monkeypatch.setattr(vault.os, "scandir", no_directory_reads)
+    monkeypatch.setattr(vault, "os", _NoOs())  # no system call at all
     assert store.list_objects("acme") == ["Z", "a", "b", "\u00e9"]
     assert store.list_objects("fresh") == []
 
@@ -944,6 +953,31 @@ def test_scan_counts_skipped_files_and_removes_temp_files(tmp_path):
     assert second.used_bytes("acme") == 4 + OVERHEAD
     third = ObjectStore(root)  # the temp file is gone, the v2 file is not
     assert (third.scan_skipped, third.scan_removed) == (1, 0)
+
+
+def test_scan_skips_and_counts_an_unreadable_customer_directory(tmp_path, monkeypatch):
+    root = tmp_path / "objects"
+    first = ObjectStore(root)
+    first.put_object("acme", "a", b"acme data", MASTER, QUOTA)
+    first.put_object("bravo", "b", b"bravo data", MASTER, QUOTA)
+    real_scandir = vault.os.scandir
+    # mode bits cannot stand in: the tests may run as root, who reads anything
+    unreadable = {str(root / "bravo")}
+
+    def scandir(path):
+        if os.fspath(path) in unreadable:
+            raise PermissionError(13, "Permission denied", path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(vault.os, "scandir", scandir)
+    restarted = ObjectStore(root)
+    assert restarted.scan_skipped == 1
+    assert restarted.list_objects("acme") == ["a"]
+    assert restarted.list_objects("bravo") == []
+    assert restarted.used_bytes("bravo") == 0
+    unreadable.add(str(root))
+    with pytest.raises(PermissionError):  # an unreadable root still fails start-up
+        ObjectStore(root)
 
 
 @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 1024])

@@ -527,12 +527,14 @@ def test_argv_port_out_of_range_is_usage_error(port):
 
 # --- interactive mode over a pseudo-terminal ----------------------------------
 
-def _pty_session(argv: list[str], steps: list[tuple[bytes, bytes]], timeout=30.0):
-    """Spawn argv on a fresh pty; for each (wait_for, to_send) step, read
-    until the marker appears, then write. Returns (all output, exit code)."""
+def _pty_session(argv: list[str], steps: list[tuple[bytes, bytes]], timeout=30.0, env=None):
+    """Spawn argv on a fresh pty, with `env` added to the environment; for
+    each (wait_for, to_send) step, read until the marker appears, then
+    write. Returns (all output, exit code)."""
+    child_env = {**os.environ, **(env or {})}
     pid, master = pty.fork()
     if pid == 0:  # child
-        os.execv(sys.executable, argv)
+        os.execve(sys.executable, argv, child_env)
     output = b""
     try:
         for marker, to_send in steps:
@@ -613,6 +615,44 @@ def test_interactive_wrong_password_exit_2(gateway_factory):
     output, exit_code = _pty_session(argv, [(b"tunnel password:", b"wrong\n")])
     assert exit_code == 2
     assert b"auth failed" in output
+
+
+# a UTF-8 locale in which stdin decodes strictly, as a user's terminal often
+# does: there a byte that is not UTF-8 makes readline and getpass raise
+_STRICT_UTF8 = {"LANG": "C.UTF-8", "LC_ALL": "C.UTF-8", "PYTHONIOENCODING": "utf-8:strict"}
+
+
+@pytest.mark.skipif(not hasattr(pty, "fork"), reason="needs a pty")
+def test_interactive_non_utf8_command_is_refused_and_session_goes_on(gateway_factory):
+    acme = provision_customer("acme")
+    handle = gateway_factory([acme])
+    argv = [
+        sys.executable, "-m", "csg.vpnc", "connect",
+        "--host", handle.host, "--port", str(handle.port),
+        "--user", acme.tunnel_user,
+    ]
+    steps = [
+        (b"tunnel password:", acme.tunnel_pass.encode() + b"\n"),
+        (b"tunnel established", b"get \xff out\n"),
+        (b"object name is not valid UTF-8", b"ls\n"),
+        (b"ls: not allowed", b"quit\n"),
+    ]
+    output, exit_code = _pty_session(argv, steps, env=_STRICT_UTF8)
+    assert exit_code == 0, output
+    assert b"Traceback" not in output
+
+
+@pytest.mark.skipif(not hasattr(pty, "fork"), reason="needs a pty")
+def test_interactive_non_utf8_password_is_a_usage_error():
+    argv = [sys.executable, "-m", "csg.vpnc", "connect", "--host", "127.0.0.1",
+            "--port", "9", "--user", "u"]
+    output, exit_code = _pty_session(argv, [(b"tunnel password:", b"t\xffpw\n")], env=_STRICT_UTF8)
+    text = output.decode(errors="replace")
+    assert exit_code == 4, text
+    assert "Traceback" not in text
+    assert text.strip().splitlines() == [
+        "tunnel password: vpnc: tunnel password cannot be decoded as utf-8"
+    ]
 
 
 @pytest.mark.skipif(not hasattr(pty, "openpty"), reason="needs a pty")

@@ -18,6 +18,7 @@ from csg import wire
 from csg.wire import (
     FrameError,
     FrameTooLarge,
+    FrameTooShort,
     MalformedPayload,
     MessageType,
     PayloadReader,
@@ -75,8 +76,6 @@ def test_decode_truncations():
     with pytest.raises(TruncatedFrame):
         decode_bytes(b"\x00\x00\x00\x05\x01\x41")  # body cut short
     with pytest.raises(TruncatedFrame):
-        decode_bytes(b"\x00\x00\x00\x00")  # zero length leaves no type byte
-    with pytest.raises(TruncatedFrame):
         # cut short after the payload's first reads
         decode_bytes(encode_frame(MessageType.PUT, bytes(300_000))[:-1])
 
@@ -88,6 +87,13 @@ def test_only_an_end_before_the_frame_is_stream_ended():
         with pytest.raises(TruncatedFrame) as info:
             decode_bytes(cut)
         assert type(info.value) is TruncatedFrame
+
+
+def test_decode_refuses_zero_length_as_malformed_not_truncated():
+    # refused from the 4 length bytes alone, whether or not a type byte follows
+    for head in (b"\x00\x00\x00\x00", b"\x00\x00\x00\x00\x08"):
+        with pytest.raises(FrameTooShort):
+            decode_bytes(head)
 
 
 def test_decode_rejects_over_cap_before_reading_body():
